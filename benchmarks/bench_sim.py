@@ -13,14 +13,14 @@ throughputs to ``BENCH_sim.json``:
   :class:`~repro.sim.compile.CompiledTrace` (mode comparisons, sweeps,
   and the serving LRU all hit this path);
 - **native** — the same reused compiled trace driven through the
-  selected :mod:`repro.sim.backend` kernel (numba or C), i.e. what
-  ``CoreSim.run`` actually does by default on hosts with a native
-  backend available.  The section records which backend ran; it is
-  omitted when only the pure-Python engine is available.
+  :mod:`repro.sim.backend` C kernel, i.e. what ``CoreSim.run``
+  actually does by default on hosts with a C compiler.  The section
+  records which backend ran; it is omitted when only the pure-Python
+  engine is available.
 
 The seed/cold/precompiled sections are pinned to the pure-Python hot
 loop (``use_backend("python")``) so their meaning is stable across
-hosts; only the ``native`` section exercises the compiled kernels.
+hosts; only the ``native`` section exercises the compiled kernel.
 
 It also times the end-to-end four-mode experiment shape
 (:func:`repro.sim.simulator.simulate_modes`: baseline + four mode runs,

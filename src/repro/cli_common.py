@@ -71,9 +71,10 @@ def add_common_arguments(
             "--sim-backend",
             choices=VALID_BACKENDS,
             default=None,
-            help="execution engine for the simulator hot loop "
-            "(default: $REPRO_SIM_BACKEND, else auto — "
-            "see the Backends section of docs/SIMULATOR.md)",
+            help="execution engine for the simulator hot loop: c (the "
+            "compiled kernel) or python (the oracle loop); default: "
+            "$REPRO_SIM_BACKEND, else auto — c when a C compiler builds "
+            "the kernel, else python",
         )
 
 

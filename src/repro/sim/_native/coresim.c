@@ -1,12 +1,14 @@
-/* Native CoreSim kernel — hand-maintained C translation of
- * repro/sim/backend_kernel.py.
+/* Native CoreSim kernel — a hand-maintained C mirror of the pure-Python
+ * event loop in repro.sim.core.CoreSim._run.
  *
  * Contract: repro_coresim_run takes the exact argument tuple that
  * repro.sim.backend.try_run_native assembles (same order, int64 arrays
- * except the five uint8 arrays), performs the exact event-loop the
- * Python kernel performs, and returns the same RC_* codes.  When
- * editing pipeline semantics in backend_kernel.py, mirror the change
- * here — the cross-backend equivalence suite catches divergence.
+ * except the five uint8 arrays), performs the same event loop as
+ * CoreSim._run over the packed arrays, and returns the RC_* codes
+ * below.  The cfg/stats/cstats slot enums mirror the CFG_*, ST_* and
+ * CS_* constants in repro/sim/backend.py.  When editing pipeline
+ * semantics in CoreSim._run, mirror the change here — the equivalence
+ * suite (tests/test_sim_backends.py) catches divergence.
  *
  * Built on demand by repro.sim.backend._build_c_kernel:
  *   cc -O2 -fPIC -shared -o ~/.cache/repro/native/coresim-<sha>.so coresim.c
@@ -18,7 +20,7 @@
 typedef int64_t i64;
 typedef uint8_t u8;
 
-/* cfg[] slots — keep in sync with backend_kernel.py */
+/* cfg[] slots — keep in sync with CFG_* in backend.py */
 enum {
     CFG_DISPATCH_W = 0, CFG_ISSUE_W, CFG_COMMIT_W, CFG_ROB, CFG_IQ,
     CFG_LQ, CFG_SQ, CFG_FRONTEND, CFG_COMMIT_LAT, CFG_REDIRECT,

@@ -1,39 +1,38 @@
-"""Selectable native backends for the CoreSim hot loop.
+"""Selectable execution engines for the CoreSim hot loop.
 
 The pure-Python event loop in :meth:`repro.sim.core.CoreSim._run` stays
 the equivalence oracle; this module can replace its execution with a
 compiled kernel over flat int64 arrays:
 
 - ``python`` — the pure-Python hot loop (always available; the oracle).
-- ``numba`` — :mod:`repro.sim.backend_kernel` jitted with
-  ``@numba.njit(cache=True, nogil=True)``.  Preferred when numba is
-  installed (``pip install repro[native]``).
-- ``c`` — ``repro/sim/_native/coresim.c`` (a hand-maintained translation
-  of the same kernel) compiled once with the system C compiler into
+- ``c`` — ``repro/sim/_native/coresim.c`` (a hand-maintained mirror of
+  the same loop) compiled once with the system C compiler into
   ``~/.cache/repro/native`` and driven through ``ctypes``.  No Python
   dependencies; needs only ``cc``.
-- ``interpreted`` — the numba-compatible kernel executed as plain
-  Python.  Slow; exists so the kernel itself can be equivalence-tested
-  on hosts without numba.
-- ``auto`` (default) — ``numba`` if importable, else ``c`` if a C
-  compiler is available, else ``python``.
-- ``cython`` — accepted for forward compatibility; no Cython backend is
-  bundled, so it currently warns and falls through the ``auto`` chain.
+- ``auto`` (default) — ``c`` if a C compiler builds the kernel, else
+  ``python``.
 
 Selection happens at import time from ``REPRO_SIM_BACKEND`` and can be
 overridden programmatically (:func:`set_backend`, :func:`use_backend`)
 — the CLI's ``--sim-backend`` flag routes through :func:`set_backend`.
 
-Every backend produces byte-identical ``SimStats.to_dict()`` payloads
+Both engines produce byte-identical ``SimStats.to_dict()`` payloads
 (enforced by ``tests/test_sim_equivalence.py`` / ``test_sim_backends.py``)
-and leaves the run's :class:`~repro.sim.cache.CacheHierarchy` in the
-same state as the Python loop, so interval sampling's cache-residency
-checkpoints (:mod:`repro.sim.sample`) work unchanged on native runs.
+and leave the run's :class:`~repro.sim.cache.CacheHierarchy` in the
+same state, so interval sampling's cache-residency checkpoints
+(:mod:`repro.sim.sample`) work unchanged on native runs.
 
-Runs a backend cannot represent exactly — pipeline tracers attached,
+Runs the kernel cannot represent exactly — pipeline tracers attached,
 ``seq``/``when`` outside the int64 packing bounds, a cache snapshot
-wider than the configured associativity — transparently fall back to
-the Python loop.
+wider than the configured associativity, a scratch-capacity abort —
+transparently fall back to the Python loop.
+
+Events and ready entries are packed ints exactly like the pure-Python
+hot loop, but with a 32-bit cycle shift so they fit in int64
+(``(when << 32) | (seq << 2) | kind`` and ``(cycle << 32) | seq``);
+:func:`try_run_native` guarantees ``seq < 2**30`` and ``when < 2**31``,
+so the packing cannot overflow and orders identically to the reference
+tuples.
 """
 
 from __future__ import annotations
@@ -50,19 +49,47 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.sim import backend_kernel as bk
 from repro.sim.compile import FU_CLASSES, CompiledTrace
 from repro.sim.stats import SimStats, StallReason
 
 _STALL_REASONS = tuple(StallReason)
 
 #: Recognised REPRO_SIM_BACKEND values.
-VALID_BACKENDS = ("auto", "python", "numba", "c", "interpreted", "cython")
+VALID_BACKENDS = ("auto", "python", "c")
 
 #: Native-state pool bound per PackedTrace (mirrors compile._POOL_MAX).
 _POOL_MAX = 8
 
-_EV_SHIFT = bk._EV_SHIFT
+# Kernel array slot layouts — mirror the enums in _native/coresim.c.
+(
+    CFG_DISPATCH_W, CFG_ISSUE_W, CFG_COMMIT_W, CFG_ROB, CFG_IQ,
+    CFG_LQ, CFG_SQ, CFG_FRONTEND, CFG_COMMIT_LAT, CFG_REDIRECT,
+    CFG_LPORTS, CFG_SPORTS, CFG_FWD_LAT, CFG_MSHRS, CFG_MAX_CYCLES,
+    CFG_LEADING, CFG_TRAILING, CFG_PARTIAL, CFG_TCA_UNITS,
+    CFG_L1_LAT, CFG_L2_LAT, CFG_MEM_LAT, CFG_PREFETCH,
+    CFG_L1_SETS, CFG_L1_ASSOC, CFG_L2_SETS, CFG_L2_ASSOC,
+    CFG_LINE_SHIFT, CFG_START, CFG_STOP, CFG_EVENTS_CAP, CFG_READY_CAP,
+    CFG_N_FU, CFG_LINE, CFG_WRITERS_CAP, CFG_LOWCONF_CAP,
+) = range(36)
+CFG_LEN = 36
+
+(
+    ST_CYCLES, ST_INSTR, ST_DISPATCHED, ST_LOADS, ST_STORES,
+    ST_BRANCHES, ST_MISPRED, ST_TCA_INV, ST_TCA_READS, ST_TCA_WRITES,
+    ST_TCA_WAIT, ST_TCA_EXEC, ST_ROB_SUM, ST_ROB_SAMPLES, ST_MAX_ROB,
+    ST_ERR_CYCLE, ST_ERR_COMMITTED, ST_ERR_PC,
+) = range(18)
+ST_STALL_BASE = 20  # one slot per StallReason, in definition order
+ST_LEN = 32
+
+CS_L1_ACC, CS_L1_MISS, CS_L2_ACC, CS_L2_MISS, CS_PREFETCHES = range(5)
+CS_LEN = 8
+
+RC_OK = 0
+RC_CAPACITY = -2  # scratch array overflow: the Python loop runs instead
+RC_WATCHDOG = -3  # exceeded max_cycles
+RC_DEADLOCK = -4  # no progress possible
+
 _SEQ_LIMIT = 1 << 30
 _WHEN_LIMIT = 1 << 31
 
@@ -96,11 +123,11 @@ class NativeRunState:
 
 
 class PackedTrace:
-    """Flat int64/uint8 views of a :class:`CompiledTrace` for the kernels.
+    """Flat int64/uint8 views of a :class:`CompiledTrace` for the C kernel.
 
     Built once per compiled trace (memoized on ``CompiledTrace._packed``)
-    and shared read-only across runs, threads, and backends.  Nested
-    Python structures become CSR arrays:
+    and shared read-only across runs and threads.  Nested Python
+    structures become CSR arrays:
 
     - ``ml_start``/``ml_lines`` — load cache-line spans;
     - ``cw_start``/``cw_lines`` — commit-time write lines (stores + TCA);
@@ -302,21 +329,6 @@ def use_backend(name: str | None):
         set_backend(previous)
 
 
-def _build_numba_kernel():
-    import numba  # noqa: F401 — ImportError propagates to the caller
-
-    jit = numba.njit(cache=True, nogil=True)
-    for name in bk.JIT_ORDER[:-1]:
-        fn = getattr(bk, name)
-        if not hasattr(fn, "py_func"):  # idempotent across rebuilds
-            setattr(bk, name, jit(fn))
-    top = getattr(bk, bk.JIT_ORDER[-1])
-    if not hasattr(top, "py_func"):
-        top = jit(top)
-        setattr(bk, bk.JIT_ORDER[-1], top)
-    return top
-
-
 _C_FUNC = None
 
 
@@ -370,54 +382,18 @@ def _resolve() -> tuple[str, object]:
     taking the packed kernel argument tuple and returning an RC code.
     """
     request = requested_backend()
-    if request == "cython":
-        warnings.warn(
-            "REPRO_SIM_BACKEND=cython: no Cython backend is bundled; "
-            "falling back to the auto chain (numba > c > python)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        request = "auto"
     if request == "python":
         return "python", None
-    if request == "interpreted":
-        return "interpreted", lambda args: bk.kernel(*args)
-    if request == "numba":
-        try:
-            top = _build_numba_kernel()
-        except ImportError:
-            warnings.warn(
-                "REPRO_SIM_BACKEND=numba but numba is not installed; "
-                "falling back to the auto chain (c > python). "
-                "Install it with `pip install repro[native]`.",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-            request = "auto"
-        else:
-            return "numba", lambda args, _top=top: _top(*args)
-    if request == "c":
-        try:
-            _build_c_kernel()
-        except Exception as exc:
+    try:
+        _build_c_kernel()
+    except Exception as exc:
+        if request == "c":
             warnings.warn(
                 f"REPRO_SIM_BACKEND=c unavailable ({exc}); "
                 "falling back to the pure-Python engine",
                 RuntimeWarning,
                 stacklevel=3,
             )
-            return "python", None
-        return "c", _call_c
-    # auto
-    try:
-        top = _build_numba_kernel()
-    except ImportError:
-        pass
-    else:
-        return "numba", lambda args, _top=top: _top(*args)
-    try:
-        _build_c_kernel()
-    except Exception:
         return "python", None
     return "c", _call_c
 
@@ -443,7 +419,7 @@ def _impl():
 
 
 def _fits(sim, pt: PackedTrace) -> bool:
-    """Whether the run is representable in the kernels' int64 packing."""
+    """Whether the run is representable in the kernel's int64 packing."""
     config = sim.config
     if pt.length >= _SEQ_LIMIT:
         return False
@@ -556,50 +532,50 @@ def try_run_native(sim) -> SimStats | None:
     )
     ready_cap = config.iq_size + config.dispatch_width + 8
 
-    cfg = np.zeros(bk.CFG_LEN, dtype=_I64)
-    cfg[bk.CFG_DISPATCH_W] = config.dispatch_width
-    cfg[bk.CFG_ISSUE_W] = config.issue_width
-    cfg[bk.CFG_COMMIT_W] = config.commit_width
-    cfg[bk.CFG_ROB] = config.rob_size
-    cfg[bk.CFG_IQ] = config.iq_size
-    cfg[bk.CFG_LQ] = config.lq_size
-    cfg[bk.CFG_SQ] = config.sq_size
-    cfg[bk.CFG_FRONTEND] = config.frontend_depth
-    cfg[bk.CFG_COMMIT_LAT] = config.commit_latency
-    cfg[bk.CFG_REDIRECT] = config.redirect_penalty
-    cfg[bk.CFG_LPORTS] = config.load_ports
-    cfg[bk.CFG_SPORTS] = config.store_ports
-    cfg[bk.CFG_FWD_LAT] = config.forward_latency
-    cfg[bk.CFG_MSHRS] = config.mshrs
-    cfg[bk.CFG_MAX_CYCLES] = config.max_cycles
-    cfg[bk.CFG_LEADING] = 1 if mode.leading else 0
-    cfg[bk.CFG_TRAILING] = 1 if mode.trailing else 0
-    cfg[bk.CFG_PARTIAL] = 1 if config.partial_speculation else 0
-    cfg[bk.CFG_TCA_UNITS] = config.tca_units
-    cfg[bk.CFG_L1_LAT] = l1c.latency
-    cfg[bk.CFG_L2_LAT] = l2c.latency
-    cfg[bk.CFG_MEM_LAT] = cache.mem_latency
-    cfg[bk.CFG_PREFETCH] = 1 if cache.prefetch_next_line else 0
-    cfg[bk.CFG_L1_SETS] = l1_sets
-    cfg[bk.CFG_L1_ASSOC] = l1_assoc
-    cfg[bk.CFG_L2_SETS] = l2_sets
-    cfg[bk.CFG_L2_ASSOC] = l2_assoc
-    cfg[bk.CFG_LINE_SHIFT] = cache.l1._line_shift
-    cfg[bk.CFG_START] = start
-    cfg[bk.CFG_STOP] = stop
-    cfg[bk.CFG_EVENTS_CAP] = events_cap
-    cfg[bk.CFG_READY_CAP] = ready_cap
-    cfg[bk.CFG_N_FU] = len(pt.fu_used)
-    cfg[bk.CFG_LINE] = l1c.line
-    cfg[bk.CFG_WRITERS_CAP] = pt.writers_cap
-    cfg[bk.CFG_LOWCONF_CAP] = pt.lowconf_cap
+    cfg = np.zeros(CFG_LEN, dtype=_I64)
+    cfg[CFG_DISPATCH_W] = config.dispatch_width
+    cfg[CFG_ISSUE_W] = config.issue_width
+    cfg[CFG_COMMIT_W] = config.commit_width
+    cfg[CFG_ROB] = config.rob_size
+    cfg[CFG_IQ] = config.iq_size
+    cfg[CFG_LQ] = config.lq_size
+    cfg[CFG_SQ] = config.sq_size
+    cfg[CFG_FRONTEND] = config.frontend_depth
+    cfg[CFG_COMMIT_LAT] = config.commit_latency
+    cfg[CFG_REDIRECT] = config.redirect_penalty
+    cfg[CFG_LPORTS] = config.load_ports
+    cfg[CFG_SPORTS] = config.store_ports
+    cfg[CFG_FWD_LAT] = config.forward_latency
+    cfg[CFG_MSHRS] = config.mshrs
+    cfg[CFG_MAX_CYCLES] = config.max_cycles
+    cfg[CFG_LEADING] = 1 if mode.leading else 0
+    cfg[CFG_TRAILING] = 1 if mode.trailing else 0
+    cfg[CFG_PARTIAL] = 1 if config.partial_speculation else 0
+    cfg[CFG_TCA_UNITS] = config.tca_units
+    cfg[CFG_L1_LAT] = l1c.latency
+    cfg[CFG_L2_LAT] = l2c.latency
+    cfg[CFG_MEM_LAT] = cache.mem_latency
+    cfg[CFG_PREFETCH] = 1 if cache.prefetch_next_line else 0
+    cfg[CFG_L1_SETS] = l1_sets
+    cfg[CFG_L1_ASSOC] = l1_assoc
+    cfg[CFG_L2_SETS] = l2_sets
+    cfg[CFG_L2_ASSOC] = l2_assoc
+    cfg[CFG_LINE_SHIFT] = cache.l1._line_shift
+    cfg[CFG_START] = start
+    cfg[CFG_STOP] = stop
+    cfg[CFG_EVENTS_CAP] = events_cap
+    cfg[CFG_READY_CAP] = ready_cap
+    cfg[CFG_N_FU] = len(pt.fu_used)
+    cfg[CFG_LINE] = l1c.line
+    cfg[CFG_WRITERS_CAP] = pt.writers_cap
+    cfg[CFG_LOWCONF_CAP] = pt.lowconf_cap
 
-    cstats = np.zeros(bk.CS_LEN, dtype=_I64)
-    cstats[bk.CS_L1_ACC] = cache.l1.stats.accesses
-    cstats[bk.CS_L1_MISS] = cache.l1.stats.misses
-    cstats[bk.CS_L2_ACC] = cache.l2.stats.accesses
-    cstats[bk.CS_L2_MISS] = cache.l2.stats.misses
-    cstats[bk.CS_PREFETCHES] = cache.prefetches
+    cstats = np.zeros(CS_LEN, dtype=_I64)
+    cstats[CS_L1_ACC] = cache.l1.stats.accesses
+    cstats[CS_L1_MISS] = cache.l1.stats.misses
+    cstats[CS_L2_ACC] = cache.l2.stats.accesses
+    cstats[CS_L2_MISS] = cache.l2.stats.misses
+    cstats[CS_PREFETCHES] = cache.prefetches
 
     events = np.zeros(events_cap, dtype=_I64)
     ready = np.zeros(ready_cap, dtype=_I64)
@@ -608,7 +584,7 @@ def try_run_native(sim) -> SimStats | None:
     lowconf = np.zeros(max(1, pt.lowconf_cap), dtype=_I64)
     tca_active = np.zeros(max(1, config.tca_units), dtype=_I64)
     attached = np.zeros(max(1, pt.max_tca_reads), dtype=_I64)
-    stats_out = np.zeros(bk.ST_LEN, dtype=_I64)
+    stats_out = np.zeros(ST_LEN, dtype=_I64)
 
     st = pt.acquire_state()
     if start:
@@ -635,59 +611,59 @@ def try_run_native(sim) -> SimStats | None:
     )
     rc = impl(args)
 
-    if rc == bk.RC_CAPACITY:
+    if rc == RC_CAPACITY:
         # Scratch overflow: discard the (dirty) native state and let the
         # oracle loop run this one.  sim.cache was not written back, so
         # the fallback starts from the exact pre-run hierarchy.
         return None
-    if rc == bk.RC_WATCHDOG:
+    if rc == RC_WATCHDOG:
         from repro.sim.core import DeadlockError
 
         raise DeadlockError(
             f"exceeded max_cycles={config.max_cycles} "
-            f"(committed {int(stats_out[bk.ST_ERR_COMMITTED])}/{stop})"
+            f"(committed {int(stats_out[ST_ERR_COMMITTED])}/{stop})"
         )
-    if rc == bk.RC_DEADLOCK:
+    if rc == RC_DEADLOCK:
         from repro.sim.core import DeadlockError
 
-        err_pc = int(stats_out[bk.ST_ERR_PC])
-        err_committed = int(stats_out[bk.ST_ERR_COMMITTED])
+        err_pc = int(stats_out[ST_ERR_PC])
+        err_committed = int(stats_out[ST_ERR_COMMITTED])
         raise DeadlockError(
-            f"no progress possible at cycle {int(stats_out[bk.ST_ERR_CYCLE])} "
+            f"no progress possible at cycle {int(stats_out[ST_ERR_CYCLE])} "
             f"(committed {err_committed}/{stop}, "
             f"rob={err_pc - err_committed}, pc={err_pc})"
         )
-    if rc != bk.RC_OK:  # pragma: no cover - defensive
+    if rc != RC_OK:  # pragma: no cover - defensive
         return None
 
     pt.release_state(st)
 
     _store_level(cache.l1, l1_tags, l1_cnt, l1_assoc)
     _store_level(cache.l2, l2_tags, l2_cnt, l2_assoc)
-    cache.l1.stats.accesses = int(cstats[bk.CS_L1_ACC])
-    cache.l1.stats.misses = int(cstats[bk.CS_L1_MISS])
-    cache.l2.stats.accesses = int(cstats[bk.CS_L2_ACC])
-    cache.l2.stats.misses = int(cstats[bk.CS_L2_MISS])
-    cache.prefetches = int(cstats[bk.CS_PREFETCHES])
+    cache.l1.stats.accesses = int(cstats[CS_L1_ACC])
+    cache.l1.stats.misses = int(cstats[CS_L1_MISS])
+    cache.l2.stats.accesses = int(cstats[CS_L2_ACC])
+    cache.l2.stats.misses = int(cstats[CS_L2_MISS])
+    cache.prefetches = int(cstats[CS_PREFETCHES])
 
     stats = sim.stats
-    stats.cycles = int(stats_out[bk.ST_CYCLES])
-    stats.instructions = int(stats_out[bk.ST_INSTR])
-    stats.dispatched = int(stats_out[bk.ST_DISPATCHED])
-    stats.loads = int(stats_out[bk.ST_LOADS])
-    stats.stores = int(stats_out[bk.ST_STORES])
-    stats.branches = int(stats_out[bk.ST_BRANCHES])
-    stats.mispredicts = int(stats_out[bk.ST_MISPRED])
-    stats.tca_invocations = int(stats_out[bk.ST_TCA_INV])
-    stats.tca_read_requests = int(stats_out[bk.ST_TCA_READS])
-    stats.tca_write_requests = int(stats_out[bk.ST_TCA_WRITES])
-    stats.tca_wait_drain_cycles = int(stats_out[bk.ST_TCA_WAIT])
-    stats.tca_exec_cycles = int(stats_out[bk.ST_TCA_EXEC])
-    stats.rob_occupancy_sum = int(stats_out[bk.ST_ROB_SUM])
-    stats.rob_samples = int(stats_out[bk.ST_ROB_SAMPLES])
-    stats.max_rob_occupancy = int(stats_out[bk.ST_MAX_ROB])
+    stats.cycles = int(stats_out[ST_CYCLES])
+    stats.instructions = int(stats_out[ST_INSTR])
+    stats.dispatched = int(stats_out[ST_DISPATCHED])
+    stats.loads = int(stats_out[ST_LOADS])
+    stats.stores = int(stats_out[ST_STORES])
+    stats.branches = int(stats_out[ST_BRANCHES])
+    stats.mispredicts = int(stats_out[ST_MISPRED])
+    stats.tca_invocations = int(stats_out[ST_TCA_INV])
+    stats.tca_read_requests = int(stats_out[ST_TCA_READS])
+    stats.tca_write_requests = int(stats_out[ST_TCA_WRITES])
+    stats.tca_wait_drain_cycles = int(stats_out[ST_TCA_WAIT])
+    stats.tca_exec_cycles = int(stats_out[ST_TCA_EXEC])
+    stats.rob_occupancy_sum = int(stats_out[ST_ROB_SUM])
+    stats.rob_samples = int(stats_out[ST_ROB_SAMPLES])
+    stats.max_rob_occupancy = int(stats_out[ST_MAX_ROB])
     for i, reason in enumerate(_STALL_REASONS):
-        count = int(stats_out[bk.ST_STALL_BASE + i])
+        count = int(stats_out[ST_STALL_BASE + i])
         if count:
             stats.stall_cycles[reason] = count
     return stats

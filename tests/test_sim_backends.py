@@ -3,14 +3,12 @@
 Three layers: selection semantics (environment parsing, programmatic
 overrides, the availability-fallback chain), the representability
 guards that route unsupported runs back to the Python oracle, and
-byte-identical equivalence of the compiled kernels against the
-pure-Python hot loop.  The ``interpreted`` backend exercises the
-numba-compatible kernel on hosts without numba; the ``c`` backend runs
-whenever a system C compiler is present.
+byte-identical equivalence of the compiled C kernel against the
+pure-Python hot loop.  The ``c`` tests run whenever a system C compiler
+is present.
 """
 
 import dataclasses
-import importlib.util
 import json
 import shutil
 
@@ -24,7 +22,6 @@ from repro.sim.core import CoreSim, DeadlockError
 from repro.workloads.heap import HeapWorkloadSpec, generate_heap_program
 from repro.workloads.synthetic import SyntheticSpec, generate_synthetic_program
 
-HAS_NUMBA = importlib.util.find_spec("numba") is not None
 HAS_CC = any(shutil.which(cc) for cc in ("cc", "gcc", "clang"))
 
 MODES = TCAMode.all_modes()
@@ -80,20 +77,22 @@ class TestSelection:
             assert backend.requested_backend() == "auto"
 
     def test_set_backend_rejects_unknown_names(self):
-        with pytest.raises(ValueError, match="unknown sim backend"):
-            backend.set_backend("fortran")
+        # Includes the retired numba/interpreted/cython selectors.
+        for name in ("fortran", "numba", "interpreted", "cython"):
+            with pytest.raises(ValueError, match="unknown sim backend"):
+                backend.set_backend(name)
 
     def test_override_beats_environment(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_BACKEND", "python")
-        backend.set_backend("interpreted")
-        assert backend.requested_backend() == "interpreted"
+        backend.set_backend("c")
+        assert backend.requested_backend() == "c"
         backend.set_backend(None)
         assert backend.requested_backend() == "python"
 
     def test_use_backend_restores_on_exit(self):
         backend.set_backend("python")
-        with backend.use_backend("interpreted"):
-            assert backend.requested_backend() == "interpreted"
+        with backend.use_backend("c"):
+            assert backend.requested_backend() == "c"
         assert backend.requested_backend() == "python"
 
     def test_python_backend_resolves_to_no_impl(self):
@@ -101,34 +100,9 @@ class TestSelection:
         assert backend.effective_backend() == "python"
         assert backend._impl() is None
 
-    def test_interpreted_backend_is_always_available(self):
-        backend.set_backend("interpreted")
-        assert backend.effective_backend() == "interpreted"
-        assert callable(backend._impl())
-
-    def test_cython_request_warns_and_falls_through_auto(self):
-        backend.set_backend("cython")
-        with pytest.warns(RuntimeWarning, match="no Cython backend"):
-            effective = backend.effective_backend()
-        assert effective != "cython"
-        assert effective in ("numba", "c", "python")
-
-    @pytest.mark.skipif(HAS_NUMBA, reason="numba is installed here")
-    def test_numba_request_without_numba_warns_and_falls_back(self):
-        backend.set_backend("numba")
-        with pytest.warns(RuntimeWarning, match="numba is not installed"):
-            effective = backend.effective_backend()
-        assert effective in ("c", "python")
-
     def test_auto_prefers_a_native_backend_when_available(self):
         backend.set_backend("auto")
-        effective = backend.effective_backend()
-        if HAS_NUMBA:
-            assert effective == "numba"
-        elif HAS_CC:
-            assert effective == "c"
-        else:
-            assert effective == "python"
+        assert backend.effective_backend() == ("c" if HAS_CC else "python")
 
     @pytest.mark.skipif(not HAS_CC, reason="no C compiler on this host")
     def test_c_backend_resolves_when_compiler_present(self):
@@ -143,6 +117,7 @@ class TestSelection:
 # ====================================================== representability guards
 
 
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on this host")
 class TestNativeGuards:
     def _sim(self, **config_overrides):
         config = dataclasses.replace(HIGH_PERF_SIM, **config_overrides)
@@ -153,14 +128,14 @@ class TestNativeGuards:
         assert backend.try_run_native(self._sim()) is None
 
     def test_when_packing_bound_routes_to_the_oracle(self):
-        backend.set_backend("interpreted")
+        backend.set_backend("c")
         sim = self._sim(max_cycles=backend._WHEN_LIMIT)
         assert backend.try_run_native(sim) is None
 
     def test_oversized_cache_snapshot_routes_to_the_oracle(self):
         # A loaded residency snapshot wider than the configured ways
-        # cannot live in the kernels' fixed-way arrays.
-        backend.set_backend("interpreted")
+        # cannot live in the kernel's fixed-way arrays.
+        backend.set_backend("c")
         sim = self._sim()
         assoc = sim.cache.l1.config.assoc
         sim.cache.l1._sets[0] = list(range(assoc + 1))
@@ -172,30 +147,50 @@ class TestNativeGuards:
         trace = CASES[0][1]
         config = dataclasses.replace(HIGH_PERF_SIM, max_cycles=backend._WHEN_LIMIT)
         expected = _run("python", config, trace)
-        actual = _run("interpreted", config, trace)
+        actual = _run("c", config, trace)
         assert _dump(actual) == _dump(expected)
+
+    def test_capacity_abort_falls_back_to_an_exact_python_run(self, monkeypatch):
+        # The real kernel runs (dirtying its state block) and then reports
+        # a scratch overflow: try_run_native must drop that block and leave
+        # the cache hierarchy untouched so the Python loop runs exactly.
+        # Cold caches: a leaked write-back would turn later misses into hits.
+        label, trace, _ = CASES[1]
+        config = dataclasses.replace(HIGH_PERF_SIM, prefetch_next_line=True)
+        compiled = compile_trace(trace, cache=False)
+        with backend.use_backend("python"):
+            expected = CoreSim(config, compiled)
+            expected_stats = expected.run()
+
+        backend.set_backend("c")
+        kernel = backend._impl()
+
+        def run_then_abort(args):
+            assert kernel(args) == backend.RC_OK
+            return backend.RC_CAPACITY
+
+        monkeypatch.setattr(backend, "_impl", lambda: run_then_abort)
+        sim = CoreSim(config, compiled)
+        stats = sim.run()
+
+        assert _dump(stats) == _dump(expected_stats), label
+        assert sim.cache.export_state() == expected.cache.export_state()
+        for level in ("l1", "l2"):
+            assert getattr(sim.cache, level).stats == getattr(
+                expected.cache, level
+            ).stats
+        assert sim.cache.prefetches == expected.cache.prefetches
+        assert backend.get_packed(compiled)._pool == []
 
     def test_watchdog_maps_to_deadlock_error(self):
         config = dataclasses.replace(HIGH_PERF_SIM, max_cycles=40)
         with pytest.raises(DeadlockError):
             _run("python", config, CASES[0][1])
         with pytest.raises(DeadlockError, match="max_cycles"):
-            _run("interpreted", config, CASES[0][1])
+            _run("c", config, CASES[0][1])
 
 
 # ================================================================= equivalence
-
-
-class TestInterpretedEquivalence:
-    """Reduced matrix: the kernel itself, exercised without a jit."""
-
-    @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
-    def test_matches_python(self, mode):
-        config = dataclasses.replace(HIGH_PERF_SIM, tca_mode=mode)
-        label, trace, warm = CASES[1]
-        expected = _run("python", config, trace, warm)
-        actual = _run("interpreted", config, trace, warm)
-        assert _dump(actual) == _dump(expected), label
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on this host")
@@ -225,16 +220,3 @@ class TestCEquivalence:
             second = CoreSim(HIGH_PERF_SIM, compiled).run()
         assert _dump(first) == _dump(second)
         assert backend.get_packed(compiled)._pool  # state block returned
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-class TestNumbaEquivalence:
-    """Smoke equivalence for the jitted kernel (CI's numba matrix leg)."""
-
-    @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
-    def test_matches_python(self, mode):
-        config = dataclasses.replace(HIGH_PERF_SIM, tca_mode=mode)
-        label, trace, warm = CASES[1]
-        expected = _run("python", config, trace, warm)
-        actual = _run("numba", config, trace, warm)
-        assert _dump(actual) == _dump(expected), label

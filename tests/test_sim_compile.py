@@ -2,6 +2,9 @@
 
 import json
 import pickle
+import shutil
+
+import pytest
 
 from repro.core.modes import TCAMode
 from repro.isa.trace import TraceBuilder
@@ -10,6 +13,8 @@ from repro.sim.config import HIGH_PERF_SIM
 from repro.sim.core import CoreSim
 from repro.sim.simulator import simulate, simulate_modes
 from repro.workloads.heap import HeapWorkloadSpec, generate_heap_program
+
+HAS_CC = any(shutil.which(cc) for cc in ("cc", "gcc", "clang"))
 
 
 def _trace():
@@ -83,13 +88,14 @@ class TestRunStatePool:
         assert len(dumps) == 1
         assert len(compiled._pool) == 1
 
+    @pytest.mark.skipif(not HAS_CC, reason="no C compiler on this host")
     def test_native_state_pool_reuses_blocks(self):
         # The native driver's per-run arrays pool mirrors the RunState
         # pool: clean runs recycle one block, and reuse leaves no residue.
         from repro.sim import backend
 
         compiled = compile_trace(_trace(), cache=False)
-        with backend.use_backend("interpreted"):
+        with backend.use_backend("c"):
             dumps = set()
             for _ in range(4):
                 sim = CoreSim(HIGH_PERF_SIM, compiled)
