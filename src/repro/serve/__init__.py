@@ -20,9 +20,8 @@ heavy traffic:
   (``repro-serve``) exposing ``/evaluate``, ``/sweep``, ``/simulate``,
   and ``/healthz``;
 - :mod:`repro.serve.pool` — the scale-out tier: ``--workers N`` runs a
-  pre-forked pool of server processes sharing one listening port
-  (``SO_REUSEPORT`` where available, inherited socket elsewhere), with
-  crash respawn, graceful pool-wide drain, and a merged ``/healthz``
+  pre-forked pool of server processes accepting on one inherited
+  listening socket, with crash respawn, graceful pool-wide drain, and a merged ``/healthz``
   pool view.
 
 See ``docs/SERVING.md`` for endpoint schemas and cache semantics.

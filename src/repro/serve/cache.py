@@ -5,18 +5,19 @@ the million; simulations are expensive enough that re-running one is
 always worth avoiding.  Both are pure functions of their content-addressed
 keys (:mod:`repro.serve.keys`), so memoization is semantically invisible:
 
-- :class:`LRUCache` — in-memory, thread-safe, bounded by entry count and
-  optional TTL; eviction is least-recently-used.
+- :class:`LRUCache` — in-memory, thread-safe, bounded by entry count;
+  eviction is least-recently-used.  Entries never go stale (every key
+  embeds the schema tag), so none expires by age.
 - :class:`DiskCache` — JSON files under ``~/.cache/repro/<schema-tag>/``
   (override with ``$REPRO_CACHE_DIR``), sharded by key prefix and written
   atomically.  The directory is versioned by the schema tag, so a package
   or model-equation version bump starts from an empty cache rather than
   serving stale results.
-- :class:`EvaluationCache` — the two composed: memory first, then disk
-  (disk hits are promoted), with hit/miss/eviction counters recorded in
-  the process :class:`~repro.obs.metrics.MetricsRegistry` under
-  ``serve.cache.*`` so they show up in ``--profile`` output and run
-  manifests.
+- :class:`EvaluationCache` — the tiers composed: memory first, then a
+  pool's shared-memory tier, then disk (outer hits are promoted inward),
+  with hit/miss/eviction counters recorded in the process
+  :class:`~repro.obs.metrics.MetricsRegistry` under ``serve.cache.*`` so
+  they show up in ``--profile`` output and run manifests.
 
 Values must be JSON-safe (floats — including ``inf`` — dicts, lists,
 strings); callers serialize richer results (e.g.
@@ -30,7 +31,6 @@ import os
 import re
 import tempfile
 import threading
-import time
 from collections import OrderedDict
 from time import perf_counter
 from typing import Any, Callable, Iterable, Sequence
@@ -69,68 +69,33 @@ def default_disk_cache_bytes() -> int | None:
 
 
 class LRUCache:
-    """A thread-safe, size- and TTL-bounded least-recently-used map.
+    """A thread-safe, size-bounded least-recently-used map.
 
     Args:
         max_entries: entry bound; inserting beyond it evicts the least
             recently *used* entry.
-        ttl_s: optional time-to-live in seconds; entries older than this
-            are treated (and counted) as expired on access.
-        clock: monotonic time source, injectable for tests.
     """
 
-    def __init__(
-        self,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        ttl_s: float | None = None,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        if ttl_s is not None and ttl_s <= 0:
-            raise ValueError(f"ttl_s must be positive, got {ttl_s}")
         self.max_entries = max_entries
-        self.ttl_s = ttl_s
-        self._clock = clock
         self._lock = threading.Lock()
-        self._entries: OrderedDict[str, tuple[Any, float]] = OrderedDict()
+        self._entries: OrderedDict[Any, Any] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.expirations = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: str) -> Any:
-        """The cached value, or :data:`MISS`.
+    def get(self, key: Any) -> Any:
+        """The cached value, or :data:`MISS`; a hit refreshes its recency."""
+        return self.get_many((key,))[0]
 
-        A hit refreshes the entry's recency; an expired entry is removed
-        and counted as both an expiration and a miss.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return MISS
-            value, stored_at = entry
-            if self.ttl_s is not None and self._clock() - stored_at > self.ttl_s:
-                del self._entries[key]
-                self.expirations += 1
-                self.misses += 1
-                return MISS
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def put(self, key: str, value: Any) -> None:
+    def put(self, key: Any, value: Any) -> None:
         """Store ``value``, evicting LRU entries beyond ``max_entries``."""
-        with self._lock:
-            self._entries[key] = (value, self._clock())
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
+        self.put_many(((key, value),))
 
     def get_many(self, keys: Sequence[Any]) -> list[Any]:
         """Bulk :meth:`get`: one value (or :data:`MISS`) per key, in order.
@@ -142,46 +107,32 @@ class LRUCache:
         out: list[Any] = [MISS] * len(keys)
         with self._lock:
             entries = self._entries
-            if not entries:
-                self.misses += len(keys)
-                return out
-            ttl = self.ttl_s
-            now = self._clock() if ttl is not None else 0.0
-            hits = misses = expired = 0
-            move_to_end = entries.move_to_end
-            entries_get = entries.get
-            for position, key in enumerate(keys):
-                entry = entries_get(key)
-                if entry is None:
-                    misses += 1
-                    continue
-                value, stored_at = entry
-                if ttl is not None and now - stored_at > ttl:
-                    del entries[key]
-                    expired += 1
-                    misses += 1
-                    continue
-                move_to_end(key)
-                hits += 1
-                out[position] = value
+            hits = 0
+            if entries:
+                move_to_end = entries.move_to_end
+                entries_get = entries.get
+                for position, key in enumerate(keys):
+                    value = entries_get(key, MISS)
+                    if value is MISS:
+                        continue
+                    move_to_end(key)
+                    hits += 1
+                    out[position] = value
             self.hits += hits
-            self.misses += misses
-            self.expirations += expired
+            self.misses += len(keys) - hits
         return out
 
     def put_many(self, items: Iterable[tuple[Any, Any]]) -> None:
         """Bulk :meth:`put` under a single lock acquisition.
 
-        All entries of the batch share one timestamp (they were computed
-        together); eviction runs once after the inserts, so the bound
-        holds on return exactly as with individual puts.
+        Eviction runs once after the inserts, so the bound holds on
+        return exactly as with individual puts.
         """
         with self._lock:
             entries = self._entries
-            now = self._clock()
             move_to_end = entries.move_to_end
             for key, value in items:
-                entries[key] = (value, now)
+                entries[key] = value
                 move_to_end(key)
             while len(entries) > self.max_entries:
                 entries.popitem(last=False)
@@ -193,16 +144,14 @@ class LRUCache:
             self._entries.clear()
 
     def stats(self) -> dict[str, Any]:
-        """JSON-safe snapshot of size, bounds, and access counters."""
+        """JSON-safe snapshot of size, bound, and access counters."""
         with self._lock:
             return {
                 "entries": len(self._entries),
                 "max_entries": self.max_entries,
-                "ttl_s": self.ttl_s,
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
-                "expirations": self.expirations,
             }
 
 
@@ -459,17 +408,17 @@ class DiskCache:
 
 
 class EvaluationCache:
-    """The service's memoization layer: in-memory LRU plus optional disk.
+    """The service's memoization layer: in-memory LRU plus outer tiers.
 
-    Lookup order is memory, then disk (a disk hit is promoted into
-    memory).  Every access is mirrored into the process
-    :class:`~repro.obs.metrics.MetricsRegistry`:
+    Lookup order is memory, then the optional shared-memory tier, then
+    the optional disk tier; a hit in an outer tier is promoted into
+    memory and into every outer tier probed before it.  Every access is
+    mirrored into the process :class:`~repro.obs.metrics.MetricsRegistry`:
 
     ========================  ============================================
-    ``serve.cache.hits``      requests answered from either layer
-    ``serve.cache.misses``    requests neither layer could answer
+    ``serve.cache.hits``      requests answered from any tier
+    ``serve.cache.misses``    requests no tier could answer
     ``serve.cache.evictions`` LRU evictions (size bound)
-    ``serve.cache.expired``   TTL expirations
     ``serve.cache.disk_hits``   answered from disk (subset of hits)
     ``serve.cache.disk_writes`` values persisted to disk
     ``serve.cache.shared_hits``   answered from shared memory (subset)
@@ -477,31 +426,26 @@ class EvaluationCache:
     ========================  ============================================
 
     plus the ``serve.cache.lookup`` latency histogram: one sample per
-    :meth:`get` call and one per :meth:`get_many` batch (the whole
-    probe, both layers), feeding the p50/p90/p99 lookup-cost view in
-    ``/metrics``.
+    :meth:`get` or :meth:`get_many` call (the whole probe, every tier),
+    feeding the p50/p90/p99 lookup-cost view in ``/metrics``.
 
     Args:
         max_entries: in-memory LRU bound.
-        ttl_s: optional in-memory TTL (the disk layer has none: its
-            entries are invalidated by schema tag, not age).
         disk: ``True`` for the default on-disk store, a
             :class:`DiskCache` instance, or ``None``/``False`` for
             memory-only.
         shared: optional :class:`~repro.serve.shm.SharedBlobStore` —
-            the zero-copy cross-worker hot tier of a pre-forked pool.
-            Lookup order becomes memory, shared, disk; shared hits are
-            promoted into memory, disk hits into both.
+            the zero-copy cross-worker hot tier of a pre-forked pool,
+            probed between memory and disk.
     """
 
     def __init__(
         self,
         max_entries: int = DEFAULT_MAX_ENTRIES,
-        ttl_s: float | None = None,
         disk: "DiskCache | bool | None" = None,
         shared: Any = None,
     ) -> None:
-        self.memory = LRUCache(max_entries=max_entries, ttl_s=ttl_s)
+        self.memory = LRUCache(max_entries=max_entries)
         if disk is True:
             self.disk: DiskCache | None = DiskCache()
         elif isinstance(disk, DiskCache):
@@ -513,19 +457,26 @@ class EvaluationCache:
         self._hits = registry.counter("serve.cache.hits")
         self._misses = registry.counter("serve.cache.misses")
         self._evictions = registry.counter("serve.cache.evictions")
-        self._expired = registry.counter("serve.cache.expired")
         self._disk_hits = registry.counter("serve.cache.disk_hits")
         self._disk_writes = registry.counter("serve.cache.disk_writes")
         self._shared_hits = registry.counter("serve.cache.shared_hits")
         self._shared_writes = registry.counter("serve.cache.shared_writes")
         self._lookup = registry.histogram("serve.cache.lookup")
         self._evictions_seen = 0
-        self._expired_seen = 0
+        #: The outer tiers in lookup order, as (probe, store, hit counter).
+        self._tiers: list[
+            tuple[Callable[[Any], Any], Callable[[Any, Any], None], Any]
+        ] = []
+        if self.shared is not None:
+            self._tiers.append(
+                (self._shared_get, self._shared_put, self._shared_hits)
+            )
+        if self.disk is not None:
+            self._tiers.append((self.disk.get, self._disk_put, self._disk_hits))
 
     def _shared_get(self, key: Any) -> Any:
         """Probe the shared-memory tier; unreadable blobs degrade to MISS."""
         from repro.serve import shm
-        from repro.serve.keys import key_filename
 
         blob = self.shared.get(key_filename(key))
         if blob is None:
@@ -539,129 +490,79 @@ class EvaluationCache:
     def _shared_put(self, key: Any, value: Any) -> None:
         """Publish to the shared tier (rejections are silently local)."""
         from repro.serve import shm
-        from repro.serve.keys import key_filename
 
         if self.shared.put(key_filename(key), shm.pickle_blob(value)):
             self._shared_writes.inc()
 
-    def _sync_memory_counters(self) -> None:
-        # Evictions/expirations happen inside the LRU; forward the deltas
-        # so the registry totals track even under concurrent access.
+    def _disk_put(self, key: Any, value: Any) -> None:
+        """Persist to the disk tier (errors are logged by the store)."""
+        self.disk.put(key, value)
+        self._disk_writes.inc()
+
+    def _sync_evictions(self) -> None:
+        # Evictions happen inside the LRU; forward the delta so the
+        # registry total tracks even under concurrent access.
         evictions = self.memory.evictions
         if evictions > self._evictions_seen:
             self._evictions.inc(evictions - self._evictions_seen)
             self._evictions_seen = evictions
-        expired = self.memory.expirations
-        if expired > self._expired_seen:
-            self._expired.inc(expired - self._expired_seen)
-            self._expired_seen = expired
 
-    def get(self, key: str) -> Any:
-        """The cached value from memory or disk, or :data:`MISS`."""
-        started = perf_counter()
-        try:
-            value = self.memory.get(key)
-            self._sync_memory_counters()
-            if value is not MISS:
-                self._hits.inc()
-                return value
-            if self.shared is not None:
-                value = self._shared_get(key)
-                if value is not MISS:
-                    self.memory.put(key, value)
-                    self._sync_memory_counters()
-                    self._hits.inc()
-                    self._shared_hits.inc()
-                    return value
-            if self.disk is not None:
-                value = self.disk.get(key)
-                if value is not MISS:
-                    self.memory.put(key, value)
-                    self._sync_memory_counters()
-                    if self.shared is not None:
-                        self._shared_put(key, value)
-                    self._hits.inc()
-                    self._disk_hits.inc()
-                    return value
-            self._misses.inc()
-            return MISS
-        finally:
-            self._lookup.observe(perf_counter() - started)
+    def get(self, key: Any) -> Any:
+        """The cached value from any tier, or :data:`MISS`."""
+        return self.get_many((key,))[0]
 
-    def put(self, key: str, value: Any) -> None:
-        """Store ``value`` in memory and the enabled outer tiers."""
-        self.memory.put(key, value)
-        self._sync_memory_counters()
-        if self.shared is not None:
-            self._shared_put(key, value)
-        if self.disk is not None:
-            self.disk.put(key, value)
-            self._disk_writes.inc()
+    def put(self, key: Any, value: Any) -> None:
+        """Store ``value`` in memory and every enabled outer tier."""
+        self.put_many(((key, value),))
 
     def get_many(self, keys: Sequence[Any]) -> list[Any]:
         """Bulk :meth:`get`: one value (or :data:`MISS`) per key, in order.
 
-        The in-memory probe is a single
-        :meth:`LRUCache.get_many` (one lock round-trip); only the
-        memory misses consult the disk layer, and disk hits are promoted
-        exactly as in :meth:`get`.
+        The in-memory probe is a single :meth:`LRUCache.get_many` (one
+        lock round-trip); each outer tier sees only the keys every tier
+        before it missed.
         """
         started = perf_counter()
         values = self.memory.get_many(keys)
-        self._sync_memory_counters()
-        hits = sum(1 for value in values if value is not MISS)
-        if self.shared is not None:
+        self._sync_evictions()
+        missing = [i for i, value in enumerate(values) if value is MISS]
+        probed: list[Callable[[Any, Any], None]] = []
+        for probe, store, tier_hits in self._tiers:
+            if not missing:
+                break
             promoted = []
-            for position, value in enumerate(values):
-                if value is not MISS:
-                    continue
-                shared_value = self._shared_get(keys[position])
-                if shared_value is MISS:
-                    continue
-                values[position] = shared_value
-                promoted.append((keys[position], shared_value))
+            still_missing = []
+            for position in missing:
+                value = probe(keys[position])
+                if value is MISS:
+                    still_missing.append(position)
+                else:
+                    values[position] = value
+                    promoted.append((keys[position], value))
             if promoted:
                 self.memory.put_many(promoted)
-                self._sync_memory_counters()
-                hits += len(promoted)
-                self._shared_hits.inc(len(promoted))
-        if self.disk is not None:
-            promoted = []
-            for position, value in enumerate(values):
-                if value is not MISS:
-                    continue
-                disk_value = self.disk.get(keys[position])
-                if disk_value is MISS:
-                    continue
-                values[position] = disk_value
-                promoted.append((keys[position], disk_value))
-            if promoted:
-                self.memory.put_many(promoted)
-                self._sync_memory_counters()
-                if self.shared is not None:
+                self._sync_evictions()
+                for earlier in probed:
                     for key, value in promoted:
-                        self._shared_put(key, value)
-                hits += len(promoted)
-                self._disk_hits.inc(len(promoted))
-        misses = len(keys) - hits
+                        earlier(key, value)
+                tier_hits.inc(len(promoted))
+            probed.append(store)
+            missing = still_missing
+        hits = len(keys) - len(missing)
         if hits:
             self._hits.inc(hits)
-        if misses:
-            self._misses.inc(misses)
+        if missing:
+            self._misses.inc(len(missing))
         self._lookup.observe(perf_counter() - started)
         return values
 
     def put_many(self, items: Sequence[tuple[Any, Any]]) -> None:
         """Bulk :meth:`put`: memory in one lock round-trip, then outward."""
         self.memory.put_many(items)
-        self._sync_memory_counters()
-        if self.shared is not None:
+        self._sync_evictions()
+        for _probe, store, _tier_hits in self._tiers:
             for key, value in items:
-                self._shared_put(key, value)
-        if self.disk is not None:
-            for key, value in items:
-                self.disk.put(key, value)
-            self._disk_writes.inc(len(items))
+                store(key, value)
 
     def clear(self) -> None:
         """Drop the in-memory layer and this tag's disk entries."""
@@ -670,7 +571,7 @@ class EvaluationCache:
             self.disk.clear()
 
     def stats(self) -> dict[str, Any]:
-        """Combined JSON-safe snapshot of both layers.
+        """Combined JSON-safe snapshot of every tier.
 
         This is the ``cache`` block run manifests record (see
         :func:`repro.obs.manifest.build_manifest`).

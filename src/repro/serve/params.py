@@ -16,6 +16,7 @@ frequency.
 from __future__ import annotations
 
 import io
+import math
 from typing import Any, Iterable, Mapping
 
 import numpy as np
@@ -92,17 +93,32 @@ def _require_mapping(spec: Any, field: str) -> Mapping[str, Any]:
     return spec
 
 
+def finite_number(value: Any, what: str, field: str) -> float:
+    """``value`` as a finite float, else a :class:`RequestError` on ``field``.
+
+    ``json.loads`` accepts bare ``NaN``/``Infinity`` tokens, overflows
+    ``1e999`` to ``inf``, and keeps huge integer literals exact, so none
+    of those may reach the model or an ``int()`` conversion.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise RequestError(
+            f"{what} must be a number, got {type(value).__name__}", field=field
+        )
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise RequestError(f"{what} must be a finite number", field=field)
+    return number
+
+
 def _number(spec: Mapping[str, Any], key: str, field: str) -> float:
     try:
         value = spec[key]
     except KeyError:
         raise RequestError(f"missing required key {key!r}", field=field) from None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise RequestError(
-            f"{key!r} must be a number, got {type(value).__name__}",
-            field=f"{field}.{key}",
-        )
-    return float(value)
+    return finite_number(value, repr(key), f"{field}.{key}")
 
 
 def _optional_number(
@@ -391,14 +407,10 @@ def parse_axis(spec: Any, field: str = "axis") -> tuple[float, ...]:
     if isinstance(spec, (list, tuple)):
         if not spec:
             raise RequestError("axis list must be non-empty", field=field)
-        if any(
-            isinstance(v, bool) or not isinstance(v, (int, float))
-            for v in spec
-        ):
-            raise RequestError(
-                "axis list must contain only numbers", field=field
-            )
-        return tuple(float(v) for v in spec)
+        return tuple(
+            finite_number(v, "axis entry", f"{field}[{i}]")
+            for i, v in enumerate(spec)
+        )
     spec = _require_mapping(spec, field)
     start = _number(spec, "start", field)
     stop = _number(spec, "stop", field)

@@ -13,12 +13,11 @@ pre-fork supervisor (nginx/gunicorn shape, stdlib only):
 - each **worker** runs the ordinary
   :class:`~repro.serve.service.ServeApp` + ``ThreadingHTTPServer``
   stack with its own in-memory caches and compiled-trace LRU,
-  ``accept()``-ing on the shared port.  Where the platform offers
-  ``SO_REUSEPORT`` each worker binds its *own* socket to the port and
-  the kernel load-balances connections; elsewhere the workers inherit
-  the supervisor's socket across ``fork()`` and take turns accepting
-  (the socket is non-blocking, so a worker that loses the race simply
-  returns to its poll loop).
+  ``accept()``-ing on the supervisor's listening socket, inherited
+  across ``fork()``.  All workers share its one accept queue, so a
+  killed worker strands no queued connection; the socket is
+  non-blocking, so a worker that loses the accept race simply returns
+  to its poll loop.
 
 Workers share their hot state through zero-copy shared-memory segments
 (:mod:`repro.serve.shm`): the supervisor creates a compiled-trace store
@@ -33,7 +32,7 @@ writers); per-process in-memory LRUs remain the innermost tier.
 
 Cross-process observability runs over a small state directory of
 atomically-replaced JSON files: the supervisor maintains ``pool.json``
-(size, strategy, per-slot pids and restart counts) and every worker
+(size, per-slot pids and restart counts) and every worker
 periodically rewrites ``worker-<slot>.json`` (pid, request count,
 uptime, last-request timestamp, cache counters, and a full metrics
 snapshot — counters, gauges, timers, latency histograms).  ``GET
@@ -93,7 +92,7 @@ def report_interval_s() -> float:
         return _REPORT_INTERVAL_S
 
 #: Cache counters summed across workers for the merged /healthz view.
-_MERGED_MEMORY_FIELDS = ("hits", "misses", "evictions", "expirations", "entries")
+_MERGED_MEMORY_FIELDS = ("hits", "misses", "evictions", "entries")
 _MERGED_DISK_FIELDS = ("hits", "misses", "writes", "errors", "evictions")
 
 
@@ -131,18 +130,6 @@ def _pid_alive(pid: int) -> bool:
     except PermissionError:  # pragma: no cover - exists, not ours
         return True
     return True
-
-
-def resolve_strategy(requested: str = "auto") -> str:
-    """The socket-sharing strategy to use: ``reuseport`` or ``inherit``."""
-    if requested == "auto":
-        return "reuseport" if hasattr(socket, "SO_REUSEPORT") else "inherit"
-    if requested not in ("reuseport", "inherit"):
-        raise ValueError(
-            f"unknown pool strategy {requested!r}; "
-            "expected 'auto', 'reuseport', or 'inherit'"
-        )
-    return requested
 
 
 class PoolMember:
@@ -245,7 +232,6 @@ class PoolMember:
                     merged_disk[field] += int(disk.get(field, 0))
         return {
             "size": pool.get("workers", len(pids)),
-            "strategy": pool.get("strategy"),
             "supervisor_pid": pool.get("supervisor_pid"),
             "slot": self.slot,
             "restarts": pool.get("restarts", {}),
@@ -306,7 +292,6 @@ class WorkerPool:
             slot exceeding it shuts the whole pool down (exit code 1).
         backoff_s: initial respawn backoff, doubled per consecutive
             restart of the same slot and capped at 5 s.
-        strategy: ``auto`` (default), ``reuseport``, or ``inherit``.
         slow_request_s: per-worker slow-request log threshold, as in
             :class:`~repro.serve.service.ServeServer`.
         shared_state: optional
@@ -328,7 +313,6 @@ class WorkerPool:
         state_dir: str | None = None,
         max_restarts: int = DEFAULT_MAX_RESTARTS,
         backoff_s: float = DEFAULT_BACKOFF_S,
-        strategy: str = "auto",
         slow_request_s: float | None = None,
         shared_state: Any = None,
     ) -> None:
@@ -350,7 +334,6 @@ class WorkerPool:
         self.state_dir = state_dir or tempfile.mkdtemp(prefix="repro-serve-pool-")
         self.max_restarts = max_restarts
         self.backoff_s = backoff_s
-        self.strategy = resolve_strategy(strategy)
         self.slow_request_s = slow_request_s
         self.shared_state = shared_state
         self._listen_sock: socket.socket | None = None
@@ -369,8 +352,6 @@ class WorkerPool:
         """
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        if self.strategy == "reuseport":
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
         sock.bind((self.host, self.port))
         sock.listen(128)
         # Shared accept queues must not block a worker that loses the
@@ -383,12 +364,6 @@ class WorkerPool:
             self._restarts[slot] = 0
             self._spawn(slot)
         self._write_pool_state()
-        if self.strategy == "reuseport":
-            # Every worker holds its own bound socket now; keeping the
-            # supervisor's copy open would make the kernel route a share
-            # of connections to a socket nobody accepts on.
-            sock.close()
-            self._listen_sock = None
         return self.host, self.port
 
     def _write_pool_state(self) -> None:
@@ -396,7 +371,6 @@ class WorkerPool:
             os.path.join(self.state_dir, "pool.json"),
             {
                 "workers": self.workers,
-                "strategy": self.strategy,
                 "supervisor_pid": os.getpid(),
                 "pids": {str(slot): pid for slot, pid in self._pids.items()},
                 "restarts": {
@@ -519,29 +493,6 @@ class WorkerPool:
 
     # -- worker side ---------------------------------------------------
 
-    def _worker_socket(self, slot: int) -> tuple[socket.socket, bool]:
-        """The socket this worker accepts on: own (reuseport) or shared."""
-        assert self._listen_sock is not None or self.strategy == "reuseport"
-        if self.strategy == "reuseport":
-            try:
-                own = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-                own.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-                own.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEPORT, 1)
-                own.bind((self.host, self.port))
-                own.listen(128)
-                own.setblocking(False)
-                return own, True
-            except OSError as exc:
-                if self._listen_sock is None:
-                    raise
-                _log.warning(
-                    "worker slot %d falling back to the inherited socket: %s",
-                    slot,
-                    exc,
-                )
-        assert self._listen_sock is not None
-        return self._listen_sock, False
-
     def _worker_main(self, slot: int, ready_fd: int) -> int:
         """Run one worker to completion; returns the process exit code."""
         from repro.serve.service import ServeServer
@@ -550,10 +501,6 @@ class WorkerPool:
         # before installing worker-local graceful-shutdown handlers.
         signal.signal(signal.SIGTERM, signal.SIG_DFL)
         signal.signal(signal.SIGINT, signal.SIG_DFL)
-
-        sock, own_socket = self._worker_socket(slot)
-        if own_socket and self._listen_sock is not None:
-            self._listen_sock.close()
 
         # The forked child inherits whatever the supervisor's registry
         # accumulated before the fork; zero it so state files — and the
@@ -573,7 +520,7 @@ class WorkerPool:
             (self.host, self.port),
             app,
             max_request_bytes=self.max_request_bytes,
-            sock=sock,
+            sock=self._listen_sock,
             slow_request_s=self.slow_request_s,
         )
         server.after_request = member.after_request
@@ -607,21 +554,12 @@ def run_pool(
     app_factory: "Callable[[], ServeApp]",
     max_request_bytes: int | None = None,
     state_dir: str | None = None,
-    strategy: str = "auto",
     slow_request_s: float | None = None,
     shared_state: Any = None,
 ) -> int:
-    """Start a pool, print the listening line, and supervise until exit.
-
-    ``REPRO_SERVE_POOL_STRATEGY`` (``reuseport``/``inherit``) overrides
-    an ``auto`` strategy — the hook tests and CI use to exercise the
-    inherited-socket fallback on platforms that also have
-    ``SO_REUSEPORT``.
-    """
+    """Start a pool, print the listening line, and supervise until exit."""
     from repro.serve.keys import schema_tag
 
-    if strategy == "auto":
-        strategy = os.environ.get("REPRO_SERVE_POOL_STRATEGY", "auto")
     pool = WorkerPool(
         host,
         port,
@@ -629,7 +567,6 @@ def run_pool(
         app_factory,
         max_request_bytes=max_request_bytes,
         state_dir=state_dir,
-        strategy=strategy,
         slow_request_s=slow_request_s,
         shared_state=shared_state,
     )
@@ -637,7 +574,7 @@ def run_pool(
     print(
         f"repro-serve listening on http://{bound_host}:{bound_port} "
         f"(schema {schema_tag()}; workers={workers}; "
-        f"strategy={pool.strategy}; state={pool.state_dir})",
+        f"state={pool.state_dir})",
         flush=True,
     )
     return pool.supervise()

@@ -52,7 +52,6 @@ import signal
 import socket
 import sys
 import threading
-from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from time import monotonic
 from typing import Any, Callable, Mapping
@@ -71,12 +70,20 @@ from repro.obs.metrics import get_registry
 from repro.obs.prometheus import render_prometheus
 from repro.obs.span import new_request_id, request_scope, span
 from repro.serve.batch import EvaluationQuery, evaluate_batch
-from repro.serve.cache import DEFAULT_MAX_ENTRIES, MISS, DiskCache, EvaluationCache
+from repro.serve.cache import (
+    DEFAULT_MAX_ENTRIES,
+    MISS,
+    DiskCache,
+    EvaluationCache,
+    LRUCache,
+)
 from repro.serve.keys import schema_tag, simulation_key
 from repro.serve.params import (
     RequestError,
+    finite_number,
     iter_queries,
     parse_accelerator,
+    parse_axis,
     parse_core,
     parse_drain,
     parse_modes,
@@ -218,11 +225,8 @@ class ServeApp:
         #: (``/metrics`` renders the process-wide registry directly).
         self.pool_metrics: Callable[[], Any] | None = None
         self.shared_traces = shared_traces
-        self._compiled: "OrderedDict[str, Any]" = OrderedDict()
-        self._compiled_lock = threading.Lock()
-        self._compiled_max = max(1, compiled_traces)
-        self._compiled_hits = 0
-        self._compiled_misses = 0
+        self._compiled = LRUCache(max_entries=max(1, compiled_traces))
+        self._compile_counts_lock = threading.Lock()
         self._compiled_shared_hits = 0
         self._compiles = 0
 
@@ -232,18 +236,14 @@ class ServeApp:
         Lookup order: the process-local LRU, then (pooled workers) the
         pool's shared-memory store, then an actual compile — which is
         published back to the shared store so sibling workers skip it.
-        Compilation happens outside the lock (it is pure), so concurrent
-        first requests for the same trace may both compile; the second
-        insert simply refreshes the entry.
+        Compilation happens outside the LRU's lock (it is pure), so
+        concurrent first requests for the same trace may both compile;
+        the second insert simply refreshes the entry.
         """
         fingerprint = trace.fingerprint()
-        with self._compiled_lock:
-            cached = self._compiled.get(fingerprint)
-            if cached is not None:
-                self._compiled.move_to_end(fingerprint)
-                self._compiled_hits += 1
-                return cached
-            self._compiled_misses += 1
+        compiled = self._compiled.get(fingerprint)
+        if compiled is not MISS:
+            return compiled
         compiled = None
         if self.shared_traces is not None:
             from repro.serve import shm
@@ -259,21 +259,17 @@ class ServeApp:
                         exc,
                     )
         if compiled is not None:
-            with self._compiled_lock:
+            with self._compile_counts_lock:
                 self._compiled_shared_hits += 1
         else:
             compiled = compile_trace(trace, cache=False)
-            with self._compiled_lock:
+            with self._compile_counts_lock:
                 self._compiles += 1
             if self.shared_traces is not None:
                 from repro.serve import shm
 
                 self.shared_traces.put(fingerprint, shm.pickle_blob(compiled))
-        with self._compiled_lock:
-            self._compiled[fingerprint] = compiled
-            self._compiled.move_to_end(fingerprint)
-            while len(self._compiled) > self._compiled_max:
-                self._compiled.popitem(last=False)
+        self._compiled.put(fingerprint, compiled)
         return compiled
 
     def compiled_trace_stats(self) -> dict[str, Any]:
@@ -285,15 +281,11 @@ class ServeApp:
         regardless of request volume; ``shared_hits`` counts LRU misses
         answered by a sibling worker's published compilation.
         """
-        with self._compiled_lock:
-            return {
-                "entries": len(self._compiled),
-                "max_entries": self._compiled_max,
-                "hits": self._compiled_hits,
-                "misses": self._compiled_misses,
-                "shared_hits": self._compiled_shared_hits,
-                "compiles": self._compiles,
-            }
+        stats = self._compiled.stats()
+        with self._compile_counts_lock:
+            stats["shared_hits"] = self._compiled_shared_hits
+            stats["compiles"] = self._compiles
+        return stats
 
     def _metrics_registry(self) -> Any:
         """The registry telemetry endpoints read: pool-merged or local."""
@@ -395,15 +387,11 @@ class ServeApp:
         x = spec.get("x")
         if not isinstance(x, (list, tuple)) or not x:
             raise RequestError("x must be a non-empty number list", field="x")
-        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in x):
-            raise RequestError("x must contain only numbers", field="x")
+        x = parse_axis(x, "x")
         kwargs: dict[str, Any] = {}
         for key in ("acceleratable_fraction", "granularity"):
             if spec.get(key) is not None:
-                value = spec[key]
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise RequestError(f"{key} must be a number", field=key)
-                kwargs[key] = float(value)
+                kwargs[key] = finite_number(spec[key], key, key)
         try:
             result = api.sweep(
                 str(kind),
@@ -529,7 +517,7 @@ class ServeApp:
         ``latency`` summarizes the per-endpoint request-latency
         histograms (count/mean/p50/p90/p99/max, pool-merged on pooled
         workers).  On a pooled worker (``--workers N``) the response
-        also carries a ``pool`` block: pool size and strategy,
+        also carries a ``pool`` block: pool size,
         per-worker pid/liveness/request counts/uptime/last-request
         timestamps, and cache counters merged across all workers.
         """
@@ -793,8 +781,8 @@ class ServeServer(ThreadingHTTPServer):
         if sock is None:
             super().__init__(address, _Handler)
         else:
-            # Pooled workers adopt an already-bound (possibly shared)
-            # listening socket instead of binding their own.
+            # Pooled workers adopt the pool's shared listening socket
+            # instead of binding their own.
             super().__init__(address, _Handler, bind_and_activate=False)
             self.socket.close()  # the unbound one socketserver made
             self.socket = sock
@@ -860,13 +848,6 @@ def main(argv: list[str] | None = None) -> int:
         default=DEFAULT_MAX_ENTRIES,
         metavar="N",
         help="in-memory cache bound (default: %(default)s)",
-    )
-    parser.add_argument(
-        "--cache-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="in-memory cache TTL (default: no expiry)",
     )
     parser.add_argument(
         "--disk-cache",
@@ -943,7 +924,6 @@ def main(argv: list[str] | None = None) -> int:
         return ServeApp(
             cache=EvaluationCache(
                 max_entries=args.cache_entries,
-                ttl_s=args.cache_ttl,
                 disk=DiskCache(max_bytes=args.disk_cache_bytes)
                 if args.disk_cache
                 else None,

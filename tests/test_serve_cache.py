@@ -175,21 +175,9 @@ class TestLRUCache:
         assert cache.get("c") == 3
         assert cache.stats()["evictions"] == 1
 
-    def test_ttl_expiry(self):
-        now = [0.0]
-        cache = LRUCache(max_entries=4, ttl_s=10.0, clock=lambda: now[0])
-        cache.put("k", 1)
-        now[0] = 9.9
-        assert cache.get("k") == 1
-        now[0] = 10.1
-        assert cache.get("k") is MISS
-        assert cache.stats()["expirations"] == 1
-
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             LRUCache(max_entries=0)
-        with pytest.raises(ValueError):
-            LRUCache(ttl_s=0.0)
 
     def test_thread_safety_under_hammering(self):
         cache = LRUCache(max_entries=64)
@@ -230,43 +218,6 @@ class TestLRUCache:
         assert stats["evictions"] == 2
         # last-written keys survive
         assert cache.get_many(["k2", "k3", "k4"]) == [2, 3, 4]
-
-    def test_get_many_respects_ttl(self):
-        now = [0.0]
-        cache = LRUCache(max_entries=8, ttl_s=10.0, clock=lambda: now[0])
-        cache.put_many([("a", 1), ("b", 2)])
-        now[0] = 10.1
-        assert cache.get_many(["a", "b"]) == [MISS, MISS]
-        assert cache.stats()["expirations"] == 2
-
-    def test_get_many_ttl_counters_match_individual_gets(self):
-        """Bulk and scalar probes must account identically.
-
-        One batch mixing hits, plain misses, and TTL expirations vs the
-        same probes as individual ``get`` calls on an identically aged
-        twin cache: every counter (hits, misses, expirations) and the
-        surviving entry set must come out the same.
-        """
-        def build():
-            now = [0.0]
-            cache = LRUCache(max_entries=8, ttl_s=10.0, clock=lambda: now[0])
-            cache.put("old", 1)      # will expire
-            now[0] = 5.0
-            cache.put("fresh", 2)    # still live at probe time
-            now[0] = 10.5            # "old" is 10.5s old, "fresh" 5.5s
-            return cache
-
-        keys = ["old", "fresh", "absent", "fresh"]
-        bulk = build()
-        bulk_out = bulk.get_many(keys)
-        scalar = build()
-        scalar_out = [scalar.get(key) for key in keys]
-        assert bulk_out == scalar_out == [MISS, 2, MISS, 2]
-        for counter in ("hits", "misses", "expirations", "entries"):
-            assert bulk.stats()[counter] == scalar.stats()[counter], counter
-        assert bulk.stats()["hits"] == 2
-        assert bulk.stats()["misses"] == 2
-        assert bulk.stats()["expirations"] == 1
 
     def test_bulk_ops_thread_safety_under_hammering(self):
         """get_many/put_many from 8+ threads: bounds hold, counters add up."""

@@ -5,13 +5,12 @@ thing: a ``repro-serve`` subprocess with ``--workers 2``, driven over
 HTTP.  They pin the load-bearing behaviors — the shared listener serves
 while workers come and go, a killed worker is respawned, SIGTERM drains
 in-flight requests before the pool exits — plus the pure helpers
-(strategy resolution, atomic state files) without forking.
+(atomic state files, state merging) without forking.
 """
 
 import json
 import os
 import signal
-import socket
 import subprocess
 import sys
 import threading
@@ -21,12 +20,7 @@ import urllib.request
 
 import pytest
 
-from repro.serve.pool import (
-    PoolMember,
-    _read_json,
-    _write_json_atomic,
-    resolve_strategy,
-)
+from repro.serve.pool import PoolMember, _read_json, _write_json_atomic
 
 pytestmark = pytest.mark.skipif(
     os.name != "posix", reason="worker pools require os.fork"
@@ -42,11 +36,15 @@ EVALUATE_PAYLOAD = json.dumps(
 ).encode("utf-8")
 
 
-def _spawn_pool(workers=2, strategy=None, extra_args=()):
-    """A ``repro-serve --workers N`` subprocess on an ephemeral port."""
-    env = dict(os.environ, PYTHONPATH="src")
-    if strategy is not None:
-        env["REPRO_SERVE_POOL_STRATEGY"] = strategy
+def _spawn_pool(workers=2, extra_args=()):
+    """A ``repro-serve --workers N`` subprocess on an ephemeral port.
+
+    Workers flush their state file on every request: with the default
+    0.25 s throttle, a scrape served by an idle worker can miss a busy
+    sibling's counters (the workers share one accept queue, so one of
+    them may take every request).
+    """
+    env = dict(os.environ, PYTHONPATH="src", REPRO_SERVE_REPORT_INTERVAL_S="0")
     proc = subprocess.Popen(
         [
             sys.executable,
@@ -88,18 +86,6 @@ def _terminate(proc, timeout=30):
         raise
 
 
-class TestStrategy:
-    def test_auto_resolves_to_a_concrete_strategy(self):
-        assert resolve_strategy("auto") in ("reuseport", "inherit")
-
-    def test_explicit_strategies_pass_through(self):
-        assert resolve_strategy("inherit") == "inherit"
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_strategy("prefork")
-
-
 class TestStateFiles:
     def test_atomic_write_round_trips(self, tmp_path):
         path = str(tmp_path / "state.json")
@@ -115,12 +101,9 @@ class TestStateFiles:
         assert _read_json(str(bad)) is None
 
 
-@pytest.mark.parametrize("strategy", ["reuseport", "inherit"])
 class TestPoolServing:
-    def test_pool_serves_and_reports_health(self, strategy):
-        if strategy == "reuseport" and not hasattr(socket, "SO_REUSEPORT"):
-            pytest.skip("no SO_REUSEPORT on this platform")
-        proc, port = _spawn_pool(workers=2, strategy=strategy)
+    def test_pool_serves_and_reports_health(self):
+        proc, port = _spawn_pool(workers=2)
         try:
             for _ in range(8):
                 status, body = _request(port, "/evaluate", EVALUATE_PAYLOAD)
@@ -130,7 +113,6 @@ class TestPoolServing:
             assert status == 200
             pool = health["pool"]
             assert pool["size"] == 2
-            assert pool["strategy"] == strategy
             assert len(pool["workers"]) == 2
             assert all(worker["alive"] for worker in pool["workers"])
             merged = pool["cache_merged"]["memory"]
@@ -148,15 +130,9 @@ def test_killed_worker_is_respawned_without_dropping_listener():
         deadline = time.monotonic() + 30
         respawned = False
         while time.monotonic() < deadline:
-            # the port must keep serving through the respawn window; a
-            # connection the kernel had already routed to the killed
-            # worker's SO_REUSEPORT socket may be reset — retry those,
-            # they are inherent to the strategy, not a dropped listener
-            try:
-                status, body = _request(port, "/evaluate", EVALUATE_PAYLOAD)
-            except (ConnectionResetError, urllib.error.URLError):
-                time.sleep(0.2)
-                continue
+            # the port must keep serving through the respawn window: the
+            # surviving worker drains the one shared accept queue
+            status, body = _request(port, "/evaluate", EVALUATE_PAYLOAD)
             assert status == 200
             _, health = _request(port, "/healthz")
             pool = health["pool"]
@@ -244,7 +220,6 @@ def test_pool_member_merges_worker_states(tmp_path):
                     "hits": 3,
                     "misses": 1,
                     "evictions": 0,
-                    "expirations": 0,
                     "entries": 2,
                 },
                 "disk": None,
@@ -257,7 +232,6 @@ def test_pool_member_merges_worker_states(tmp_path):
         str(tmp_path / "pool.json"),
         {
             "workers": 2,
-            "strategy": "inherit",
             "supervisor_pid": os.getpid(),
             "pids": {"0": os.getpid(), "1": os.getpid()},
             "restarts": {"0": 0, "1": 0},
@@ -287,7 +261,7 @@ def test_pool_member_state_file_carries_metrics_and_vitals(tmp_path):
     class FakeCache:
         def stats(self):
             return {"memory": {"hits": 0, "misses": 0, "evictions": 0,
-                               "expirations": 0, "entries": 0},
+                               "entries": 0},
                     "disk": None}
 
     class FakeApp:
@@ -310,7 +284,7 @@ def test_pool_member_merged_metrics_sums_worker_snapshots(tmp_path):
     class FakeCache:
         def stats(self):
             return {"memory": {"hits": 0, "misses": 0, "evictions": 0,
-                               "expirations": 0, "entries": 0},
+                               "entries": 0},
                     "disk": None}
 
     class FakeApp:
@@ -320,7 +294,6 @@ def test_pool_member_merged_metrics_sums_worker_snapshots(tmp_path):
         str(tmp_path / "pool.json"),
         {
             "workers": 2,
-            "strategy": "inherit",
             "supervisor_pid": os.getpid(),
             "pids": {"0": os.getpid(), "1": os.getpid()},
             "restarts": {"0": 0, "1": 0},

@@ -12,10 +12,13 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.isa.instructions import TCADescriptor
 from repro.isa.trace import TraceBuilder
 from repro.isa.trace_io import dump_trace
+from repro.serve.params import RequestError
 from repro.serve.service import ServeApp, make_server
 
 
@@ -32,8 +35,13 @@ def server_port():
 
 
 def _request(port, path, payload=None, method=None):
-    """(status, decoded-JSON body) for one request to the test server."""
-    data = None if payload is None else json.dumps(payload).encode("utf-8")
+    """(status, decoded-JSON body) for one request to the test server.
+
+    ``payload`` is JSON-encoded unless it is already ``bytes``.
+    """
+    data = payload
+    if payload is not None and not isinstance(payload, bytes):
+        data = json.dumps(payload).encode("utf-8")
     req = urllib.request.Request(
         f"http://127.0.0.1:{port}{path}",
         data=data,
@@ -154,6 +162,156 @@ class TestEvaluate:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=30)
         assert err.value.code == 400
+
+
+_WORKLOAD = '"workload": {"granularity": 53, "acceleratable_fraction": 0.3}'
+_CORE = '"ipc": 1, "issue_width": 4, "commit_stall": 1'
+
+
+class TestNonFiniteNumbers:
+    """``json.loads`` takes ``NaN``/``Infinity`` tokens, overflows
+    ``1e999`` to ``inf`` and keeps huge integers exact; every such
+    value must be a field-tagged 400, never a 500 or a 200."""
+
+    @pytest.mark.parametrize(
+        "path, raw, field",
+        [
+            (
+                "/evaluate",
+                '{"core": {%s, "rob_size": 1e999}, '
+                '"accelerator": {"acceleration": 3}, %s}' % (_CORE, _WORKLOAD),
+                "core.rob_size",
+            ),
+            (
+                "/evaluate",
+                '{"core": {%s, "rob_size": 1%s}, '
+                '"accelerator": {"acceleration": 3}, %s}'
+                % (_CORE, "0" * 400, _WORKLOAD),
+                "core.rob_size",
+            ),
+            (
+                "/evaluate",
+                '{"core": "a72", "accelerator": {"acceleration": NaN}, %s}'
+                % _WORKLOAD,
+                "accelerator.acceleration",
+            ),
+            (
+                "/evaluate",
+                '{"core": "a72", "accelerator": {"acceleration": 3}, '
+                '"workload": {"granularity": -Infinity, '
+                '"acceleratable_fraction": 0.3}}',
+                "workload.granularity",
+            ),
+            (
+                "/sweep",
+                '{"kind": "pareto", "cores": ["a72"], '
+                '"accelerator": {"acceleration": 4}, '
+                '"fractions": [0.1, Infinity], "frequencies": [0.01]}',
+                "fractions[1]",
+            ),
+            (
+                "/sweep",
+                '{"kind": "pareto", "cores": ["a72"], '
+                '"accelerator": {"acceleration": 4}, "fractions": [0.5], '
+                '"frequencies": {"start": 0.01, "stop": 1, "num": 1e999}}',
+                "frequencies.num",
+            ),
+            (
+                "/sweep",
+                '{"kind": "granularity", "core": "a72", '
+                '"accelerator": {"acceleration": 3}, "x": [10, 1%s], '
+                '"acceleratable_fraction": 0.3}' % ("0" * 400),
+                "x[1]",
+            ),
+            (
+                "/sweep",
+                '{"kind": "granularity", "core": "a72", '
+                '"accelerator": {"acceleration": 3}, "x": [10], '
+                '"acceleratable_fraction": NaN}',
+                "acceleratable_fraction",
+            ),
+        ],
+        ids=[
+            "rob_size-1e999",
+            "rob_size-huge-int",
+            "acceleration-NaN",
+            "granularity-minus-Infinity",
+            "axis-list-Infinity",
+            "axis-num-1e999",
+            "sweep-x-huge-int",
+            "sweep-fraction-NaN",
+        ],
+    )
+    def test_non_finite_value_is_field_tagged_400(
+        self, server_port, path, raw, field
+    ):
+        status, body = _request(server_port, path, raw.encode("utf-8"))
+        assert status == 400, body
+        assert body["field"] == field
+        assert "finite" in body["error"]
+
+
+#: A valid ``/evaluate`` query whose numeric and mode leaves the
+#: property test below overwrites.
+_FUZZ_QUERY = {
+    "core": {"ipc": 1.5, "rob_size": 128, "issue_width": 4, "commit_stall": 2},
+    "accelerator": {"acceleration": 3.0},
+    "workload": {
+        "granularity": 53,
+        "acceleratable_fraction": 0.3,
+        "drain_time": 12.0,
+    },
+    "drain": {"kind": "power_law", "beta": 1.9, "scale": 2.43},
+    "modes": ["L_T", "NL_NT"],
+}
+
+_FUZZ_LEAVES = [
+    ("core", "ipc"),
+    ("core", "rob_size"),
+    ("core", "issue_width"),
+    ("core", "commit_stall"),
+    ("accelerator", "acceleration"),
+    ("workload", "granularity"),
+    ("workload", "acceleratable_fraction"),
+    ("workload", "drain_time"),
+    ("drain", "beta"),
+    ("drain", "scale"),
+    ("modes", 0),
+    ("modes", 1),
+]
+
+_JSON_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(),
+    st.sampled_from([10**400, -(10**400), 2**63, 1e308, -0.0, 0]),
+    st.text(max_size=8),
+    st.booleans(),
+    st.none(),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+_FUZZ_APP = ServeApp()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edits=st.lists(
+        st.tuples(st.sampled_from(_FUZZ_LEAVES), _JSON_VALUES),
+        min_size=1,
+        max_size=2,
+        unique_by=lambda edit: edit[0],
+    )
+)
+def test_evaluate_answers_or_names_the_bad_field(edits):
+    """Any leaf replaced by any JSON value: a result or a tagged 4xx."""
+    query = json.loads(json.dumps(_FUZZ_QUERY))
+    for (parent, leaf), value in edits:
+        query[parent][leaf] = value
+    try:
+        _FUZZ_APP.handle_evaluate(query)
+    except RequestError as exc:
+        assert exc.field is not None, exc
 
 
 class TestSweep:

@@ -220,7 +220,6 @@ def _spawn_pool(workers=2, extra_args=()):
         os.environ,
         PYTHONPATH="src",
         REPRO_SERVE_REPORT_INTERVAL_S="0",
-        REPRO_SERVE_POOL_STRATEGY="inherit",
     )
     proc = subprocess.Popen(
         [
