@@ -14,7 +14,8 @@ width of an AVX-512 register).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 from enum import Enum, unique
 
 #: Cache line size used throughout the reproduction (bytes).
@@ -201,9 +202,22 @@ class TCADescriptor:
         return any(r.overlaps_range(addr, size) for r in self.reads)
 
 
-@dataclass(frozen=True)
-class Instruction:
-    """One dynamic instruction in a trace.
+_MEMORY_OPS = frozenset((OpClass.LOAD, OpClass.STORE))
+_TCA = OpClass.TCA
+_BRANCH = OpClass.BRANCH
+
+_InstructionRecord = namedtuple(
+    "_InstructionRecord",
+    "op srcs dsts addr size mispredicted low_confidence tca latency",
+)
+
+
+class Instruction(_InstructionRecord):
+    """One dynamic instruction in a trace: a validated, immutable record.
+
+    A tuple subclass with named fields, so a trace of tens of thousands
+    of instructions costs one small tuple each; construction validates
+    every field, and attributes cannot be set afterwards.
 
     Attributes:
         op: micro-op class.
@@ -222,33 +236,42 @@ class Instruction:
             (cycles); ``None`` uses the functional-unit default.
     """
 
-    op: OpClass
-    srcs: tuple[int, ...] = ()
-    dsts: tuple[int, ...] = ()
-    addr: int | None = None
-    size: int = 8
-    mispredicted: bool = False
-    low_confidence: bool = False
-    tca: TCADescriptor | None = field(default=None)
-    latency: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.op.is_memory and self.addr is None:
-            raise ValueError(f"{self.op.value} instruction requires addr")
-        if self.op is OpClass.TCA and self.tca is None:
-            raise ValueError("TCA instruction requires a TCADescriptor")
-        if self.op is not OpClass.TCA and self.tca is not None:
+    def __new__(
+        cls,
+        op: OpClass,
+        srcs: tuple[int, ...] = (),
+        dsts: tuple[int, ...] = (),
+        addr: int | None = None,
+        size: int = 8,
+        mispredicted: bool = False,
+        low_confidence: bool = False,
+        tca: TCADescriptor | None = None,
+        latency: int | None = None,
+    ) -> "Instruction":
+        memory = op in _MEMORY_OPS
+        if memory and addr is None:
+            raise ValueError(f"{op.value} instruction requires addr")
+        if op is _TCA:
+            if tca is None:
+                raise ValueError("TCA instruction requires a TCADescriptor")
+        elif tca is not None:
             raise ValueError("non-TCA instruction carries a TCADescriptor")
-        if self.op.is_memory and self.size <= 0:
-            raise ValueError(f"memory access size must be positive, got {self.size}")
-        if self.latency is not None and self.latency < 0:
-            raise ValueError(f"latency override must be non-negative, got {self.latency}")
-        if self.mispredicted and self.op is not OpClass.BRANCH:
+        if memory and size <= 0:
+            raise ValueError(f"memory access size must be positive, got {size}")
+        if latency is not None and latency < 0:
+            raise ValueError(f"latency override must be non-negative, got {latency}")
+        if mispredicted and op is not _BRANCH:
             raise ValueError("only BRANCH instructions can be mispredicted")
-        if self.low_confidence and self.op is not OpClass.BRANCH:
+        if low_confidence and op is not _BRANCH:
             raise ValueError("only BRANCH instructions can be low-confidence")
+        return tuple.__new__(
+            cls,
+            (op, srcs, dsts, addr, size, mispredicted, low_confidence, tca, latency),
+        )
 
     @property
     def is_tca(self) -> bool:
         """Whether this is a TCA invocation."""
-        return self.op is OpClass.TCA
+        return self.op is _TCA

@@ -16,6 +16,17 @@ from typing import Iterable, Iterator, Sequence
 
 from repro.isa.instructions import Instruction, OpClass, TCADescriptor, chunk_memory_range
 
+# TraceBuilder's helpers build Instruction records directly with
+# tuple.__new__ after running only the checks their own arguments can
+# fail; an input Instruction(...) would reject takes the full
+# constructor, which raises the same ValueError.
+_record = tuple.__new__
+_LOAD = OpClass.LOAD
+_STORE = OpClass.STORE
+_BRANCH = OpClass.BRANCH
+_TCA = OpClass.TCA
+_NOP_RECORD = Instruction(op=OpClass.NOP)
+
 
 @dataclass(frozen=True)
 class TraceStats:
@@ -259,21 +270,39 @@ class TraceBuilder:
         latency: int | None = None,
     ) -> Instruction:
         """Emit a compute op writing ``dst`` from ``srcs``."""
-        return self.emit(
+        if (
+            op is _LOAD
+            or op is _STORE
+            or op is _TCA
+            or (latency is not None and latency < 0)
+        ):
+            # Invalid for a compute op: the full constructor raises.
             Instruction(op=op, srcs=tuple(srcs), dsts=(dst,), latency=latency)
+        inst = _record(
+            Instruction, (op, tuple(srcs), (dst,), None, 8, False, False, None, latency)
         )
+        self._instructions.append(inst)
+        return inst
 
     def load(self, dst: int, addr: int, size: int = 8, srcs: Sequence[int] = ()) -> Instruction:
         """Emit a load of ``size`` bytes at ``addr`` into ``dst``."""
-        return self.emit(
-            Instruction(op=OpClass.LOAD, srcs=tuple(srcs), dsts=(dst,), addr=addr, size=size)
+        if size <= 0 or addr is None:
+            Instruction(op=_LOAD, srcs=tuple(srcs), dsts=(dst,), addr=addr, size=size)
+        inst = _record(
+            Instruction, (_LOAD, tuple(srcs), (dst,), addr, size, False, False, None, None)
         )
+        self._instructions.append(inst)
+        return inst
 
     def store(self, src: int, addr: int, size: int = 8) -> Instruction:
         """Emit a store of ``size`` bytes from ``src`` to ``addr``."""
-        return self.emit(
-            Instruction(op=OpClass.STORE, srcs=(src,), addr=addr, size=size)
+        if size <= 0 or addr is None:
+            Instruction(op=_STORE, srcs=(src,), addr=addr, size=size)
+        inst = _record(
+            Instruction, (_STORE, (src,), (), addr, size, False, False, None, None)
         )
+        self._instructions.append(inst)
+        return inst
 
     def branch(
         self,
@@ -282,18 +311,16 @@ class TraceBuilder:
         low_confidence: bool = False,
     ) -> Instruction:
         """Emit a (conditional) branch."""
-        return self.emit(
-            Instruction(
-                op=OpClass.BRANCH,
-                srcs=tuple(srcs),
-                mispredicted=mispredicted,
-                low_confidence=low_confidence,
-            )
+        inst = _record(
+            Instruction,
+            (_BRANCH, tuple(srcs), (), None, 8, mispredicted, low_confidence, None, None),
         )
+        self._instructions.append(inst)
+        return inst
 
     def nop(self) -> Instruction:
         """Emit a NOP."""
-        return self.emit(Instruction(op=OpClass.NOP))
+        return self.emit(_NOP_RECORD)
 
     def tca(
         self,
@@ -302,12 +329,12 @@ class TraceBuilder:
         dsts: Sequence[int] = (),
     ) -> Instruction:
         """Emit a TCA invocation carrying ``descriptor``."""
+        if descriptor is None:
+            Instruction(op=_TCA, srcs=tuple(srcs), dsts=tuple(dsts), tca=descriptor)
         return self.emit(
-            Instruction(
-                op=OpClass.TCA,
-                srcs=tuple(srcs),
-                dsts=tuple(dsts),
-                tca=descriptor,
+            _record(
+                Instruction,
+                (_TCA, tuple(srcs), tuple(dsts), None, 8, False, False, descriptor, None),
             )
         )
 
@@ -377,7 +404,7 @@ class TraceBuilder:
             raise ValueError("independent_block requires at least one register")
         for i in range(count):
             reg = registers[i % len(registers)]
-            self.alu(reg, ())
+            self.alu(reg, (), op=op)
 
     def streaming_loads(
         self,

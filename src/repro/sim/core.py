@@ -231,29 +231,30 @@ class CoreSim:
         cache = self.cache
         trace_len = ct.length if stop is None else stop
 
-        # Compiled (trace-static) tables.
-        kind = ct.kind
-        op_value = ct.op_value
-        fu_class = ct.fu_class
-        lat_override = ct.lat_override
-        mispredicted_t = ct.mispredicted
-        low_conf = ct.low_conf
-        mem_addr = ct.mem_addr
-        mem_size = ct.mem_size
-        mem_lines = ct.mem_lines
-        commit_write_lines = ct.commit_write_lines
-        writer_ranges = ct.writer_ranges
-        writer_lo = ct.writer_lo
-        writer_hi = ct.writer_hi
-        reg_edges = ct.reg_edges
-        edge_consumer = ct.edge_consumer
-        reg_producers = ct.reg_producers
-        mem_edge_base = ct.mem_edge_base
-        tca_reads_t = ct.tca_reads
-        tca_read_lines = ct.tca_read_lines
-        tca_read_count = ct.tca_read_count
-        tca_write_count = ct.tca_write_count
-        tca_compute_latency = ct.tca_compute_latency
+        # Compiled (trace-static) tables, in their Python-object form.
+        tables = ct.oracle
+        kind = tables.kind
+        op_value = tables.op_value
+        fu_class = tables.fu_class
+        lat_override = tables.lat_override
+        mispredicted_t = tables.mispredicted
+        low_conf = tables.low_conf
+        mem_addr = tables.mem_addr
+        mem_size = tables.mem_size
+        mem_lines = tables.mem_lines
+        commit_write_lines = tables.commit_write_lines
+        writer_ranges = tables.writer_ranges
+        writer_lo = tables.writer_lo
+        writer_hi = tables.writer_hi
+        reg_edges = tables.reg_edges
+        edge_consumer = tables.edge_consumer
+        reg_producers = tables.reg_producers
+        mem_edge_base = tables.mem_edge_base
+        tca_reads_t = tables.tca_reads
+        tca_read_lines = tables.tca_read_lines
+        tca_read_count = tables.tca_read_count
+        tca_write_count = tables.tca_write_count
+        tca_compute_latency = tables.tca_compute_latency
 
         # Pooled per-run state.
         completed = st.completed

@@ -50,12 +50,15 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, Mapping
 
+import numpy as np
+
 from repro.core.parallel import parallel_map
 from repro.isa.trace import Trace
 from repro.obs.metrics import get_registry
 from repro.sim.compile import (
     K_BRANCH,
     K_LOAD,
+    K_OTHER,
     K_STORE,
     K_TCA,
     CompiledTrace,
@@ -304,21 +307,18 @@ def static_counts(compiled: CompiledTrace) -> dict[str, int]:
     program order and every instruction commits exactly once).
     """
     kind = compiled.kind
-    mispredicted = compiled.mispredicted
-    mispredicts = 0
-    for i, knd in enumerate(kind):
-        if knd == K_BRANCH and mispredicted[i]:
-            mispredicts += 1
+    per_kind = np.bincount(kind, minlength=K_OTHER + 1).tolist()
+    branches = kind == K_BRANCH
     return {
         "instructions": compiled.length,
         "dispatched": compiled.length,
-        "loads": kind.count(K_LOAD),
-        "stores": kind.count(K_STORE),
-        "branches": kind.count(K_BRANCH),
-        "mispredicts": mispredicts,
-        "tca_invocations": kind.count(K_TCA),
-        "tca_read_requests": sum(compiled.tca_read_count),
-        "tca_write_requests": sum(compiled.tca_write_count),
+        "loads": per_kind[K_LOAD],
+        "stores": per_kind[K_STORE],
+        "branches": per_kind[K_BRANCH],
+        "mispredicts": int(np.count_nonzero(compiled.mispred[branches])),
+        "tca_invocations": per_kind[K_TCA],
+        "tca_read_requests": int(compiled.tca_read_count.sum()),
+        "tca_write_requests": int(compiled.tca_write_count.sum()),
     }
 
 
@@ -698,9 +698,10 @@ def _boundary_cache_states(
     """
     sim = CoreSim(config, compiled, warm_ranges=warm_ranges, stop=0)
     cache = sim.cache
-    mem_lines = compiled.mem_lines
-    tca_read_lines = compiled.tca_read_lines
-    commit_write_lines = compiled.commit_write_lines
+    tables = compiled.oracle
+    mem_lines = tables.mem_lines
+    tca_read_lines = tables.tca_read_lines
+    commit_write_lines = tables.commit_write_lines
     snapshots: list[dict[str, Any]] = []
     boundary = 0
     for i in range(starts[-1] if starts else 0):

@@ -1,5 +1,7 @@
 """Unit tests for the instruction/micro-op vocabulary."""
 
+import pickle
+
 import pytest
 
 from repro.isa.instructions import (
@@ -184,3 +186,41 @@ class TestInstruction:
     def test_negative_latency_override_rejected(self):
         with pytest.raises(ValueError, match="latency"):
             Instruction(op=OpClass.INT_ALU, latency=-2)
+
+
+class TestInstructionRecord:
+    def test_fields_defaults_and_repr(self):
+        inst = Instruction(op=OpClass.LOAD, srcs=(1,), dsts=(2,), addr=64, size=4)
+        assert Instruction._fields == (
+            "op", "srcs", "dsts", "addr", "size",
+            "mispredicted", "low_confidence", "tca", "latency",
+        )
+        assert Instruction(OpClass.NOP) == (
+            OpClass.NOP, (), (), None, 8, False, False, None, None
+        )
+        assert repr(inst) == (
+            "Instruction(op=<OpClass.LOAD: 'load'>, srcs=(1,), dsts=(2,), "
+            "addr=64, size=4, mispredicted=False, low_confidence=False, "
+            "tca=None, latency=None)"
+        )
+
+    def test_attributes_cannot_be_set(self):
+        inst = Instruction(op=OpClass.INT_ALU, dsts=(1,))
+        with pytest.raises(AttributeError):
+            inst.latency = 3
+        with pytest.raises(AttributeError):
+            inst.extra = 1
+
+    def test_pickle_round_trip(self):
+        descriptor = TCADescriptor(
+            name="t", compute_latency=4, reads=chunk_memory_range(0, 96)
+        )
+        for inst in (
+            Instruction(op=OpClass.TCA, srcs=(1,), dsts=(2,), tca=descriptor),
+            Instruction(op=OpClass.BRANCH, mispredicted=True, low_confidence=True),
+            Instruction(op=OpClass.STORE, srcs=(3,), addr=128, size=16),
+        ):
+            clone = pickle.loads(pickle.dumps(inst))
+            assert type(clone) is Instruction
+            assert clone == inst
+            assert clone.is_tca == inst.is_tca

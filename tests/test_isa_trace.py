@@ -1,8 +1,10 @@
 """Unit tests for trace containers and builders."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.isa.instructions import Instruction, OpClass, TCADescriptor
+from repro.isa.instructions import Instruction, MemRequest, OpClass, TCADescriptor
 from repro.isa.trace import Trace, TraceBuilder
 
 
@@ -159,3 +161,163 @@ class TestTraceBuilder:
         builder = TraceBuilder("t")
         builder.extend([Instruction(op=OpClass.NOP)] * 3)
         assert len(builder) == 3
+
+    def test_independent_block_uses_its_op(self):
+        builder = TraceBuilder("t")
+        builder.independent_block(4, [0, 1], op=OpClass.FP_MUL)
+        trace = builder.build()
+        assert [inst.op for inst in trace] == [OpClass.FP_MUL] * 4
+        assert [inst.dsts for inst in trace] == [(0,), (1,), (0,), (1,)]
+
+
+_registers = st.lists(st.integers(0, 63), max_size=3)
+_compute_ops = st.sampled_from(
+    [op for op in OpClass if op not in (OpClass.LOAD, OpClass.STORE, OpClass.TCA)]
+)
+_DESCRIPTOR = TCADescriptor(
+    name="acc", compute_latency=5, reads=(MemRequest(0, 8),), replaced_instructions=3
+)
+
+
+class TestBuilderRecords:
+    """The helpers build records without the constructor; same records."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        helper=st.sampled_from(["alu", "load", "store", "branch", "nop", "tca"]),
+        dst=st.integers(0, 63),
+        srcs=_registers,
+        op=_compute_ops,
+        latency=st.one_of(st.none(), st.integers(0, 50)),
+        addr=st.integers(0, 1 << 40),
+        size=st.integers(1, 128),
+        flags=st.tuples(st.booleans(), st.booleans()),
+    )
+    def test_helpers_match_the_constructor(
+        self, helper, dst, srcs, op, latency, addr, size, flags
+    ):
+        builder = TraceBuilder("t")
+        if helper == "alu":
+            got = builder.alu(dst, srcs, op=op, latency=latency)
+            want = Instruction(op=op, srcs=tuple(srcs), dsts=(dst,), latency=latency)
+        elif helper == "load":
+            got = builder.load(dst, addr, size, srcs=srcs)
+            want = Instruction(
+                op=OpClass.LOAD, srcs=tuple(srcs), dsts=(dst,), addr=addr, size=size
+            )
+        elif helper == "store":
+            got = builder.store(dst, addr, size)
+            want = Instruction(op=OpClass.STORE, srcs=(dst,), addr=addr, size=size)
+        elif helper == "branch":
+            got = builder.branch(srcs, mispredicted=flags[0], low_confidence=flags[1])
+            want = Instruction(
+                op=OpClass.BRANCH, srcs=tuple(srcs),
+                mispredicted=flags[0], low_confidence=flags[1],
+            )
+        elif helper == "nop":
+            got = builder.nop()
+            want = Instruction(op=OpClass.NOP)
+        else:
+            got = builder.tca(_DESCRIPTOR, srcs=srcs, dsts=[dst])
+            want = Instruction(
+                op=OpClass.TCA, srcs=tuple(srcs), dsts=(dst,), tca=_DESCRIPTOR
+            )
+        assert type(got) is Instruction
+        assert got == want
+        assert repr(got) == repr(want)
+        assert builder.build().instructions == (want,)
+
+    @pytest.mark.parametrize(
+        "emit, construct",
+        [
+            (
+                lambda b: b.alu(1, (), op=OpClass.LOAD),
+                lambda: Instruction(op=OpClass.LOAD, dsts=(1,)),
+            ),
+            (
+                lambda b: b.alu(1, (), op=OpClass.STORE),
+                lambda: Instruction(op=OpClass.STORE, dsts=(1,)),
+            ),
+            (
+                lambda b: b.alu(1, (), op=OpClass.TCA),
+                lambda: Instruction(op=OpClass.TCA, dsts=(1,)),
+            ),
+            (
+                lambda b: b.alu(1, (), latency=-1),
+                lambda: Instruction(op=OpClass.INT_ALU, dsts=(1,), latency=-1),
+            ),
+            (
+                lambda b: b.load(1, 64, size=0),
+                lambda: Instruction(op=OpClass.LOAD, dsts=(1,), addr=64, size=0),
+            ),
+            (
+                lambda b: b.load(1, 64, size=-8),
+                lambda: Instruction(op=OpClass.LOAD, dsts=(1,), addr=64, size=-8),
+            ),
+            (
+                lambda b: b.store(1, 64, size=0),
+                lambda: Instruction(op=OpClass.STORE, srcs=(1,), addr=64, size=0),
+            ),
+            (
+                lambda b: b.store(1, 64, size=-1),
+                lambda: Instruction(op=OpClass.STORE, srcs=(1,), addr=64, size=-1),
+            ),
+            (
+                lambda b: b.tca(None),
+                lambda: Instruction(op=OpClass.TCA),
+            ),
+        ],
+    )
+    def test_helpers_reject_what_the_constructor_rejects(self, emit, construct):
+        with pytest.raises(ValueError) as expected:
+            construct()
+        builder = TraceBuilder("t")
+        with pytest.raises(ValueError) as got:
+            emit(builder)
+        assert str(got.value) == str(expected.value)
+        assert len(builder) == 0
+
+
+#: Trace.fingerprint() of each generator's default program.  These key
+#: the serve disk cache and the shared-memory trace store, so a change
+#: to the instruction records or the generators must not move them.
+GOLDEN_FINGERPRINTS = {
+    "heap": (
+        "bf11e46225ad0a729db3ca52e946f432b821a8222beb78bf2657cf347ec6d62f",
+        "d75ae1bfc0d1763171ba207b4d47d572af9550d96f4c2eb46b1fcf2c2f33d0ea",
+    ),
+    "hashmap": (
+        "9f28eee4fd9376340e02c1cde03f00721419a55406ff4b4e762bd9050f4db26d",
+        "30ed0d716ef9af0b0843504ec4d8d5cea4c1976008cfdd0daabe12e816c4a262",
+    ),
+    "regex": (
+        "a7b0f28714895ceffe3e78ba8d2f447ff772df79335e4423e4d8abe9f40b8634",
+        "a0b44c9886d7b0cf4fc75f2c835566f704c944f1977d7c19fdf66fdfc0a70c78",
+    ),
+    "strings": (
+        "d4e227350a1b967e1f1488a923a1ff87271dd5d52bd287c9ecbed5c7f0d5bbcc",
+        "c914e7ed3d89e6526d7bb2258fb54417a74a1087a98f34e7a5e948069c364477",
+    ),
+    "synthetic": (
+        "b86d1e2a4a88596a2eb85ee360f9bc839d3a6d0202575cc1b00959f7a77a04b4",
+        "fe5ab79c08acf30c6b93d0e1cadce889a94b1ece99937f181c4eb3764c782e0b",
+    ),
+}
+
+
+@pytest.mark.parametrize("generator", sorted(GOLDEN_FINGERPRINTS))
+def test_default_program_fingerprints_are_pinned(generator):
+    from repro import workloads
+
+    spec, generate = {
+        "heap": (workloads.HeapWorkloadSpec, workloads.generate_heap_program),
+        "hashmap": (workloads.HashMapWorkloadSpec, workloads.generate_hashmap_program),
+        "regex": (workloads.RegexWorkloadSpec, workloads.generate_regex_program),
+        "strings": (workloads.StringWorkloadSpec, workloads.generate_string_program),
+        "synthetic": (workloads.SyntheticSpec, workloads.generate_synthetic_program),
+    }[generator]
+    program = generate(spec())
+    assert (
+        program.baseline.fingerprint(),
+        program.accelerated().fingerprint(),
+    ) == GOLDEN_FINGERPRINTS[generator]
