@@ -163,7 +163,7 @@ i64 repro_coresim_run(
     const i64 *wr_start, const i64 *wr_addr, const i64 *wr_size,
     const i64 *writer_lo, const i64 *writer_hi,
     const i64 *re_start, const i64 *edge_prod, const i64 *edge_cons,
-    const i64 *rp_start, const i64 *rp_prod, const i64 *mem_edge_base,
+    const i64 *mem_edge_base,
     const i64 *tr_start, const i64 *tr_addr, const i64 *tr_size,
     const i64 *trl_start, const i64 *trl_lines,
     const i64 *tca_read_count, const i64 *tca_write_count,
@@ -694,8 +694,8 @@ i64 repro_coresim_run(
                 if (w >= 0) {
                     forwarded[k] = 1;
                     int in_rp = 0;
-                    for (i64 ri = rp_start[k]; ri < rp_start[k + 1]; ri++) {
-                        if (rp_prod[ri] == w) {
+                    for (i64 ri = re_start[k]; ri < re_start[k + 1]; ri++) {
+                        if (edge_prod[ri] == w) {
                             in_rp = 1;
                             break;
                         }
@@ -747,9 +747,9 @@ i64 repro_coresim_run(
                         }
                         if (w >= 0) {
                             int in_rp = 0;
-                            for (i64 ri = rp_start[k]; ri < rp_start[k + 1];
+                            for (i64 ri = re_start[k]; ri < re_start[k + 1];
                                  ri++) {
-                                if (rp_prod[ri] == w) {
+                                if (edge_prod[ri] == w) {
                                     in_rp = 1;
                                     break;
                                 }
