@@ -4,7 +4,10 @@ A :class:`Trace` is the unit of work the simulator executes: a named,
 immutable-by-convention sequence of :class:`~repro.isa.instructions.Instruction`
 records plus light metadata.  :class:`TraceBuilder` gives workload generators
 a compact vocabulary for emitting common uop idioms (dependency chains,
-streaming loads, call-like register pressure) without hand-rolling tuples.
+streaming loads, call-like register pressure) without hand-rolling tuples;
+:func:`alu_block` and :func:`alu_record` hand out cached blocks of shared
+records for the long regular runs (filler code, loop bodies) generators
+append with :meth:`TraceBuilder.extend`.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import hashlib
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from repro.isa.instructions import Instruction, OpClass, TCADescriptor, chunk_memory_range
@@ -26,6 +30,90 @@ _STORE = OpClass.STORE
 _BRANCH = OpClass.BRANCH
 _TCA = OpClass.TCA
 _NOP_RECORD = Instruction(op=OpClass.NOP)
+
+
+def fingerprint_records(instructions: Iterable[Instruction]) -> str:
+    """Content fingerprint of an instruction sequence (sha256 hex).
+
+    The digest behind :meth:`Trace.fingerprint` and
+    :meth:`repro.sim.compile.CompiledTrace.fingerprint`: sha256 over a
+    canonical per-instruction encoding (never Python ``hash()``), so it
+    is stable across interpreter restarts and ``PYTHONHASHSEED`` values.
+    """
+    digest = hashlib.sha256()
+    digest.update(b"trace.v1")
+    for inst in instructions:
+        tca = None
+        if inst.tca is not None:
+            tca = (
+                inst.tca.name,
+                inst.tca.compute_latency,
+                tuple((r.addr, r.size, r.is_write) for r in inst.tca.reads),
+                tuple((w.addr, w.size, w.is_write) for w in inst.tca.writes),
+                inst.tca.replaced_instructions,
+                inst.tca.replaced_cycles,
+            )
+        record = (
+            inst.op.value,
+            inst.srcs,
+            inst.dsts,
+            inst.addr,
+            inst.size,
+            inst.mispredicted,
+            inst.low_confidence,
+            inst.latency,
+            tca,
+        )
+        digest.update(repr(record).encode("utf-8"))
+    return digest.hexdigest()
+
+
+@lru_cache(maxsize=1024)
+def alu_record(
+    dst: int,
+    srcs: tuple[int, ...] = (),
+    op: OpClass = OpClass.INT_ALU,
+    latency: int | None = None,
+) -> Instruction:
+    """One shared compute record, equal to what ``TraceBuilder.alu`` emits.
+
+    Cached: equal arguments return the same immutable object, so a
+    generator can append it many times without building it again.  The
+    first call validates through the full constructor, so an invalid
+    op or latency raises the same ``ValueError`` as the helper.
+    """
+    return Instruction(op=op, srcs=srcs, dsts=(dst,), latency=latency)
+
+
+@lru_cache(maxsize=256)
+def _alu_block(
+    registers: tuple[int, ...], count: int, start: int, op: OpClass
+) -> tuple[Instruction, ...]:
+    records = [alu_record(reg, (), op) for reg in registers]
+    width = len(records)
+    return tuple([records[(start + i) % width] for i in range(count)])
+
+
+def alu_block(
+    registers: Sequence[int],
+    count: int,
+    start: int = 0,
+    op: OpClass = OpClass.INT_ALU,
+) -> tuple[Instruction, ...]:
+    """``count`` independent compute records cycling over ``registers``.
+
+    Record ``i`` writes ``registers[(start + i) % len(registers)]`` from
+    no sources, exactly as ``count`` calls of ``TraceBuilder.alu`` would
+    emit it (none when ``count <= 0``).  The block is cached per
+    (registers, count, start, op) and its records are shared (see
+    :func:`alu_record`); append it with :meth:`TraceBuilder.extend`.
+    """
+    registers = tuple(registers)
+    if not registers:
+        raise ValueError("alu_block requires at least one register")
+    if count <= 0:
+        return ()
+    return _alu_block(registers, count, start % len(registers), op)
 
 
 @dataclass(frozen=True)
@@ -102,7 +190,10 @@ class Trace:
         # form from their sources.
         self._fingerprint: str | None = None
         self._stats: TraceStats | None = None
-        self._compiled = None  # set by repro.sim.compile.compile_trace
+        # Set by repro.sim.compile.compile_trace.  The compiled form holds
+        # this trace's records tuple, never the Trace itself, so a dropped
+        # trace is freed by reference counting alone.
+        self._compiled = None
 
     def __len__(self) -> int:
         return len(self._instructions)
@@ -135,36 +226,9 @@ class Trace:
         cached; traces are immutable-by-convention, so the cache is safe.
         """
         cached = self._fingerprint
-        if cached is not None:
-            return cached
-        digest = hashlib.sha256()
-        digest.update(b"trace.v1")
-        for inst in self._instructions:
-            tca = None
-            if inst.tca is not None:
-                tca = (
-                    inst.tca.name,
-                    inst.tca.compute_latency,
-                    tuple((r.addr, r.size, r.is_write) for r in inst.tca.reads),
-                    tuple((w.addr, w.size, w.is_write) for w in inst.tca.writes),
-                    inst.tca.replaced_instructions,
-                    inst.tca.replaced_cycles,
-                )
-            record = (
-                inst.op.value,
-                inst.srcs,
-                inst.dsts,
-                inst.addr,
-                inst.size,
-                inst.mispredicted,
-                inst.low_confidence,
-                inst.latency,
-                tca,
-            )
-            digest.update(repr(record).encode("utf-8"))
-        result = digest.hexdigest()
-        self._fingerprint = result
-        return result
+        if cached is None:
+            cached = self._fingerprint = fingerprint_records(self._instructions)
+        return cached
 
     def stats(self) -> TraceStats:
         """Summary statistics (computed lazily and cached, like
@@ -259,7 +323,12 @@ class TraceBuilder:
         return instruction
 
     def extend(self, instructions: Iterable[Instruction]) -> None:
-        """Append a sequence of instructions."""
+        """Append a sequence of instructions.
+
+        Records are immutable, so one record object may appear many
+        times in a trace: generators append cached blocks of shared
+        records (:func:`alu_block`, :func:`alu_record`) this way.
+        """
         self._instructions.extend(instructions)
 
     def alu(
@@ -388,10 +457,11 @@ class TraceBuilder:
 
         Each op reads and writes ``start_reg``, producing a critical path of
         ``length × latency`` cycles — the knob workload generators use to
-        control baseline IPC.
+        control baseline IPC.  The ops are one shared record.
         """
-        for _ in range(length):
-            self.alu(start_reg, (start_reg,), op=op, latency=latency)
+        if length > 0:
+            record = alu_record(start_reg, (start_reg,), op, latency)
+            self._instructions.extend((record,) * length)
 
     def independent_block(
         self,
@@ -402,9 +472,7 @@ class TraceBuilder:
         """Emit ``count`` mutually independent ALU ops cycling over ``registers``."""
         if not registers:
             raise ValueError("independent_block requires at least one register")
-        for i in range(count):
-            reg = registers[i % len(registers)]
-            self.alu(reg, (), op=op)
+        self._instructions.extend(alu_block(registers, count, op=op))
 
     def streaming_loads(
         self,

@@ -30,7 +30,10 @@ or left self-cleaned by a completed run (see :meth:`RunState` notes).
 
 ``compile_trace`` memoizes the compiled form on the source trace object
 itself (the same idiom ``Trace.fingerprint`` uses), so repeated
-``simulate(trace, ...)`` calls in one process pay the analysis once.
+``simulate(trace, ...)`` calls in one process pay the analysis once.  The
+trace owns its compiled form, never the other way round: a
+``CompiledTrace`` keeps only the records tuple, so no reference cycle
+holds a dropped trace (or its arrays) until the cyclic GC runs.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from typing import Iterator
 import numpy as np
 
 from repro.isa.instructions import CACHE_LINE_BYTES, OpClass
-from repro.isa.trace import Trace
+from repro.isa.trace import Trace, fingerprint_records
 from repro.obs.span import span
 
 # Instruction kinds used by the pipeline's hot branches.
@@ -239,13 +242,15 @@ class CompiledTrace:
     (:attr:`oracle`), derived on first use and never pickled.
 
     Duck-types the pieces of :class:`~repro.isa.trace.Trace` the layers
-    above the core need — ``name``, ``len()``, ``fingerprint()`` — and
-    keeps the ``source`` trace reachable for everything else
-    (``stats()``, metadata).
+    above the core need — ``name``, ``len()``, ``fingerprint()``,
+    ``instructions`` (the source's records tuple, shared, which sampled
+    runs slice into shards).  It holds no reference to the source
+    ``Trace`` object, which owns it through the ``compile_trace`` memo.
     """
 
     __slots__ = (
-        "source",
+        "instructions",
+        "_fingerprint",
         "name",
         "length",
         "n_edges",
@@ -282,12 +287,14 @@ class CompiledTrace:
         "_pool",
         "_packed",
         "_oracle",
+        "__weakref__",
     )
 
     def __init__(self, trace: Trace) -> None:
         instructions = trace.instructions
         n = len(instructions)
-        self.source = trace
+        self.instructions = instructions
+        self._fingerprint: str | None = getattr(trace, "_fingerprint", None)
         self.name = trace.name
         self.length = n
 
@@ -476,8 +483,16 @@ class CompiledTrace:
         return f"CompiledTrace(name={self.name!r}, n={self.length})"
 
     def fingerprint(self) -> str:
-        """Content fingerprint of the underlying trace (sha256 hex)."""
-        return self.source.fingerprint()
+        """Content fingerprint of the underlying trace (sha256 hex).
+
+        Equal to the source's ``Trace.fingerprint()``: taken from it at
+        compile time when already computed, else computed lazily from
+        the records by the same function.
+        """
+        cached = self._fingerprint
+        if cached is None:
+            cached = self._fingerprint = fingerprint_records(self.instructions)
+        return cached
 
     # ------------------------------------------------------------- run pool
 
@@ -511,7 +526,7 @@ class CompiledTrace:
 
 
 #: Per-run and derived caches a pickled CompiledTrace leaves behind.
-_UNPICKLED = frozenset(("_pool", "_packed", "_oracle"))
+_UNPICKLED = frozenset(("_pool", "_packed", "_oracle", "__weakref__"))
 
 
 def _spans(start: np.ndarray) -> Iterator[tuple[int, int, int]]:

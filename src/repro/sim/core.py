@@ -169,7 +169,6 @@ class CoreSim:
         compiled = compile_trace(trace)
         self.config = config
         self.compiled = compiled
-        self.trace = compiled.source
         resolved_stop = compiled.length if stop is None else stop
         if not 0 <= start <= resolved_stop <= compiled.length:
             raise ValueError(

@@ -625,7 +625,7 @@ def begin_checkpoint(
     compiled = compile_trace(trace)
     sim = CoreSim(config, compiled, warm_ranges=warm_ranges, stop=0)
     return SimCheckpoint(
-        trace_fingerprint=compiled.source.fingerprint(),
+        trace_fingerprint=compiled.fingerprint(),
         config_key=_config_key(config),
         position=0,
         length=compiled.length,
@@ -648,7 +648,7 @@ def advance_checkpoint(
     differ only by the per-segment pipeline fill/drain at the seams.
     """
     compiled = compile_trace(trace)
-    if compiled.source.fingerprint() != checkpoint.trace_fingerprint:
+    if compiled.fingerprint() != checkpoint.trace_fingerprint:
         raise ValueError("checkpoint does not belong to this trace")
     if _config_key(config) != checkpoint.config_key:
         raise ValueError("checkpoint does not belong to this config")
@@ -763,7 +763,7 @@ def simulate_sharded(
     bounds = [length * i // shards for i in range(shards)] + [length]
     starts = bounds[:-1]
     snapshots = _boundary_cache_states(compiled, config, starts, warm_ranges)
-    instructions = compiled.source.instructions
+    instructions = compiled.instructions
     items = []
     for i in range(shards):
         a, b = bounds[i], bounds[i + 1]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from repro.isa.instructions import TCADescriptor, chunk_memory_range
 from repro.isa.program import AcceleratableRegion, Program
-from repro.isa.trace import TraceBuilder
+from repro.isa.trace import TraceBuilder, alu_block
 
 #: Memory layout: bucket array and key storage.
 BUCKETS_BASE = 0x0800_0000
@@ -147,14 +147,11 @@ def _emit_get_software(
         builder.branch(srcs=(r_cmp,))
         builder.load(r_bucket, probe_addr, 8, srcs=(r_bucket,))
         builder.alu(r_cmp, (r_bucket, r_key))
-        for _ in range(PROBE_STEP_UOPS - 3):
-            builder.alu(_SCRATCH[(step + 2) % 4], ())
+        builder.extend(alu_block((_SCRATCH[(step + 2) % 4],), PROBE_STEP_UOPS - 3))
     builder.load(r_cmp, addr + 8, 8, srcs=(r_cmp,))  # value load
     emitted = len(builder) - start
     target = GET_BASE_UOPS + distance * PROBE_STEP_UOPS
-    while emitted < target:
-        builder.alu(_SCRATCH[emitted % 4], ())
-        emitted += 1
+    builder.extend(alu_block(_SCRATCH, target - emitted, start=emitted))
     return len(builder) - start
 
 
@@ -182,15 +179,12 @@ def _emit_put_software(
             srcs=(r_bucket,),
         )
         builder.alu(r_cmp, (r_bucket, r_key))
-        for _ in range(PROBE_STEP_UOPS - 3):
-            builder.alu(_SCRATCH[(step + 2) % 4], ())
+        builder.extend(alu_block((_SCRATCH[(step + 2) % 4],), PROBE_STEP_UOPS - 3))
     builder.store(r_key, addr, 8)
     builder.store(r_cmp, addr + 8, 8)
     emitted = len(builder) - start
     target = PUT_BASE_UOPS + distance * PROBE_STEP_UOPS
-    while emitted < target:
-        builder.alu(_SCRATCH[emitted % 4], ())
-        emitted += 1
+    builder.extend(alu_block(_SCRATCH, target - emitted, start=emitted))
     return len(builder) - start
 
 
@@ -292,8 +286,7 @@ def generate_hashmap_program(spec: HashMapWorkloadSpec) -> Program:
         regions.append(
             AcceleratableRegion(start, len(builder) - start, descriptor, dsts=(8,))
         )
-        for i in range(spec.filler_block):
-            builder.alu(_FILLER_REGS[i % len(_FILLER_REGS)], ())
+        builder.extend(alu_block(_FILLER_REGS, spec.filler_block))
 
     table.check_invariants()
     baseline = builder.build()

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from repro.isa.instructions import TCADescriptor
 from repro.isa.program import AcceleratableRegion, Program
-from repro.isa.trace import TraceBuilder
+from repro.isa.trace import TraceBuilder, alu_block
 from repro.workloads.tcmalloc import (
     FREE_SOFTWARE_UOPS,
     MALLOC_SOFTWARE_UOPS,
@@ -87,6 +87,10 @@ class HeapWorkloadSpec:
             raise ValueError(
                 f"filler_block must be positive, got {self.filler_block}"
             )
+        if self.filler_load_every <= 0:
+            raise ValueError(
+                f"filler_load_every must be positive, got {self.filler_load_every}"
+            )
         if self.max_live < 1:
             raise ValueError(f"max_live must be >= 1, got {self.max_live}")
 
@@ -111,14 +115,36 @@ def _free_descriptor(replaced: int) -> TCADescriptor:
     )
 
 
-def _emit_filler(builder: TraceBuilder, spec: HeapWorkloadSpec, slot: int) -> None:
+def _filler_template(spec: HeapWorkloadSpec) -> list[tuple[int, int, tuple]]:
+    """A filler slot's layout: ``(position, load register, ALU run after it)``.
+
+    Position ``i`` of a slot is a load when ``i % filler_load_every == 0``
+    and an independent ALU op otherwise; the ALU runs between loads are
+    the same in every slot (cached shared records), so a slot only
+    builds its loads, whose addresses differ.
+    """
+    block, every = spec.filler_block, spec.filler_load_every
+    return [
+        (
+            i,
+            _FILLER_REGS[i % len(_FILLER_REGS)],
+            alu_block(_FILLER_REGS, min(every, block - i) - 1, start=i + 1),
+        )
+        for i in range(0, block, every)
+    ]
+
+
+def _emit_filler(
+    builder: TraceBuilder,
+    spec: HeapWorkloadSpec,
+    slot: int,
+    template: list[tuple[int, int, tuple]],
+) -> None:
     """Independent ALU work with periodic streaming loads (no heap deps)."""
-    for i in range(spec.filler_block):
-        if i % spec.filler_load_every == 0:
-            addr = FILLER_BASE + ((slot * spec.filler_block + i) * 8) % FILLER_REGION_BYTES
-            builder.load(_FILLER_REGS[i % len(_FILLER_REGS)], addr, 8)
-        else:
-            builder.alu(_FILLER_REGS[i % len(_FILLER_REGS)], ())
+    base = slot * spec.filler_block
+    for i, reg, run in template:
+        builder.load(reg, FILLER_BASE + ((base + i) * 8) % FILLER_REGION_BYTES, 8)
+        builder.extend(run)
 
 
 def generate_heap_program(spec: HeapWorkloadSpec) -> Program:
@@ -143,6 +169,7 @@ def generate_heap_program(spec: HeapWorkloadSpec) -> Program:
     )
     regions: list[AcceleratableRegion] = []
     live: list[int] = []
+    filler = _filler_template(spec)
 
     for slot in range(spec.slots):
         if rng.random() < spec.call_probability:
@@ -167,7 +194,7 @@ def generate_heap_program(spec: HeapWorkloadSpec) -> Program:
                 )
             )
         else:
-            _emit_filler(builder, spec, slot)
+            _emit_filler(builder, spec, slot, filler)
 
     baseline = builder.build()
     # Steady-state cache-warming ranges: the allocator metadata, the heap

@@ -28,9 +28,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from repro.isa.instructions import TCADescriptor, chunk_memory_range
+from repro.isa.instructions import (
+    Instruction,
+    OpClass,
+    TCADescriptor,
+    chunk_memory_range,
+)
 from repro.isa.program import AcceleratableRegion, Program
-from repro.isa.trace import TraceBuilder
+from repro.isa.trace import TraceBuilder, alu_block, alu_record
 
 #: Flat memory image for subject strings.
 SUBJECTS_BASE = 0x0C00_0000
@@ -45,6 +50,16 @@ TCA_BASE_LATENCY = 3
 
 _SCRATCH = (0, 1, 2, 3)
 _FILLER_REGS = (4, 5, 6, 7)
+
+#: One matcher step's :data:`STEP_UOPS` records (shared by every step):
+#: state fetch, class test into the state-set spine, branch, index bump.
+_R_BYTE, _R_STATE, _R_SET, _R_IDX = _SCRATCH
+STEP_BLOCK = (
+    alu_record(_R_STATE, (_R_SET,)),
+    alu_record(_R_SET, (_R_STATE, _R_BYTE)),
+    Instruction(OpClass.BRANCH, srcs=(_R_SET,)),
+    alu_record(_R_IDX, (_R_IDX,)),
+)
 
 
 # --------------------------------------------------------------------------
@@ -290,23 +305,16 @@ def _emit_match_software(
     :data:`STEP_UOPS` per (byte × active state) step with a dependent
     state-set spine.
     """
-    r_byte, r_state, r_set, r_idx = _SCRATCH
     start = len(builder)
-    builder.alu(r_set, ())
-    builder.alu(r_idx, ())
+    builder.alu(_R_SET, ())
+    builder.alu(_R_IDX, ())
     for word in range((subject_len + 7) // 8):
-        builder.load(r_byte, subject_addr + word * 8, 8, srcs=(r_idx,))
+        builder.load(_R_BYTE, subject_addr + word * 8, 8, srcs=(_R_IDX,))
     steps = max(1, work)
-    for step in range(steps):
-        builder.alu(r_state, (r_set,))
-        builder.alu(r_set, (r_state, r_byte))
-        builder.branch(srcs=(r_set,))
-        builder.alu(r_idx, (r_idx,))
+    builder.extend(STEP_BLOCK * steps)
     emitted = len(builder) - start
     target = CALL_BASE_UOPS + steps * STEP_UOPS
-    while emitted < target:
-        builder.alu(_SCRATCH[emitted % 4], ())
-        emitted += 1
+    builder.extend(alu_block(_SCRATCH, target - emitted, start=emitted))
     return len(builder) - start
 
 
@@ -411,8 +419,7 @@ def generate_regex_program(spec: RegexWorkloadSpec) -> Program:
                 dsts=(8,),
             )
         )
-        for i in range(spec.filler_block):
-            builder.alu(_FILLER_REGS[i % len(_FILLER_REGS)], ())
+        builder.extend(alu_block(_FILLER_REGS, spec.filler_block))
 
     baseline = builder.build()
     baseline.metadata["warm_ranges"] = [(SUBJECTS_BASE, cursor - SUBJECTS_BASE)]

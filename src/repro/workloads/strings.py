@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from repro.isa.instructions import TCADescriptor, chunk_memory_range
 from repro.isa.program import AcceleratableRegion, Program
-from repro.isa.trace import TraceBuilder
+from repro.isa.trace import TraceBuilder, alu_block
 
 #: Flat memory image for string storage.
 STRINGS_BASE = 0x0A00_0000
@@ -127,9 +127,7 @@ def _emit_strcmp_software(
     # final byte-granularity resolution + return-value materialisation
     emitted = len(builder) - start
     target = CALL_BASE_UOPS + words * WORD_LOOP_UOPS
-    while emitted < target:
-        builder.alu(_SCRATCH[emitted % 4], ())
-        emitted += 1
+    builder.extend(alu_block(_SCRATCH, target - emitted, start=emitted))
     return len(builder) - start, divergence
 
 
@@ -219,8 +217,7 @@ def generate_string_program(spec: StringWorkloadSpec) -> Program:
                 dsts=(8,),
             )
         )
-        for i in range(spec.filler_block):
-            builder.alu(_FILLER_REGS[i % len(_FILLER_REGS)], ())
+        builder.extend(alu_block(_FILLER_REGS, spec.filler_block))
 
     baseline = builder.build()
     baseline.metadata["warm_ranges"] = [(STRINGS_BASE, max(table.image_bytes, 64))]

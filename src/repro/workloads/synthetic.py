@@ -25,10 +25,12 @@ assumptions of the interval model.  The knobs (``load_every``,
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
-from repro.isa.instructions import OpClass, TCADescriptor
+from repro.isa.instructions import Instruction, TCADescriptor
 from repro.isa.program import AcceleratableRegion, Program
 from repro.isa.trace import TraceBuilder
 
@@ -106,26 +108,67 @@ class SyntheticSpec:
         return self.num_invocations / self.total_instructions
 
 
-def _emit_mixed(
-    builder: TraceBuilder, spec: SyntheticSpec, index: int, load_counter: list[int]
-) -> None:
-    """Emit one instruction of the baseline mix at global position ``index``.
+@lru_cache(maxsize=8)
+def _mixed_template(
+    load_every: int, chain_every: int, mispredict_every: int, length: int
+) -> tuple[tuple[Instruction, ...], tuple[tuple[int, tuple[Instruction, ...]], ...]]:
+    """The baseline mix at positions ``[0, length)``, loads left out.
 
-    ``load_counter`` is a one-element list tracking how many streaming
-    loads have been emitted so far (each takes a fresh 64 B line).
+    Returns the record run before the first load, then one ``(load
+    register, record run after it)`` pair per load.  The mix at position
+    ``index`` depends only on ``index`` modulo :func:`_mix_period`, so a
+    template one period long, repeated, is the whole trace; the records
+    are built once here and shared by every repetition.  Loads are the
+    only records that differ between repetitions (each streams a fresh
+    line), so :func:`_emit_mixed` emits them itself.
     """
-    if spec.mispredict_every and index % spec.mispredict_every == spec.mispredict_every - 1:
-        builder.branch(srcs=(_REGS[index % 8],), mispredicted=True)
-    elif index % spec.load_every == 0:
-        addr = DATA_BASE + (load_counter[0] * 64) % spec.working_set
-        load_counter[0] += 1
-        builder.load(_REGS[index % 8], addr, 8)
-    elif index % spec.chain_every == 0:
-        builder.alu(_CHAIN_REG, (_CHAIN_REG,))
-    elif index % 17 == 0:
-        builder.branch(srcs=(_REGS[index % 8],))
-    else:
-        builder.alu(_REGS[index % 8], ())
+    scratch = TraceBuilder()
+    load_regs: list[int] = []
+    marks = [0]  # record index where each run starts
+    for index in range(length):
+        if mispredict_every and index % mispredict_every == mispredict_every - 1:
+            scratch.branch(srcs=(_REGS[index % 8],), mispredicted=True)
+        elif index % load_every == 0:
+            load_regs.append(_REGS[index % 8])
+            marks.append(len(scratch))
+        elif index % chain_every == 0:
+            scratch.alu(_CHAIN_REG, (_CHAIN_REG,))
+        elif index % 17 == 0:
+            scratch.branch(srcs=(_REGS[index % 8],))
+        else:
+            scratch.alu(_REGS[index % 8], ())
+    records = scratch.build().instructions
+    marks.append(len(records))
+    runs = [records[lo:hi] for lo, hi in zip(marks, marks[1:])]
+    return runs[0], tuple(zip(load_regs, runs[1:]))
+
+
+def _mix_period(spec: SyntheticSpec) -> int:
+    """Positions after which the baseline mix repeats (loads aside)."""
+    return math.lcm(
+        spec.load_every, spec.chain_every, 17, 8, spec.mispredict_every or 1
+    )
+
+
+def _emit_mixed(builder: TraceBuilder, spec: SyntheticSpec) -> None:
+    """Emit the whole baseline mix: repeated templates plus streaming loads.
+
+    Each load touches a fresh 64 B line of the streaming region, in
+    order, wrapping at ``working_set``.
+    """
+    period = min(_mix_period(spec), spec.total_instructions)
+    repeats, tail = divmod(spec.total_instructions, period)
+    line = 0
+    for length, count in ((period, repeats), (tail, 1 if tail else 0)):
+        head, loads = _mixed_template(
+            spec.load_every, spec.chain_every, spec.mispredict_every, length
+        )
+        for _ in range(count):
+            builder.extend(head)
+            for reg, run in loads:
+                builder.load(reg, DATA_BASE + (line * 64) % spec.working_set, 8)
+                line += 1
+                builder.extend(run)
 
 
 def _region_offsets(spec: SyntheticSpec, rng: random.Random) -> list[int]:
@@ -163,9 +206,7 @@ def generate_synthetic_program(spec: SyntheticSpec) -> Program:
             "seed": spec.seed,
         },
     )
-    load_counter = [0]
-    for index in range(spec.total_instructions):
-        _emit_mixed(builder, spec, index, load_counter)
+    _emit_mixed(builder, spec)
     baseline = builder.build()
 
     descriptor = TCADescriptor(

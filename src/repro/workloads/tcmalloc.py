@@ -21,8 +21,9 @@ touched, so cache behaviour in simulation matches the data structures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
-from repro.isa.instructions import OpClass
+from repro.isa.instructions import Instruction
 from repro.isa.trace import TraceBuilder
 
 #: Size-class upper bounds in bytes (paper §V-B: 0-32B .. 97-128B).
@@ -264,17 +265,7 @@ def emit_malloc_software(
     remaining = MALLOC_SOFTWARE_UOPS - emitted - 1  # reserve the final move
     chain_len = 6
     builder.chain(chain_len, r_head)
-    remaining -= chain_len
-    probe = 0
-    while remaining > 0:
-        if probe % 9 == 0:
-            builder.load(r_tmp, CLASS_TABLE_BASE + 64 + (probe % 4) * 8, 8)
-        elif probe % 13 == 0:
-            builder.branch(srcs=(r_class,))
-        else:
-            builder.alu(scratch_regs[probe % len(scratch_regs)], ())
-        probe += 1
-        remaining -= 1
+    builder.extend(_malloc_guards(tuple(scratch_regs), remaining - chain_len))
     builder.alu(r_head, (r_head,))  # final: move the pointer to its result reg
     return len(builder) - start
 
@@ -311,13 +302,39 @@ def emit_free_software(
     remaining = FREE_SOFTWARE_UOPS - emitted
     chain_len = 4
     builder.chain(chain_len, r_tmp)
-    remaining -= chain_len
-    probe = 0
-    while remaining > 0:
-        if probe % 11 == 0:
-            builder.branch(srcs=(r_class,))
-        else:
-            builder.alu(scratch_regs[probe % len(scratch_regs)], ())
-        probe += 1
-        remaining -= 1
+    builder.extend(_free_guards(tuple(scratch_regs), remaining - chain_len))
     return len(builder) - start
+
+
+@lru_cache(maxsize=16)
+def _malloc_guards(
+    scratch_regs: tuple[int, ...], count: int
+) -> tuple[Instruction, ...]:
+    """Malloc's ``count`` guard uops: metadata probe loads, branches, ALU work.
+
+    The probes read fixed class-table addresses, so the whole run is the
+    same on every call: built once and shared.
+    """
+    r_class, r_tmp = scratch_regs[1], scratch_regs[3]
+    guards = TraceBuilder()
+    for probe in range(count):
+        if probe % 9 == 0:
+            guards.load(r_tmp, CLASS_TABLE_BASE + 64 + (probe % 4) * 8, 8)
+        elif probe % 13 == 0:
+            guards.branch(srcs=(r_class,))
+        else:
+            guards.alu(scratch_regs[probe % len(scratch_regs)], ())
+    return guards.build().instructions
+
+
+@lru_cache(maxsize=16)
+def _free_guards(scratch_regs: tuple[int, ...], count: int) -> tuple[Instruction, ...]:
+    """Free's ``count`` guard uops: branches and ALU work (built once, shared)."""
+    r_class = scratch_regs[1]
+    guards = TraceBuilder()
+    for probe in range(count):
+        if probe % 11 == 0:
+            guards.branch(srcs=(r_class,))
+        else:
+            guards.alu(scratch_regs[probe % len(scratch_regs)], ())
+    return guards.build().instructions

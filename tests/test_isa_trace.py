@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.isa.instructions import Instruction, MemRequest, OpClass, TCADescriptor
-from repro.isa.trace import Trace, TraceBuilder
+from repro.isa.trace import Trace, TraceBuilder, alu_block
 
 
 class TestTrace:
@@ -227,6 +227,48 @@ class TestBuilderRecords:
         assert repr(got) == repr(want)
         assert builder.build().instructions == (want,)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        registers=st.lists(st.integers(0, 63), min_size=1, max_size=5),
+        count=st.integers(0, 40),
+        start=st.integers(0, 100),
+        op=_compute_ops,
+        latency=st.one_of(st.none(), st.integers(0, 50)),
+    )
+    def test_cached_blocks_match_the_per_record_helpers(
+        self, registers, count, start, op, latency
+    ):
+        width = len(registers)
+        rotated = TraceBuilder("t")
+        independent = TraceBuilder("t")
+        chain = TraceBuilder("t")
+        for i in range(count):
+            rotated.alu(registers[(start + i) % width], (), op=op)
+            independent.alu(registers[i % width], (), op=op)
+            chain.alu(registers[0], (registers[0],), op=op, latency=latency)
+        got_independent = TraceBuilder("t")
+        got_independent.independent_block(count, registers, op=op)
+        got_chain = TraceBuilder("t")
+        got_chain.chain(count, registers[0], op=op, latency=latency)
+        for got, want in (
+            (alu_block(registers, count, start=start, op=op), rotated),
+            (got_independent.build().instructions, independent),
+            (got_chain.build().instructions, chain),
+        ):
+            want = want.build().instructions
+            assert all(type(inst) is Instruction for inst in got)
+            assert got == want
+            assert repr(got) == repr(want)
+            assert Trace(got).fingerprint() == Trace(want).fingerprint()
+
+    def test_cached_blocks_share_their_records(self):
+        block = alu_block((4, 5), 6)
+        assert alu_block([4, 5], 6) is block
+        assert block[0] is block[2] is block[4]
+        assert alu_block((4, 5), 3, start=7)[0] is block[1]
+        with pytest.raises(ValueError, match="at least one register"):
+            alu_block((), 3)
+
     @pytest.mark.parametrize(
         "emit, construct",
         [
@@ -265,6 +307,20 @@ class TestBuilderRecords:
             (
                 lambda b: b.tca(None),
                 lambda: Instruction(op=OpClass.TCA),
+            ),
+            (
+                lambda b: b.chain(3, 1, op=OpClass.LOAD),
+                lambda: Instruction(op=OpClass.LOAD, srcs=(1,), dsts=(1,)),
+            ),
+            (
+                lambda b: b.chain(3, 1, latency=-2),
+                lambda: Instruction(
+                    op=OpClass.INT_ALU, srcs=(1,), dsts=(1,), latency=-2
+                ),
+            ),
+            (
+                lambda b: b.independent_block(3, [1, 2], op=OpClass.STORE),
+                lambda: Instruction(op=OpClass.STORE, dsts=(1,)),
             ),
         ],
     )
@@ -305,8 +361,107 @@ GOLDEN_FINGERPRINTS = {
 }
 
 
-@pytest.mark.parametrize("generator", sorted(GOLDEN_FINGERPRINTS))
-def test_default_program_fingerprints_are_pinned(generator):
+#: Baseline and accelerated fingerprints of each generator at two
+#: non-default seeds, and of non-default shapes that exercise the cached
+#: record blocks' edges: a synthetic mix whose period does not divide the
+#: trace (and one longer than the trace, with mispredicts), heap filler
+#: whose load spacing does not divide the block (and exceeds it), and a
+#: regex run with short filler.  Computed before the generators moved to
+#: shared record blocks, so they pin that port as well.
+SEEDED_FINGERPRINTS = {
+    ("hashmap", 3): (
+        "bb299f0cce5c534d61772160bc7d52a609311e6d5110a18db816190016064e36",
+        "c9e5855f6236e15073ef7e74f877d54f7550b18a9b146046c361141ec62f1d60",
+    ),
+    ("hashmap", 11): (
+        "95bb52358606ecc67b06eb19f2b25b467850c05bad494a539ee725f9db440d14",
+        "3cde70c8608d4c6d0d9ee0212ffe2c0d36d42b3596494809013b60a5722bc429",
+    ),
+    ("heap", 3): (
+        "36a19170ba80b68cf4d85e8605cb046e5a9bff71a8b4737381e0abb1a8b9ce20",
+        "52d11c5f9af73b0524b3e279e47c45909abd2078ec513bfaf5622d3f45e07e0d",
+    ),
+    ("heap", 11): (
+        "2535e2d17b9349c7779b9f213afe1a707a3587a5323dfed160ae13ce75934ebc",
+        "455ab12ab59e9a8a56e180d61e2886e389a9eeee05e91e44880fcb9829a955f8",
+    ),
+    ("regex", 3): (
+        "a40f6ce5843a290eea664049e40f42ced10dc8634eb35a857a5880a2c61e46d5",
+        "60da103aef302e0d42e13ddb68338a1d4257677be1fd77e0e1562dbb80285344",
+    ),
+    ("regex", 11): (
+        "f49f0d6beeed614b719fb3117e281ba4919d7b30b99f1f67d54bb521c16c6221",
+        "27a7b0eab5d13b37923296a9df282f570a8bad0e210e71f5bd4d82fdaddb96a3",
+    ),
+    ("strings", 3): (
+        "f59093135b0b0346a065cdc27948eb53f6be7f6a8eda48b0cee499dc3a44152b",
+        "44fb0c7be3d2b4c22d0e2d4444d93ea5f82563113cf70a2fa1993a023ed58c73",
+    ),
+    ("strings", 11): (
+        "614f667781325558e8e4f184a5006d44e22806df6d75c4eb755c92d19044b914",
+        "fe9529e50df660d3824b6693d1613b8e57cbb412a63ce5ae08cbf63e697316ac",
+    ),
+    # The synthetic seed only places the regions: the baseline is shared.
+    ("synthetic", 3): (
+        "b86d1e2a4a88596a2eb85ee360f9bc839d3a6d0202575cc1b00959f7a77a04b4",
+        "25e61f3a7476dd530149c28859054271d8befd496b7f76258bf045823ab17620",
+    ),
+    ("synthetic", 11): (
+        "b86d1e2a4a88596a2eb85ee360f9bc839d3a6d0202575cc1b00959f7a77a04b4",
+        "328a6ad59d36bdc8fc61a0239e610b5f8b59920ab77f5f48a50a53401a189bda",
+    ),
+}
+
+#: Non-default shape -> (generator, spec overrides).
+SHAPES = {
+    "heap-block37-load5": (
+        "heap", dict(slots=120, filler_block=37, filler_load_every=5, seed=4)
+    ),
+    "heap-load-every-exceeds-block": (
+        "heap", dict(slots=120, filler_block=9, filler_load_every=50, seed=4)
+    ),
+    "regex-filler7-len100": (
+        "regex", dict(matches=20, subject_length=100, filler_block=7, seed=4)
+    ),
+    "synthetic-tail": (
+        "synthetic",
+        dict(total_instructions=20_000, load_every=10, chain_every=3, seed=4),
+    ),
+    "synthetic-mispredict": (
+        "synthetic",
+        dict(
+            total_instructions=12_345, num_invocations=10, region_size=200,
+            load_every=30, chain_every=5, mispredict_every=13,
+            working_set=4096, seed=4,
+        ),
+    ),
+}
+SHAPE_FINGERPRINTS = {
+    "heap-block37-load5": (
+        "1d31b7f4239ce7b333f819ef839415a3cf4652ba02f15b7245ac3ddcdadf7be2",
+        "580283bbe6d228ae8bcc40ffb111bf05b058b01e2c2db44b8172206d3c19ec04",
+    ),
+    "heap-load-every-exceeds-block": (
+        "6d9a5917e3477dbc3a923fde2ce0b4bf97e1f37f50ccb8146cecd9e928b797b7",
+        "8529424af3f052a1872b552645c48bdb1821a61c6d509756fe327c20df3ce310",
+    ),
+    "regex-filler7-len100": (
+        "89d76acc966dfe2f8956d82c55316469df6c9d661e7b22c684b80f1a50d34dcf",
+        "d62a51ad6260281f5e2362cabd859ede62c6e7093e2181648351f7afb20c6925",
+    ),
+    "synthetic-tail": (
+        "fe34c1f7a81b834c1fba6b30184b680fc53a07fe5c31bc631ebd3817d4c7b54c",
+        "cafe3649a0a6dddfa3c4b2ee2f8eb7ddd73ba400ffd0c58ae584b9abde2b28fc",
+    ),
+    "synthetic-mispredict": (
+        "598cd7453d13617eb2a0755486f78533e21ab2ecacf055a8a6fb5f08c5d06b9a",
+        "1ff37ffe76e881334e192e8a5171c4f28da09a855cce4833bb9c019e37dc1295",
+    ),
+}
+
+
+def _fingerprints(generator, **overrides):
+    """(baseline, accelerated) fingerprints of one generator's program."""
     from repro import workloads
 
     spec, generate = {
@@ -316,8 +471,21 @@ def test_default_program_fingerprints_are_pinned(generator):
         "strings": (workloads.StringWorkloadSpec, workloads.generate_string_program),
         "synthetic": (workloads.SyntheticSpec, workloads.generate_synthetic_program),
     }[generator]
-    program = generate(spec())
-    assert (
-        program.baseline.fingerprint(),
-        program.accelerated().fingerprint(),
-    ) == GOLDEN_FINGERPRINTS[generator]
+    program = generate(spec(**overrides))
+    return program.baseline.fingerprint(), program.accelerated().fingerprint()
+
+
+@pytest.mark.parametrize("generator", sorted(GOLDEN_FINGERPRINTS))
+def test_default_program_fingerprints_are_pinned(generator):
+    assert _fingerprints(generator) == GOLDEN_FINGERPRINTS[generator]
+
+
+@pytest.mark.parametrize("generator, seed", sorted(SEEDED_FINGERPRINTS))
+def test_seeded_program_fingerprints_are_pinned(generator, seed):
+    assert _fingerprints(generator, seed=seed) == SEEDED_FINGERPRINTS[generator, seed]
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_shaped_program_fingerprints_are_pinned(shape):
+    generator, overrides = SHAPES[shape]
+    assert _fingerprints(generator, **overrides) == SHAPE_FINGERPRINTS[shape]

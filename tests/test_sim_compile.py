@@ -1,13 +1,16 @@
 """Unit tests for the compile-once trace pipeline (:mod:`repro.sim.compile`)."""
 
+import gc
 import json
 import pickle
 import shutil
+import weakref
 
 import pytest
 
 from repro.core.modes import TCAMode
 from repro.isa.trace import TraceBuilder
+from repro.sim.backend import use_backend
 from repro.sim.compile import FU_CLASSES, CompiledTrace, compile_trace, warm_lines
 from repro.sim.config import HIGH_PERF_SIM
 from repro.sim.core import CoreSim
@@ -56,7 +59,44 @@ class TestCompileTrace:
         assert len(compiled) == len(trace)
         assert compiled.name == trace.name
         assert compiled.fingerprint() == trace.fingerprint()
-        assert compiled.source is trace
+        # The compiled form shares the records, not the Trace object.
+        assert compiled.instructions is trace.instructions
+
+    def test_fingerprint_computed_without_the_source(self):
+        trace = _trace()
+        compiled = compile_trace(trace)  # before trace.fingerprint() ran
+        assert compiled.fingerprint() == _trace().fingerprint()
+        restored = pickle.loads(pickle.dumps(compiled))
+        assert restored.fingerprint() == compiled.fingerprint()
+        assert restored.instructions == trace.instructions
+
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            "python",
+            pytest.param(
+                "c",
+                marks=pytest.mark.skipif(not HAS_CC, reason="no C compiler on this host"),
+            ),
+        ],
+    )
+    def test_dropped_trace_is_freed_without_the_cyclic_gc(self, backend):
+        # The trace owns its compiled form and nothing points back, so
+        # dropping the last reference frees both by reference counting.
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            program = generate_heap_program(HeapWorkloadSpec(slots=40))
+            trace = program.accelerated()
+            compiled = compile_trace(trace)
+            with use_backend(backend):
+                simulate(trace, HIGH_PERF_SIM)
+            refs = (weakref.ref(trace), weakref.ref(compiled))
+            del program, trace, compiled
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if was_enabled:
+                gc.enable()
 
 
 def _edge_case_trace():

@@ -19,6 +19,7 @@ class TestSpecValidation:
             {"call_probability": -0.1},
             {"call_probability": 1.5},
             {"filler_block": 0},
+            {"filler_load_every": 0},
             {"max_live": 0},
         ],
     )
