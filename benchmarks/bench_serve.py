@@ -36,14 +36,6 @@ byte-identical across worker counts, and on a >= 4-core machine the
 pool must beat the single process by at least 2x (on smaller hosts the
 numbers are recorded but not asserted — the GIL leaves nothing to win).
 
-The ``pool_shared`` section then proves the zero-copy shared caches
-(:mod:`repro.serve.shm`) do their job: a pool is hammered with
-``/simulate`` requests for one trace, and after the warmup no worker's
-cumulative compile counter may exceed 1 — the trace is compiled once
-per pool and every other worker takes it from the shared-memory store
-(visible as ``repro_serve_shm_traces_*`` hit counters in ``/metrics``,
-recorded in the section).
-
 Run it directly::
 
     PYTHONPATH=src python benchmarks/bench_serve.py
@@ -59,7 +51,6 @@ written numbers against committed baselines in CI.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import random
@@ -385,114 +376,6 @@ def bench_http(
     return section
 
 
-# --- pool shared-cache section ---------------------------------------
-
-
-def _simulate_payload() -> bytes:
-    """One deterministic ``/simulate`` request body (repro-trace text)."""
-    from repro.isa.trace import TraceBuilder
-    from repro.isa.trace_io import dump_trace
-
-    builder = TraceBuilder("bench-shared")
-    builder.chain(400, 0)
-    builder.load(1, 0x1000)
-    builder.store(1, 0x2000)
-    buf = io.StringIO()
-    dump_trace(builder.build(), buf)
-    return json.dumps({"trace": buf.getvalue(), "config": "a72"}).encode("utf-8")
-
-
-def _scrape_shm_metrics(port: int) -> dict[str, float]:
-    """The ``repro_serve_shm_*`` counter samples from ``/metrics``."""
-    conn = HTTPConnection("127.0.0.1", port, timeout=30)
-    try:
-        conn.request("GET", "/metrics")
-        response = conn.getresponse()
-        text = response.read().decode("utf-8")
-    finally:
-        conn.close()
-    counters: dict[str, float] = {}
-    for line in text.splitlines():
-        if line.startswith("repro_serve_shm_"):
-            name, _, value = line.partition(" ")
-            counters[name] = float(value)
-    return counters
-
-
-def bench_pool_shared(
-    pool_workers: int, requests: int = 30, warmup: int = 4
-) -> dict:
-    """Compile-once-per-pool proof over the shared-memory trace store.
-
-    Fires ``warmup + requests`` identical ``/simulate`` requests at a
-    ``pool_workers``-worker pool.  Exactly one worker pays the compile
-    (its cumulative ``compiles`` counter reads 1 forever); every other
-    worker's stays 0, served by the shared store.  Any response showing
-    ``compiles > 1`` after warmup fails the benchmark.
-    """
-    payload = _simulate_payload()
-    proc, port = _start_server(pool_workers)
-    section: dict = {"workers": pool_workers, "warmup": warmup, "requests": requests}
-    try:
-        conn = HTTPConnection("127.0.0.1", port, timeout=60)
-
-        def simulate() -> dict:
-            conn.request(
-                "POST",
-                "/simulate",
-                body=payload,
-                headers={"Content-Type": "application/json"},
-            )
-            response = conn.getresponse()
-            body = response.read()
-            if response.status != 200:
-                raise RuntimeError(f"HTTP {response.status}: {body[:300]!r}")
-            return json.loads(body)
-
-        try:
-            for _ in range(warmup):
-                simulate()
-            compiles: list[int] = []
-            shared_hits: list[int] = []
-            cached = 0
-            started = perf_counter()
-            for _ in range(requests):
-                body = simulate()
-                stats = body["compiled_traces"]
-                compiles.append(stats["compiles"])
-                shared_hits.append(stats["shared_hits"])
-                cached += bool(body["result"].get("cached"))
-            elapsed = perf_counter() - started
-        finally:
-            conn.close()
-        shm = _scrape_shm_metrics(port)
-    finally:
-        _stop_server(proc)
-    max_compiles = max(compiles)
-    if max_compiles > 1:
-        raise AssertionError(
-            f"a worker compiled the shared trace {max_compiles} times — "
-            "the shared-memory store is not preventing duplicate compiles"
-        )
-    trace_hits = shm.get("repro_serve_shm_traces_hits_total", 0.0)
-    if pool_workers > 1 and not (trace_hits or max(shared_hits, default=0)):
-        raise AssertionError(
-            "no worker ever hit the shared trace store — every worker "
-            "compiled locally"
-        )
-    section.update(
-        {
-            "seconds": elapsed,
-            "requests_per_sec": requests / elapsed if elapsed > 0 else 0.0,
-            "cached_responses": cached,
-            "max_worker_compiles": max_compiles,
-            "compile_once": True,  # > 1 raises above
-            "shm_metrics": shm,
-        }
-    )
-    return section
-
-
 def main(argv: list[str] | None = None) -> int:
     """Benchmark entry point."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -625,7 +508,6 @@ def main(argv: list[str] | None = None) -> int:
             args.http_concurrency,
             pool_workers,
         )
-        payload["pool_shared"] = bench_pool_shared(max(2, pool_workers))
 
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
@@ -668,17 +550,6 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"    pool vs single: {http['pool_speedup_vs_single']:.2f}x "
             f"({gate}; results byte-identical)"
-        )
-    if "pool_shared" in payload:
-        shared = payload["pool_shared"]
-        hits = shared["shm_metrics"].get("repro_serve_shm_traces_hits_total", 0)
-        print(
-            f"  pool shared caches ({shared['workers']} workers, "
-            f"{shared['requests']} /simulate requests): "
-            f"{shared['requests_per_sec']:.0f} req/s, "
-            f"max worker compiles {shared['max_worker_compiles']}, "
-            f"{hits:.0f} shared trace hits, "
-            f"{shared['cached_responses']} cached responses"
         )
     print(f"[written {args.out}]")
     return 0

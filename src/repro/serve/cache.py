@@ -13,9 +13,8 @@ keys (:mod:`repro.serve.keys`), so memoization is semantically invisible:
   atomically.  The directory is versioned by the schema tag, so a package
   or model-equation version bump starts from an empty cache rather than
   serving stale results.
-- :class:`EvaluationCache` — the tiers composed: memory first, then a
-  pool's shared-memory tier, then disk (outer hits are promoted inward),
-  with hit/miss/eviction counters recorded in the process
+- :class:`EvaluationCache` — the tiers composed: memory first, then
+  disk (disk hits are promoted into memory), with hit/miss/eviction counters recorded in the process
   :class:`~repro.obs.metrics.MetricsRegistry` under ``serve.cache.*`` so
   they show up in ``--profile`` output and run manifests.
 
@@ -33,7 +32,7 @@ import tempfile
 import threading
 from collections import OrderedDict
 from time import perf_counter
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from repro.obs.log import get_logger
 from repro.obs.metrics import get_registry
@@ -408,12 +407,11 @@ class DiskCache:
 
 
 class EvaluationCache:
-    """The service's memoization layer: in-memory LRU plus outer tiers.
+    """The service's memoization layer: in-memory LRU plus optional disk.
 
-    Lookup order is memory, then the optional shared-memory tier, then
-    the optional disk tier; a hit in an outer tier is promoted into
-    memory and into every outer tier probed before it.  Every access is
-    mirrored into the process :class:`~repro.obs.metrics.MetricsRegistry`:
+    Lookup order is memory, then the optional disk tier; a disk hit is
+    promoted into memory.  Every access is mirrored into the process
+    :class:`~repro.obs.metrics.MetricsRegistry`:
 
     ========================  ============================================
     ``serve.cache.hits``      requests answered from any tier
@@ -421,8 +419,6 @@ class EvaluationCache:
     ``serve.cache.evictions`` LRU evictions (size bound)
     ``serve.cache.disk_hits``   answered from disk (subset of hits)
     ``serve.cache.disk_writes`` values persisted to disk
-    ``serve.cache.shared_hits``   answered from shared memory (subset)
-    ``serve.cache.shared_writes`` values published to shared memory
     ========================  ============================================
 
     plus the ``serve.cache.lookup`` latency histogram: one sample per
@@ -434,16 +430,12 @@ class EvaluationCache:
         disk: ``True`` for the default on-disk store, a
             :class:`DiskCache` instance, or ``None``/``False`` for
             memory-only.
-        shared: optional :class:`~repro.serve.shm.SharedBlobStore` —
-            the zero-copy cross-worker hot tier of a pre-forked pool,
-            probed between memory and disk.
     """
 
     def __init__(
         self,
         max_entries: int = DEFAULT_MAX_ENTRIES,
         disk: "DiskCache | bool | None" = None,
-        shared: Any = None,
     ) -> None:
         self.memory = LRUCache(max_entries=max_entries)
         if disk is True:
@@ -452,52 +444,14 @@ class EvaluationCache:
             self.disk = disk
         else:
             self.disk = None
-        self.shared = shared
         registry = get_registry()
         self._hits = registry.counter("serve.cache.hits")
         self._misses = registry.counter("serve.cache.misses")
         self._evictions = registry.counter("serve.cache.evictions")
         self._disk_hits = registry.counter("serve.cache.disk_hits")
         self._disk_writes = registry.counter("serve.cache.disk_writes")
-        self._shared_hits = registry.counter("serve.cache.shared_hits")
-        self._shared_writes = registry.counter("serve.cache.shared_writes")
         self._lookup = registry.histogram("serve.cache.lookup")
         self._evictions_seen = 0
-        #: The outer tiers in lookup order, as (probe, store, hit counter).
-        self._tiers: list[
-            tuple[Callable[[Any], Any], Callable[[Any, Any], None], Any]
-        ] = []
-        if self.shared is not None:
-            self._tiers.append(
-                (self._shared_get, self._shared_put, self._shared_hits)
-            )
-        if self.disk is not None:
-            self._tiers.append((self.disk.get, self._disk_put, self._disk_hits))
-
-    def _shared_get(self, key: Any) -> Any:
-        """Probe the shared-memory tier; unreadable blobs degrade to MISS."""
-        from repro.serve import shm
-
-        blob = self.shared.get(key_filename(key))
-        if blob is None:
-            return MISS
-        try:
-            return shm.unpickle_blob(blob)
-        except Exception as exc:  # pragma: no cover - corrupt blob
-            _log.warning("shared cache entry for %r unreadable: %s", key, exc)
-            return MISS
-
-    def _shared_put(self, key: Any, value: Any) -> None:
-        """Publish to the shared tier (rejections are silently local)."""
-        from repro.serve import shm
-
-        if self.shared.put(key_filename(key), shm.pickle_blob(value)):
-            self._shared_writes.inc()
-
-    def _disk_put(self, key: Any, value: Any) -> None:
-        """Persist to the disk tier (errors are logged by the store)."""
-        self.disk.put(key, value)
-        self._disk_writes.inc()
 
     def _sync_evictions(self) -> None:
         # Evictions happen inside the LRU; forward the delta so the
@@ -512,28 +466,24 @@ class EvaluationCache:
         return self.get_many((key,))[0]
 
     def put(self, key: Any, value: Any) -> None:
-        """Store ``value`` in memory and every enabled outer tier."""
+        """Store ``value`` in memory and, if enabled, on disk."""
         self.put_many(((key, value),))
 
     def get_many(self, keys: Sequence[Any]) -> list[Any]:
         """Bulk :meth:`get`: one value (or :data:`MISS`) per key, in order.
 
         The in-memory probe is a single :meth:`LRUCache.get_many` (one
-        lock round-trip); each outer tier sees only the keys every tier
-        before it missed.
+        lock round-trip); the disk tier sees only the keys memory missed.
         """
         started = perf_counter()
         values = self.memory.get_many(keys)
         self._sync_evictions()
         missing = [i for i, value in enumerate(values) if value is MISS]
-        probed: list[Callable[[Any, Any], None]] = []
-        for probe, store, tier_hits in self._tiers:
-            if not missing:
-                break
+        if missing and self.disk is not None:
             promoted = []
             still_missing = []
             for position in missing:
-                value = probe(keys[position])
+                value = self.disk.get(keys[position])
                 if value is MISS:
                     still_missing.append(position)
                 else:
@@ -542,11 +492,7 @@ class EvaluationCache:
             if promoted:
                 self.memory.put_many(promoted)
                 self._sync_evictions()
-                for earlier in probed:
-                    for key, value in promoted:
-                        earlier(key, value)
-                tier_hits.inc(len(promoted))
-            probed.append(store)
+                self._disk_hits.inc(len(promoted))
             missing = still_missing
         hits = len(keys) - len(missing)
         if hits:
@@ -557,12 +503,13 @@ class EvaluationCache:
         return values
 
     def put_many(self, items: Sequence[tuple[Any, Any]]) -> None:
-        """Bulk :meth:`put`: memory in one lock round-trip, then outward."""
+        """Bulk :meth:`put`: memory in one lock round-trip, then disk."""
         self.memory.put_many(items)
         self._sync_evictions()
-        for _probe, store, _tier_hits in self._tiers:
+        if self.disk is not None:
             for key, value in items:
-                store(key, value)
+                self.disk.put(key, value)
+            self._disk_writes.inc(len(items))
 
     def clear(self) -> None:
         """Drop the in-memory layer and this tag's disk entries."""
@@ -578,6 +525,5 @@ class EvaluationCache:
         """
         return {
             "memory": self.memory.stats(),
-            "shared": self.shared.stats() if self.shared is not None else None,
             "disk": self.disk.stats() if self.disk is not None else None,
         }

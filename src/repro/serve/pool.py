@@ -19,16 +19,11 @@ pre-fork supervisor (nginx/gunicorn shape, stdlib only):
   non-blocking, so a worker that loses the accept race simply returns
   to its poll loop.
 
-Workers share their hot state through zero-copy shared-memory segments
-(:mod:`repro.serve.shm`): the supervisor creates a compiled-trace store
-and a hot result tier *before* forking, every worker (including crash
-respawns, which also fork from the supervisor) inherits the mapping,
-and the supervisor unlinks the segments after the drain — so a trace is
-compiled once per pool and a repeated query is answered from any
-worker.  With ``--disk-cache``, results additionally persist through
-the multi-process on-disk store (:class:`~repro.serve.cache.DiskCache`
-— atomic write-to-temp + ``os.replace`` entries, safe for concurrent
-writers); per-process in-memory LRUs remain the innermost tier.
+With ``--disk-cache``, results additionally persist through the
+multi-process on-disk store (:class:`~repro.serve.cache.DiskCache` —
+atomic write-to-temp + ``os.replace`` entries, safe for concurrent
+writers), which every worker shares by path; per-process in-memory LRUs
+remain the innermost tier.
 
 Cross-process observability runs over a small state directory of
 atomically-replaced JSON files: the supervisor maintains ``pool.json``
@@ -294,13 +289,6 @@ class WorkerPool:
             restart of the same slot and capped at 5 s.
         slow_request_s: per-worker slow-request log threshold, as in
             :class:`~repro.serve.service.ServeServer`.
-        shared_state: optional
-            :class:`~repro.serve.shm.PoolSharedState` created by the
-            caller *before* the pool forks.  Workers inherit the mapped
-            segments across ``fork`` (initial spawns and crash respawns
-            alike — respawns fork from the supervisor too) and record
-            their attachment at startup; the pool unlinks the segments
-            after the supervise loop drains.
     """
 
     def __init__(
@@ -314,7 +302,6 @@ class WorkerPool:
         max_restarts: int = DEFAULT_MAX_RESTARTS,
         backoff_s: float = DEFAULT_BACKOFF_S,
         slow_request_s: float | None = None,
-        shared_state: Any = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -335,7 +322,6 @@ class WorkerPool:
         self.max_restarts = max_restarts
         self.backoff_s = backoff_s
         self.slow_request_s = slow_request_s
-        self.shared_state = shared_state
         self._listen_sock: socket.socket | None = None
         self._pids: dict[int, int] = {}  # slot -> pid
         self._restarts: dict[int, int] = {}  # slot -> unexpected deaths
@@ -468,11 +454,6 @@ class WorkerPool:
         if self._listen_sock is not None:
             self._listen_sock.close()
             self._listen_sock = None
-        if self.shared_state is not None:
-            # Every worker has been reaped; the supervisor is the last
-            # process mapping the segments, so unlinking here frees them.
-            self.shared_state.destroy()
-            self.shared_state = None
         return self._exit_code
 
     def _handle_signal(self, signum: int, frame: Any) -> None:
@@ -507,11 +488,6 @@ class WorkerPool:
         # pool-wide /metrics merge built from them — count each worker's
         # own work exactly once.
         get_registry().reset()
-        if self.shared_state is not None:
-            # The mapping itself rode across fork (initial spawn or
-            # respawn — both fork from the supervisor); this is pure
-            # bookkeeping so /healthz can prove the re-attach happened.
-            self.shared_state.attach_worker()
         app = self.app_factory()
         member = PoolMember(self.state_dir, slot, app)
         app.pool_info = member.healthz
@@ -555,7 +531,6 @@ def run_pool(
     max_request_bytes: int | None = None,
     state_dir: str | None = None,
     slow_request_s: float | None = None,
-    shared_state: Any = None,
 ) -> int:
     """Start a pool, print the listening line, and supervise until exit."""
     from repro.serve.keys import schema_tag
@@ -568,7 +543,6 @@ def run_pool(
         max_request_bytes=max_request_bytes,
         state_dir=state_dir,
         slow_request_s=slow_request_s,
-        shared_state=shared_state,
     )
     bound_host, bound_port = pool.start()
     print(

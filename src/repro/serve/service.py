@@ -195,14 +195,6 @@ class ServeApp:
             (keyed by :meth:`~repro.isa.trace.Trace.fingerprint`); repeat
             requests for a known trace skip the trace-static analysis
             pass entirely.
-        shared_traces: optional
-            :class:`~repro.serve.shm.SharedBlobStore` of pickled
-            compiled traces shared by every worker of a pre-forked
-            pool.  On a local LRU miss the store is probed before
-            compiling, and fresh compilations are published back — so a
-            trace posted to any worker is compiled once per pool, not
-            once per worker (the ``compiles`` counter in ``/healthz``
-            proves it: after warmup it stays flat across workers).
     """
 
     def __init__(
@@ -210,7 +202,6 @@ class ServeApp:
         cache: EvaluationCache | None = None,
         jobs: int = 1,
         compiled_traces: int = DEFAULT_COMPILED_TRACES,
-        shared_traces: Any = None,
     ) -> None:
         self.cache = cache if cache is not None else EvaluationCache()
         self.jobs = max(1, jobs)
@@ -224,18 +215,13 @@ class ServeApp:
         #: across every worker's state file.  ``None`` = single process
         #: (``/metrics`` renders the process-wide registry directly).
         self.pool_metrics: Callable[[], Any] | None = None
-        self.shared_traces = shared_traces
         self._compiled = LRUCache(max_entries=max(1, compiled_traces))
         self._compile_counts_lock = threading.Lock()
-        self._compiled_shared_hits = 0
         self._compiles = 0
 
     def _compiled_for(self, trace: Any, field: str) -> Any:
         """The :class:`CompiledTrace` for ``trace``, via the LRU.
 
-        Lookup order: the process-local LRU, then (pooled workers) the
-        pool's shared-memory store, then an actual compile — which is
-        published back to the shared store so sibling workers skip it.
         Compilation happens outside the LRU's lock (it is pure), so
         concurrent first requests for the same trace may both compile;
         the second insert simply refreshes the entry.  A trace the
@@ -245,34 +231,12 @@ class ServeApp:
         compiled = self._compiled.get(fingerprint)
         if compiled is not MISS:
             return compiled
-        compiled = None
-        if self.shared_traces is not None:
-            from repro.serve import shm
-
-            blob = self.shared_traces.get(fingerprint)
-            if blob is not None:
-                try:
-                    compiled = shm.unpickle_blob(blob)
-                except Exception as exc:  # pragma: no cover - corrupt blob
-                    _log.warning(
-                        "shared compiled trace %s unreadable: %s",
-                        fingerprint,
-                        exc,
-                    )
-        if compiled is not None:
-            with self._compile_counts_lock:
-                self._compiled_shared_hits += 1
-        else:
-            try:
-                compiled = compile_trace(trace, cache=False)
-            except ValueError as exc:
-                raise RequestError(f"malformed trace: {exc}", field=field) from exc
-            with self._compile_counts_lock:
-                self._compiles += 1
-            if self.shared_traces is not None:
-                from repro.serve import shm
-
-                self.shared_traces.put(fingerprint, shm.pickle_blob(compiled))
+        try:
+            compiled = compile_trace(trace, cache=False)
+        except ValueError as exc:
+            raise RequestError(f"malformed trace: {exc}", field=field) from exc
+        with self._compile_counts_lock:
+            self._compiles += 1
         self._compiled.put(fingerprint, compiled)
         return compiled
 
@@ -280,14 +244,10 @@ class ServeApp:
         """JSON-safe snapshot of the compiled-trace LRU counters.
 
         ``compiles`` counts actual trace-static analysis passes run by
-        *this* process — on a pooled worker with a shared trace store it
-        stays at the number of traces this worker compiled first,
-        regardless of request volume; ``shared_hits`` counts LRU misses
-        answered by a sibling worker's published compilation.
+        *this* process.
         """
         stats = self._compiled.stats()
         with self._compile_counts_lock:
-            stats["shared_hits"] = self._compiled_shared_hits
             stats["compiles"] = self._compiles
         return stats
 
@@ -543,13 +503,6 @@ class ServeApp:
                 metrics=get_registry().snapshot(), cache=self.cache.stats()
             ),
         }
-        shared: dict[str, Any] = {}
-        if self.shared_traces is not None:
-            shared["traces"] = self.shared_traces.stats()
-        if getattr(self.cache, "shared", None) is not None:
-            shared["results"] = self.cache.shared.stats()
-        if shared:
-            body["shared"] = shared
         if self.pool_info is not None:
             body["pool"] = self.pool_info()
         return body
@@ -721,21 +674,22 @@ class _Handler(BaseHTTPRequestHandler):
                 "slow request %s",
                 json.dumps(trace.summary_line(), sort_keys=True),
             )
-        try:
-            if streamed:
-                pass  # response already written line by line
-            elif metrics_page is not None:
-                self._send_text(
-                    status, metrics_page, PROMETHEUS_CONTENT_TYPE, request_id
-                )
-            else:
-                if want_trace:
-                    payload["trace"] = trace.to_dict()
-                self._send_json(status, payload, request_id)
-        finally:
-            hook = self.server.after_request
-            if hook is not None:
-                hook()
+        # The hook (a pool worker's state-file report) runs before the
+        # response goes out, so a client that has its answer can scrape
+        # any worker and see this request counted.
+        hook = self.server.after_request
+        if hook is not None:
+            hook()
+        if streamed:
+            return  # response already written line by line
+        if metrics_page is not None:
+            self._send_text(
+                status, metrics_page, PROMETHEUS_CONTENT_TYPE, request_id
+            )
+        else:
+            if want_trace:
+                payload["trace"] = trace.to_dict()
+            self._send_json(status, payload, request_id)
 
     def do_GET(self) -> None:
         """Serve ``GET /healthz`` and ``GET /metrics`` (else a 404)."""
@@ -869,15 +823,6 @@ def main(argv: list[str] | None = None) -> int:
         "(0 = unbounded; default: $REPRO_DISK_CACHE_BYTES or 1073741824)",
     )
     parser.add_argument(
-        "--shared-mem-bytes",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="size of the pool's zero-copy shared cache segments "
-        "(compiled traces + hot results; --workers >= 2 only; 0 "
-        "disables; default: $REPRO_SERVE_SHM_BYTES or 33554432)",
-    )
-    parser.add_argument(
         "--max-request-bytes",
         type=int,
         default=DEFAULT_MAX_REQUEST_BYTES,
@@ -896,46 +841,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     configure_from_args(args)
 
-    shared_state = None
-    if args.workers > 1:
-        shm_bytes = args.shared_mem_bytes
-        if shm_bytes is None:
-            try:
-                shm_bytes = int(os.environ.get("REPRO_SERVE_SHM_BYTES", ""))
-            except ValueError:
-                shm_bytes = None
-        if shm_bytes is None:
-            from repro.serve.shm import DEFAULT_SHM_BYTES
-
-            shm_bytes = DEFAULT_SHM_BYTES
-        if shm_bytes > 0:
-            from repro.serve.shm import PoolSharedState
-
-            try:
-                shared_state = PoolSharedState.create(shm_bytes)
-            except (OSError, ValueError) as exc:
-                _log.warning(
-                    "shared cache segments unavailable (%s); "
-                    "workers fall back to per-process caches",
-                    exc,
-                )
-
     def app_factory() -> ServeApp:
         # Called in each worker process (after fork) so every worker
-        # owns fresh in-memory caches; workers share the zero-copy
-        # shared-memory segments (inherited across fork) and — with
-        # --disk-cache — the on-disk store (shared by path, with atomic
-        # per-entry writes).
+        # owns fresh in-memory caches; with --disk-cache, workers share
+        # the on-disk store (shared by path, with atomic per-entry
+        # writes).
         return ServeApp(
             cache=EvaluationCache(
                 max_entries=args.cache_entries,
                 disk=DiskCache(max_bytes=args.disk_cache_bytes)
                 if args.disk_cache
                 else None,
-                shared=shared_state.results if shared_state else None,
             ),
             jobs=args.jobs,
-            shared_traces=shared_state.traces if shared_state else None,
         )
 
     if args.workers > 1:
@@ -948,7 +866,6 @@ def main(argv: list[str] | None = None) -> int:
             app_factory,
             max_request_bytes=args.max_request_bytes,
             slow_request_s=args.slow_request_s,
-            shared_state=shared_state,
         )
         maybe_print_profile(args)
         return code

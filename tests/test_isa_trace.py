@@ -335,8 +335,8 @@ class TestBuilderRecords:
 
 
 #: Trace.fingerprint() of each generator's default program.  These key
-#: the serve disk cache and the shared-memory trace store, so a change
-#: to the instruction records or the generators must not move them.
+#: the serve disk cache and compiled-trace LRU, so a change to the
+#: instruction records or the generators must not move them.
 GOLDEN_FINGERPRINTS = {
     "heap": (
         "bf11e46225ad0a729db3ca52e946f432b821a8222beb78bf2657cf347ec6d62f",

@@ -141,7 +141,7 @@ class TestKeys:
                 [sys.executable, "-c", program],
                 capture_output=True,
                 text=True,
-                env={"PYTHONHASHSEED": seed, "PYTHONPATH": "src"},
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": "src"},
                 timeout=120,
             )
             assert proc.returncode == 0, proc.stderr
@@ -464,7 +464,7 @@ class TestEvaluationCache:
     def test_stats_shape_matches_manifest_contract(self, tmp_path):
         cache = EvaluationCache(disk=DiskCache(root=str(tmp_path)))
         stats = cache.stats()
-        assert set(stats) == {"memory", "shared", "disk"}
+        assert set(stats) == {"memory", "disk"}
         json.dumps(stats)  # must be JSON-safe for manifests
 
     def test_get_many_promotes_disk_hits(self, tmp_path):
@@ -479,11 +479,16 @@ class TestEvaluationCache:
         assert cache.memory.hits == 2
 
     def test_put_many_reaches_both_layers(self, tmp_path):
+        registry = repro.get_registry()
+        writes = registry.counter("serve.cache.disk_writes").value
+        hits = registry.counter("serve.cache.disk_hits").value
         disk = DiskCache(root=str(tmp_path))
         cache = EvaluationCache(disk=disk)
         cache.put_many([("aa" * 32, 1.0), ("bb" * 32, 2.0)])
+        assert registry.counter("serve.cache.disk_writes").value == writes + 2
         fresh = EvaluationCache(disk=DiskCache(root=str(tmp_path)))
         assert fresh.get_many(["aa" * 32, "bb" * 32]) == [1.0, 2.0]
+        assert registry.counter("serve.cache.disk_hits").value == hits + 2
 
     def test_bulk_ops_match_scalar_ops_under_threads(self, tmp_path):
         """8 threads mixing bulk and scalar ops: values stay coherent."""
