@@ -47,6 +47,9 @@ class OpClass(Enum):
     NOP = "nop"
     TCA = "tca"
 
+    # Singleton members: identity hashing agrees with equality, skips Enum's Python-level hash.
+    __hash__ = object.__hash__
+
     @property
     def is_memory(self) -> bool:
         """Whether this op accesses memory through the LSQ."""

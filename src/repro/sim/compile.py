@@ -1,11 +1,13 @@
 """Compile-once trace analysis for the cycle-level simulator.
 
-:class:`CompiledTrace` is the result of one pass over a
+:class:`CompiledTrace` is the analysis of a
 :class:`~repro.isa.trace.Trace` that precomputes everything *trace-static*
-the pipeline would otherwise re-derive on every run:
+the pipeline would otherwise re-derive on every run, with no Python code
+run per instruction (C-level ``map`` passes plus NumPy):
 
-- the register dependency graph, resolved through a youngest-earlier-writer
-  scan and stored as flat producer→consumer edge arrays (CSR by consumer)
+- the register dependency graph, resolved to each source's youngest
+  earlier writer by a sort and a search, and stored as flat
+  producer→consumer edge arrays (CSR by consumer)
   — at run time an edge is *live* only if its producer is still
   incomplete, which is exactly the semantics of the rename table's
   lazily-cleared producer lookup;
@@ -38,7 +40,10 @@ holds a dropped trace (or its arrays) until the cyclic GC runs.
 
 from __future__ import annotations
 
-from typing import Iterator
+from functools import reduce
+from itertools import chain, compress, repeat
+from operator import attrgetter, iconcat, is_not, itemgetter
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -69,13 +74,22 @@ _KIND_OF = {
 _I64 = np.int64
 _U8 = np.uint8
 
-#: Op class → (kind, op code); an op code indexes ``tuple(OpClass)``.
-_OP_INFO = {
-    op: (_KIND_OF.get(op, K_OTHER), code) for code, op in enumerate(OpClass)
-}
+#: Op class → op code, an index into ``tuple(OpClass)``.
+_CODE_OF = {op: code for code, op in enumerate(OpClass)}.__getitem__
 _KIND_BY_CODE = np.array([_KIND_OF.get(op, K_OTHER) for op in OpClass], dtype=_U8)
 _FU_BY_CODE = np.array([_FU_INDEX.get(op, -1) for op in OpClass], dtype=_I64)
 _OP_VALUE_BY_CODE = np.array([op.value for op in OpClass], dtype=object)
+
+# Record fields (records are tuples) and descriptor fields, as C-level
+# getters for map passes over whole columns.
+_OP, _SRCS, _DSTS, _ADDR, _SIZE, _MISPREDICTED, _LOW_CONFIDENCE, _DESCRIPTOR, _LATENCY = (
+    itemgetter(i) for i in range(9)
+)
+_READS = attrgetter("reads")
+_WRITES = attrgetter("writes")
+_COMPUTE_LATENCY = attrgetter("compute_latency")
+_REQ_ADDR = attrgetter("addr")
+_REQ_SIZE = attrgetter("size")
 
 #: Maximum recycled RunState blocks kept per CompiledTrace.
 _POOL_MAX = 8
@@ -181,9 +195,18 @@ def _line_spans(addr: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndar
     return counts, lines
 
 
-def _starts(rows: np.ndarray, n: int) -> np.ndarray:
-    """CSR start offsets (length ``n + 1``) from each entry's sorted row index."""
-    return np.searchsorted(rows, np.arange(n + 1, dtype=_I64)).astype(_I64, copy=False)
+def _starts(n: int, *groups: tuple[np.ndarray, object]) -> np.ndarray:
+    """CSR start offsets (length ``n + 1``) from per-row entry counts.
+
+    Each group is ``(rows, counts)``: distinct row indices owning
+    ``counts`` entries each.  Groups own disjoint rows; every other row
+    owns none.
+    """
+    start = np.zeros(n + 1, dtype=_I64)
+    groups = tuple((rows, counts) for rows, counts in groups if len(rows))
+    for rows, counts in groups:
+        start[rows + 1] = counts
+    return np.cumsum(start, out=start) if groups else start
 
 
 #: Bound on every trace value held in an int64 column, so address
@@ -191,35 +214,121 @@ def _starts(rows: np.ndarray, n: int) -> np.ndarray:
 _VALUE_LIMIT = 1 << 62
 
 
-def _i64(values: list[int]) -> np.ndarray:
+def _ints(values: list[object]) -> bool:
+    """Whether every value is an ``int`` (a ``bool`` is not)."""
+    return all(issubclass(cls, int) and cls is not bool for cls in set(map(type, values)))
+
+
+def _i64(values: list[object]) -> np.ndarray:
     """``values`` as an int64 array.
 
-    Raises ``ValueError`` unless every value is an integer within
+    Raises ``ValueError`` unless every value is an ``int`` within
     ±2**62: trace values arrive from outside the program (``/simulate``
     payloads), and NumPy would truncate a float or wrap an overflow
     where the pure-Python engine would not.
     """
-    array = np.array(values)
-    if not array.size:
-        return np.zeros(0, dtype=_I64)
-    if (
-        array.dtype.kind not in "iu"
-        or array.min() <= -_VALUE_LIMIT
-        or array.max() >= _VALUE_LIMIT
-    ):
-        raise ValueError(
-            "trace addresses, sizes and latencies must be integers within ±2**62"
-        )
-    return array.astype(_I64, copy=False)
+    if _ints(values):
+        try:
+            array = np.fromiter(values, dtype=_I64, count=len(values))
+        except OverflowError:
+            pass
+        else:
+            if not array.size or (
+                array.min() > -_VALUE_LIMIT and array.max() < _VALUE_LIMIT
+            ):
+                return array
+    raise ValueError(
+        "trace addresses, sizes and latencies must be integers within ±2**62"
+    )
+
+
+def _register_set(ids: list[object]) -> set[int]:
+    """The distinct values of ``ids``, checked as register ids.
+
+    Raises ``ValueError`` unless every id is an ``int`` (not a ``bool``)
+    within ±2**62: NumPy would truncate a float, and a trace read from a
+    ``/simulate`` payload can hold any JSON value.
+    """
+    if _ints(ids):
+        distinct = set(ids)
+        if not distinct or -_VALUE_LIMIT < min(distinct) <= max(distinct) < _VALUE_LIMIT:
+            return distinct
+    raise ValueError("register ids must be integers (not bools) within ±2**62")
+
+
+def _lengths(rows: list[Sequence[object]]) -> np.ndarray:
+    """The length of each row."""
+    try:
+        return np.frombuffer(bytes(map(len, rows)), dtype=_U8)
+    except ValueError:  # a row of 256 or more entries
+        return np.fromiter(map(len, rows), dtype=_I64, count=len(rows))
+
+
+def _dense(ids: list[int], table: np.ndarray | None) -> np.ndarray:
+    """Register ids as int64 ranks: each id's index in the sorted
+    ``table`` of distinct ids, or the id itself when ``table`` is
+    ``None`` (every id within 0..255)."""
+    if table is None:
+        return np.frombuffer(bytes(ids), dtype=_U8).astype(_I64)
+    return np.searchsorted(table, np.array(ids, dtype=_I64))
+
+
+def _register_edges(records: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Register dependence edges ``(producers, consumers)``, by consumer.
+
+    An instruction depends on the youngest earlier writer of each of its
+    source registers, once per distinct producer, in the order its
+    sources first name them.  The rename table's runtime dynamics (lazy
+    clearing of completed producers, clear-at-commit) reduce to this
+    static map plus a completed[] check at dispatch: a producer that
+    completed — committed or not — contributes no dependence either way.
+
+    Writes are keyed ``(register, writer)`` and sorted; each source's
+    ``(register, consumer)`` key then finds its youngest earlier writer
+    with one ``searchsorted``.  A trace in which no instruction reads a
+    register has no edges and skips the scan: its destination ids reach
+    no table, so they are not examined.
+    """
+    n = len(records)
+    no_edges = np.zeros(0, dtype=_I64), np.zeros(0, dtype=_I64)
+    if not any(map(_SRCS, records)):
+        return no_edges
+    srcs = list(map(_SRCS, records))
+    dsts = list(map(_DSTS, records))
+    readers = list(compress(range(n), srcs))
+    read_rows = list(map(srcs.__getitem__, readers))
+    src_ids: list[int] = reduce(iconcat, read_rows, [])
+    dst_ids: list[int] = reduce(iconcat, dsts, [])
+    ids = sorted(_register_set(dst_ids) | _register_set(src_ids))
+    if not dst_ids:
+        return no_edges
+    table = None if ids[0] >= 0 and ids[-1] < 256 else np.array(ids, dtype=_I64)
+    stride = n + 1
+    writer = np.repeat(np.arange(n, dtype=_I64), _lengths(dsts))
+    write_keys = np.sort(_dense(dst_ids, table) * stride + writer)
+    consumer = np.repeat(np.array(readers, dtype=_I64), _lengths(read_rows))
+    register = _dense(src_ids, table) * stride
+    # The last write keyed before (register, consumer) is strictly
+    # earlier, so an instruction never depends on its own destination.
+    before = np.searchsorted(write_keys, register + consumer) - 1
+    found = write_keys[before]
+    live = (before >= 0) & (found >= register)
+    pairs = consumer[live] * stride + found[live] % stride
+    _, first = np.unique(pairs, return_index=True)
+    if first.size < pairs.size:  # keep each producer's first mention
+        pairs = pairs[np.sort(first)]
+    return pairs % stride, pairs // stride
 
 
 class CompiledTrace:
     """Immutable trace-static tables for the simulator's hot loop.
 
-    Build via :func:`compile_trace`.  One pass over the instruction
-    records collects the trace-static facts; vectorized NumPy steps then
-    lay them out as the flat int64/uint8 columns the C kernel reads
-    (CSR = one start-offset array plus one flat value array):
+    Build via :func:`compile_trace`.  C-level passes over the
+    instruction records read the few whole-trace columns (op codes,
+    latencies, register lists); Python visits only the sparse rows, and
+    vectorized NumPy steps lay the facts out as the flat int64/uint8
+    columns the C kernel reads (CSR = one start-offset array plus one
+    flat value array):
 
     - ``kind``/``op_code``/``fu_cls``/``lat_over``/``mispred``/
       ``lowconf_flag`` — per-instruction op tables (``lat_over`` is -1
@@ -291,176 +400,145 @@ class CompiledTrace:
     )
 
     def __init__(self, trace: Trace) -> None:
-        instructions = trace.instructions
-        n = len(instructions)
-        self.instructions = instructions
+        records = trace.instructions
+        n = len(records)
+        self.instructions = records
         self._fingerprint: str | None = getattr(trace, "_fingerprint", None)
         self.name = trace.name
         self.length = n
 
-        op_info = _OP_INFO
-        codes = bytearray(n)
-        edge_prod: list[int] = []
-        reg_cons: list[int] = []
-        lat_k: list[int] = []
-        lat_val: list[int] = []
-        mispred_k: list[int] = []
-        lowconf_k: list[int] = []
-        load_k: list[int] = []
-        load_addr: list[int] = []
-        load_size: list[int] = []
-        wr_k: list[int] = []
-        wr_addr: list[int] = []
-        wr_size: list[int] = []
-        tr_k: list[int] = []
-        tr_addr: list[int] = []
-        tr_size: list[int] = []
-        tca_k: list[int] = []
-        tca_lat: list[int] = []
-
-        # Youngest earlier writer of each architectural register.  The
-        # rename table's runtime dynamics (lazy clearing of completed
-        # producers, clear-at-commit) reduce to this static map plus a
-        # completed[] check at dispatch: a producer that completed —
-        # committed or not — contributes no dependence either way.
-        last_writer: dict[int, int] = {}
-        writer_of = last_writer.get
-
-        for k, inst in enumerate(instructions):
-            knd, code = op_info[inst.op]
-            codes[k] = code
-            srcs = inst.srcs
-            if srcs:
-                prods: list[int] | None = None
-                for src in srcs:
-                    p = writer_of(src)
-                    if p is not None:
-                        if prods is None:
-                            prods = [p]
-                        elif p not in prods:
-                            prods.append(p)
-                if prods is not None:
-                    for p in prods:
-                        edge_prod.append(p)
-                        reg_cons.append(k)
-            if knd == K_LOAD:
-                load_k.append(k)
-                load_addr.append(inst.addr)
-                load_size.append(inst.size)
-            elif knd == K_STORE:
-                wr_k.append(k)
-                wr_addr.append(inst.addr)
-                wr_size.append(inst.size)
-            elif knd == K_TCA:
-                descriptor = inst.tca
-                tca_k.append(k)
-                tca_lat.append(descriptor.compute_latency)
-                for r in descriptor.reads:
-                    tr_k.append(k)
-                    tr_addr.append(r.addr)
-                    tr_size.append(r.size)
-                for w in descriptor.writes:
-                    wr_k.append(k)
-                    wr_addr.append(w.addr)
-                    wr_size.append(w.size)
-            else:  # functional-unit op (a branch or K_OTHER)
-                latency = inst.latency
-                if latency is not None:
-                    lat_k.append(k)
-                    lat_val.append(latency)
-                if knd == K_BRANCH:
-                    if inst.mispredicted:
-                        mispred_k.append(k)
-                    if inst.low_confidence:
-                        lowconf_k.append(k)
-            for dst in inst.dsts:
-                last_writer[dst] = k
-
-        op_code = np.frombuffer(bytes(codes), dtype=_U8)
+        # Whole-trace columns come from C-level map passes; Python then
+        # visits only the sparse rows: loads, stores, TCAs, branches and
+        # latency overrides.
+        codes = bytes(map(_CODE_OF, map(_OP, records)))
+        op_code = np.frombuffer(codes, dtype=_U8)
         kind = _KIND_BY_CODE[op_code]
-        fu_cls = _FU_BY_CODE[op_code]
-        lat_over = np.full(n, -1, dtype=_I64)
-        lat_over[lat_k] = np.maximum(1, _i64(lat_val))
-        mispred = np.zeros(n, dtype=_U8)
-        mispred[mispred_k] = 1
-        lowconf_flag = np.zeros(n, dtype=_U8)
-        lowconf_flag[lowconf_k] = 1
+        reg_prod, reg_cons = _register_edges(records)
+        row = records.__getitem__
+        loads, stores, tcas, branches = (
+            np.flatnonzero(kind == k) for k in (K_LOAD, K_STORE, K_TCA, K_BRANCH)
+        )
+        load_recs = list(map(row, loads.tolist()))
+        store_recs = list(map(row, stores.tolist()))
+        descriptors = list(map(_DESCRIPTOR, map(row, tcas.tolist())))
+        tca_reads = list(map(_READS, descriptors))
+        tca_writes = list(map(_WRITES, descriptors))
+        reads = list(chain.from_iterable(tca_reads))
+        writes = list(chain.from_iterable(tca_writes))
+        read_counts = list(map(len, tca_reads))
+        write_counts = list(map(len, tca_writes))
+        latencies = list(map(_LATENCY, records))
+        timed: list[int] = []  # functional-unit ops with a latency override
+        if latencies.count(None) != n:
+            has_latency = np.fromiter(map(is_not, latencies, repeat(None)), bool, n)
+            timed = np.flatnonzero(has_latency & (kind >= K_BRANCH)).tolist()
 
-        loads = _i64(load_k)
-        load_addr_a = _i64(load_addr)
-        load_size_a = _i64(load_size)
+        # Every int64 value is checked in one array: the byte ranges of
+        # loads, stores, TCA writes and TCA reads (addresses, then sizes),
+        # then TCA compute latencies and latency overrides.
+        values = _i64(
+            [
+                *map(_ADDR, load_recs), *map(_ADDR, store_recs),
+                *map(_REQ_ADDR, writes), *map(_REQ_ADDR, reads),
+                *map(_SIZE, load_recs), *map(_SIZE, store_recs),
+                *map(_REQ_SIZE, writes), *map(_REQ_SIZE, reads),
+                *map(_COMPUTE_LATENCY, descriptors), *map(latencies.__getitem__, timed),
+            ]
+        )
+        n_load = loads.size
+        write_end = n_load + stores.size + len(writes)
+        ranges = write_end + len(reads)
+
+        # Writers are stores and TCA writes in trace order; a stable sort
+        # keeps each TCA's writes in descriptor order.
+        owners = np.concatenate((stores, np.repeat(tcas, write_counts)))
+        order = np.argsort(owners, kind="stable")
+        writers = owners[order]
+        at = np.concatenate((np.arange(n_load), order + n_load, np.arange(write_end, ranges)))
+        addr = values[at]
+        size = values[ranges + at]
+        line_counts, lines = _line_spans(addr, size)
+        line_start = np.zeros(ranges + 1, dtype=_I64)
+        np.cumsum(line_counts, out=line_start[1:])
+
         mem_addr = np.zeros(n, dtype=_I64)
         mem_size = np.zeros(n, dtype=_I64)
-        mem_addr[loads] = load_addr_a
-        mem_size[loads] = load_size_a
-        ml_counts, ml_lines = _line_spans(load_addr_a, load_size_a)
-
-        writers = _i64(wr_k)
-        wr_addr_a = _i64(wr_addr)
-        wr_size_a = _i64(wr_size)
-        wr_start = _starts(writers, n)
-        cw_counts, cw_lines = _line_spans(wr_addr_a, wr_size_a)
+        mem_addr[loads] = addr[:n_load]
+        mem_size[loads] = size[:n_load]
+        wr_addr = addr[n_load:write_end]
+        wr_size = size[n_load:write_end]
+        wr_start = _starts(n, (stores, 1), (tcas, write_counts))
         writer_lo = np.zeros(n, dtype=_I64)
         writer_hi = np.zeros(n, dtype=_I64)
         if writers.size:
-            owners, first = np.unique(writers, return_index=True)
-            writer_lo[owners] = np.minimum.reduceat(wr_addr_a, first)
-            writer_hi[owners] = np.maximum.reduceat(wr_addr_a + wr_size_a, first)
+            rows = np.unique(writers)
+            first = wr_start[rows]
+            writer_lo[rows] = np.minimum.reduceat(wr_addr, first)
+            writer_hi[rows] = np.maximum.reduceat(wr_addr + wr_size, first)
 
-        tr_addr_a = _i64(tr_addr)
-        tr_size_a = _i64(tr_size)
-        tr_start = _starts(_i64(tr_k), n)
-        trl_counts, trl_lines = _line_spans(tr_addr_a, tr_size_a)
-        trl_start = np.zeros(trl_counts.size + 1, dtype=_I64)
-        np.cumsum(trl_counts, out=trl_start[1:])
-        tca_read_count = np.diff(tr_start)
-        tca_write_count = np.diff(wr_start) * (kind == K_TCA)
+        tca_read_count = np.zeros(n, dtype=_I64)
+        tca_read_count[tcas] = read_counts
+        tca_write_count = np.zeros(n, dtype=_I64)
+        tca_write_count[tcas] = write_counts
         tca_comp_lat = np.zeros(n, dtype=_I64)
-        tca_comp_lat[tca_k] = np.maximum(1, _i64(tca_lat))
+        lat_end = 2 * ranges + tcas.size
+        tca_comp_lat[tcas] = np.maximum(1, values[2 * ranges : lat_end])
+        lat_over = np.full(n, -1, dtype=_I64)
+        lat_over[timed] = np.maximum(1, values[lat_end:])
 
-        # Memory-dependence edge slots follow the register edges.  They
-        # have a static consumer but a producer discovered at dispatch
-        # (the LSQ disambiguation scan), so only edge_cons covers them.
-        reg_cons_a = _i64(reg_cons)
-        mem_slots = tca_read_count.copy()
-        mem_slots[loads] = 1
-        mem_edge_base = np.empty(n + 1, dtype=_I64)
-        mem_edge_base[0] = reg_cons_a.size
-        np.cumsum(mem_slots, out=mem_edge_base[1:])
-        mem_edge_base[1:] += reg_cons_a.size
+        branch_rows = branches.tolist()
+        branch_recs = list(map(row, branch_rows))
+        mispred = np.zeros(n, dtype=_U8)
+        mispred[list(compress(branch_rows, map(_MISPREDICTED, branch_recs)))] = 1
+        lowconf_flag = np.zeros(n, dtype=_U8)
+        lowconf_flag[list(compress(branch_rows, map(_LOW_CONFIDENCE, branch_recs)))] = 1
+
+        # Memory-dependence edge slots follow the register edges: one per
+        # load, one per TCA read.  They have a static consumer but a
+        # producer discovered at dispatch (the LSQ disambiguation scan),
+        # so only edge_cons covers them.
+        loads_before = _starts(n, (loads, 1))
+        tr_start = _starts(n, (tcas, read_counts))
+        mem_edge_base = loads_before + tr_start
+        mem_edge_base += reg_cons.size
+        slot_rows = np.concatenate((loads, tcas))
+        slot_order = np.argsort(slot_rows, kind="stable")
+        slot_counts = np.concatenate((np.ones(n_load, dtype=_I64), tca_read_count[tcas]))
 
         self.kind = kind
         self.op_code = op_code
-        self.fu_cls = fu_cls
+        self.fu_cls = _FU_BY_CODE[op_code]
         self.lat_over = lat_over
         self.mispred = mispred
         self.lowconf_flag = lowconf_flag
         self.mem_addr = mem_addr
         self.mem_size = mem_size
-        self.ml_start = _starts(np.repeat(loads, ml_counts), n)
-        self.ml_lines = ml_lines
-        self.cw_start = _starts(np.repeat(writers, cw_counts), n)
-        self.cw_lines = cw_lines
+        self.ml_start = line_start[loads_before]
+        self.ml_lines = lines[: line_start[n_load]]
+        self.cw_start = (line_start[n_load : write_end + 1] - line_start[n_load])[wr_start]
+        self.cw_lines = lines[line_start[n_load] : line_start[write_end]]
         self.wr_start = wr_start
-        self.wr_addr = wr_addr_a
-        self.wr_size = wr_size_a
+        self.wr_addr = wr_addr
+        self.wr_size = wr_size
         self.writer_lo = writer_lo
         self.writer_hi = writer_hi
-        self.re_start = _starts(reg_cons_a, n)
-        self.edge_prod = _i64(edge_prod)
+        self.re_start = _starts(n, np.unique(reg_cons, return_counts=True))
+        self.edge_prod = reg_prod
         self.edge_cons = np.concatenate(
-            (reg_cons_a, np.repeat(np.arange(n, dtype=_I64), mem_slots))
+            (reg_cons, np.repeat(slot_rows[slot_order], slot_counts[slot_order]))
         )
         self.mem_edge_base = mem_edge_base
         self.tr_start = tr_start
-        self.tr_addr = tr_addr_a
-        self.tr_size = tr_size_a
-        self.trl_start = trl_start
-        self.trl_lines = trl_lines
+        self.tr_addr = addr[write_end:]
+        self.tr_size = size[write_end:]
+        self.trl_start = line_start[write_end:] - line_start[write_end]
+        self.trl_lines = lines[line_start[write_end] :]
         self.tca_read_count = tca_read_count
         self.tca_write_count = tca_write_count
         self.tca_comp_lat = tca_comp_lat
-        self.fu_used = tuple(np.unique(fu_cls[fu_cls >= 0]).tolist())
+        self.fu_used = tuple(
+            fu for code, fu in enumerate(_FU_BY_CODE.tolist()) if fu >= 0 and code in codes
+        )
         self.n_edges = int(mem_edge_base[n])
         self._pool: list[RunState] = []
         self._packed = None  # repro.sim.backend.PackedTrace memo (not pickled)

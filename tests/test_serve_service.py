@@ -519,6 +519,26 @@ class TestSimulate:
         assert body["field"] == "runs[1].trace"
         assert "2**62" in body["error"]
 
+    @pytest.mark.parametrize("source", [[1], "x", 1.5, True, 2**70])
+    def test_bad_register_id_is_400(self, source):
+        # A source register that is not an in-range int (JSON lets a
+        # client send any value) is the client's fault, tagged with the
+        # run's trace field, never a 500 or a silently coerced id.
+        lines = [
+            {"format": "repro-trace", "version": 1, "name": "bad-reg", "length": 2},
+            {"op": "int_alu", "d": [1]},
+            {"op": "int_alu", "s": [source], "d": [2]},
+        ]
+        bad = "".join(json.dumps(line) + "\n" for line in lines)
+        app = ServeApp()
+        for payload, field in (
+            ({"trace": bad}, "trace"),
+            ({"runs": [{"trace": _trace_text()}, {"trace": bad}]}, "runs[1].trace"),
+        ):
+            with pytest.raises(RequestError, match="register ids") as info:
+                app.handle_simulate(payload)
+            assert info.value.field == field
+
     def test_cache_fault_is_not_a_malformed_trace(self, monkeypatch):
         # Only the compiler's rejection is the client's fault; a
         # ValueError from the compiled-trace cache is a server error.

@@ -5,11 +5,14 @@ import json
 import pickle
 import shutil
 import weakref
+from itertools import accumulate
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.modes import TCAMode
-from repro.isa.trace import TraceBuilder
+from repro.isa.trace import Trace, TraceBuilder
 from repro.sim.backend import use_backend
 from repro.sim.compile import FU_CLASSES, CompiledTrace, compile_trace, warm_lines
 from repro.sim.config import HIGH_PERF_SIM
@@ -185,6 +188,18 @@ class TestCompiledTables:
         with pytest.raises(ValueError, match="2\\*\\*62"):
             compile_trace(builder.build(), cache=False)
 
+    @pytest.mark.parametrize("bad", [[1], "x", 1.5, True, 1 << 62, -(1 << 62), 1 << 70])
+    @pytest.mark.parametrize("where", ["source", "destination"])
+    def test_register_ids_that_are_not_in_range_ints_are_rejected(self, bad, where):
+        # NumPy would truncate 1.5 and read True as 1; a list is
+        # unhashable.  Every id is checked once any instruction reads one.
+        from repro.isa.instructions import Instruction, OpClass
+
+        srcs, dsts = ((bad,), (3,)) if where == "source" else ((1,), (bad,))
+        trace = Trace([Instruction(OpClass.INT_ALU, srcs=srcs, dsts=dsts)])
+        with pytest.raises(ValueError, match="register ids"):
+            compile_trace(trace, cache=False)
+
 
 def _reference_tables(trace):
     """The oracle tables by a plain per-instruction loop (the reference
@@ -268,6 +283,63 @@ class TestReferenceLoop:
         tables = compile_trace(trace, cache=False).oracle
         for name, expected in _reference_tables(trace).items():
             assert list(getattr(tables, name)) == expected, name
+
+
+@st.composite
+def _random_traces(draw):
+    """Traces mixing every op kind; ids repeat within and across
+    instructions, and some are far outside one byte."""
+    from repro.isa.instructions import Instruction, MemRequest, OpClass, TCADescriptor
+
+    pool = draw(st.sampled_from([(0, 1, 2, 3), (5, 200, 255), (-3, 7, 1 << 40)]))
+    regs = st.lists(st.sampled_from(pool), max_size=4).map(tuple)
+    latency = st.none() | st.integers(0, 5)
+    requests = st.lists(st.integers(0, 4096), max_size=2)
+    records = []
+    for op in draw(st.lists(st.sampled_from(list(OpClass)), max_size=30)):
+        fields = {"srcs": draw(regs), "dsts": draw(regs), "latency": draw(latency)}
+        if op in (OpClass.LOAD, OpClass.STORE):
+            fields["addr"] = draw(st.integers(0, 4096))
+        elif op is OpClass.TCA:
+            fields["tca"] = TCADescriptor(
+                "acc", compute_latency=draw(st.integers(0, 9)),
+                reads=tuple(MemRequest(a, 8) for a in draw(requests)),
+                writes=tuple(MemRequest(a, 8, True) for a in draw(requests)),
+            )
+        records.append(Instruction(op, **fields))
+    return Trace(records)
+
+
+class TestRandomTraces:
+    @settings(max_examples=200, deadline=None)
+    @given(_random_traces())
+    def test_tables_match_a_per_instruction_loop(self, trace):
+        ct = compile_trace(trace, cache=False)
+        ref = _reference_tables(trace)
+        for name, expected in ref.items():
+            assert list(getattr(ct.oracle, name)) == expected, name
+        _assert_register_edges(ct, ref["reg_producers"])
+
+    def test_rows_of_many_registers(self):
+        # Rows of 256 or more ids take the general length pass.
+        builder = TraceBuilder("wide")
+        for reg in range(300):
+            builder.alu(reg)
+        builder.tca_over_range("acc", 1, srcs=range(300), dsts=range(300))
+        builder.alu(0, (0, 299))
+        trace = builder.build()
+        ct = compile_trace(trace, cache=False)
+        _assert_register_edges(ct, _reference_tables(trace)["reg_producers"])
+        assert ct.edge_prod.tolist()[-1] == 300
+
+
+def _assert_register_edges(ct, producers):
+    """The flat register-edge columns hold exactly ``producers``, each
+    instruction's distinct producers in first-mention order."""
+    assert ct.re_start.tolist() == [0, *accumulate(map(len, producers))]
+    assert ct.edge_prod.tolist() == [p for row in producers for p in row]
+    consumers = [k for k, row in enumerate(producers) for _ in row]
+    assert ct.edge_cons.tolist()[: len(consumers)] == consumers
 
 
 class TestRunStatePool:
