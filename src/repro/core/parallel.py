@@ -17,7 +17,9 @@ worker processes in chunks, while keeping the observability story exact:
   single-process run exactly regardless of ``jobs``.
 
 The mapped function and its items must be picklable (module-level
-functions, plain data).  Results preserve item order.
+functions, plain data).  Results preserve item order;
+:func:`parallel_imap` yields them as they arrive, for callers that
+stream progress.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 import threading
 from multiprocessing import get_context
-from typing import Any, Callable, Iterable, Sequence, TypeVar
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from repro.obs.metrics import get_registry
 
@@ -69,11 +71,30 @@ def parallel_map(
 ) -> list[R]:
     """Map ``fn`` over ``items`` with ``jobs`` worker processes.
 
-    With ``jobs <= 1`` (or at most one item) this is a plain in-process
-    map — no pool, no pickling, metrics recorded directly.  Otherwise the
-    items are chunked, dispatched to a process pool, and each chunk's
-    metrics snapshot is merged back into the parent registry (see module
-    docstring), so observability is identical to the serial run.
+    ``list(parallel_imap(fn, items, jobs, chunk_size))`` — see
+    :func:`parallel_imap` for the arguments and the metrics contract.
+
+    Returns:
+        ``[fn(item) for item in items]``, in item order.
+    """
+    return list(parallel_imap(fn, items, jobs=jobs, chunk_size=chunk_size))
+
+
+def parallel_imap(
+    fn: Callable[[T], R],
+    items: Iterable[T],
+    jobs: int = 1,
+    chunk_size: int | None = None,
+) -> Iterator[R]:
+    """Yield ``fn(item)`` for each item, in item order, as results arrive.
+
+    With ``jobs <= 1`` (or at most one item) each item is evaluated
+    in-process when its result is requested — no pool, no pickling,
+    metrics recorded directly.  Otherwise the items are chunked,
+    dispatched to a process pool, and each chunk's metrics snapshot is
+    merged back into the parent registry before its results are yielded
+    (see module docstring), so observability is identical to the serial
+    run.  Closing the generator early shuts the pool down.
 
     Args:
         fn: picklable function of one item.
@@ -81,19 +102,17 @@ def parallel_map(
         jobs: worker process count (capped at the number of items).
         chunk_size: items per dispatched chunk; defaults to spreading
             items over ``jobs × 4`` chunks.
-
-    Returns:
-        ``[fn(item) for item in items]``, in item order.
     """
     items = list(items)
     if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+        for item in items:
+            yield fn(item)
+        return
     jobs = min(jobs, len(items))
     if chunk_size is None:
         chunk_size = max(1, math.ceil(len(items) / (jobs * _CHUNKS_PER_WORKER)))
     chunks = chunked(items, chunk_size)
     registry = get_registry()
-    out: list[R] = []
     # fork is fast and the right default for single-threaded CLI tools,
     # but forking a multi-threaded process (a serving worker's handler
     # threads, say) can inherit a lock mid-acquisition and deadlock the
@@ -104,6 +123,5 @@ def parallel_map(
         for results, snapshot in pool.imap(
             _run_chunk, [(fn, chunk) for chunk in chunks]
         ):
-            out.extend(results)
             registry.merge(snapshot)
-    return out
+            yield from results

@@ -73,6 +73,11 @@ PARETO_COLUMNS = (
 
 _PARETO_POINTS = get_registry().counter("model.pareto_points")
 
+#: Budget of row-objective comparisons per pass of the 3+-objective
+#: dominance loop: references per pass shrink as the candidate set
+#: grows, so each pass's boolean temporaries stay under 1 MB.
+_COMPARISONS_PER_PASS = 1 << 20
+
 
 def non_dominated_mask(
     values: np.ndarray, maximize: Sequence[bool]
@@ -105,29 +110,69 @@ def non_dominated_mask(
     if n == 0:
         return mask
     signs = np.where(np.asarray(maximize, dtype=bool), 1.0, -1.0)
-    z = values * signs  # maximization form
-    finite = ~np.isnan(z).any(axis=1)
-    ids = np.flatnonzero(finite)
-    if ids.size == 0:
+    # One contiguous row per objective, in maximization form.
+    z = np.ascontiguousarray(values.T) * signs[:, np.newaxis]
+    ids = np.arange(n)
+    low = z.min(axis=1)
+    if np.isnan(low).any():
+        ids = np.flatnonzero(~np.isnan(z).any(axis=0))
+        if ids.size == 0:
+            return mask
+        z = z[:, ids]
+        low = z.min(axis=1)
+    # An objective equal on every candidate can neither make a row
+    # better nor worse, so dominance is decided by the others.
+    z = z[low != z.max(axis=1)]
+    if len(z) <= 2:
+        mask[ids[_frontier_2d(z)]] = True
         return mask
-    zf = z[ids]
     # Descending sort on the first objective (ties broken by the rest)
-    # lets early reference points eliminate large swaths immediately,
-    # keeping the compaction loop at O(frontier) iterations.
-    with np.errstate(invalid="ignore"):
-        order = np.lexsort(tuple(-zf[:, c] for c in range(k - 1, -1, -1)))
-    zf = zf[order]
+    # lets the earliest rows, used as references a batch at a time,
+    # eliminate large swaths at once: O(frontier / batch) iterations.
+    order = np.lexsort(-z[::-1])
+    z = z[:, order]
     ids = ids[order]
     i = 0
-    while i < len(zf):
-        ref = zf[i]
-        # Survivors: strictly better somewhere, or tied everywhere.
-        keep = np.any(zf > ref, axis=1) | np.all(zf == ref, axis=1)
-        keep[i] = True
-        i = int(np.count_nonzero(keep[: i + 1]))
-        zf = zf[keep]
+    while i < z.shape[1]:
+        refs = z[:, i : i + max(1, _COMPARISONS_PER_PASS // z.size)]
+        # dominated[r, j]: reference r is >= row j everywhere, > somewhere.
+        dominated = np.ones((refs.shape[1], z.shape[1]), dtype=bool)
+        better = np.zeros_like(dominated)
+        for objective, ref in zip(z, refs):
+            dominated &= objective <= ref[:, np.newaxis]
+            better |= objective < ref[:, np.newaxis]
+        keep = ~(dominated & better).any(axis=0)
+        i = int(np.count_nonzero(keep[: i + refs.shape[1]]))
+        z = z[:, keep]
         ids = ids[keep]
     mask[ids] = True
+    return mask
+
+
+def _frontier_2d(z: np.ndarray) -> np.ndarray:
+    """Non-dominated columns of a ``(k <= 2, n)`` NaN-free maximization
+    matrix ``[x, y]``, by one sort and one running maximum.
+
+    Points sorted by ``x`` descending form groups of equal ``x``; a
+    point survives when its ``y`` is its group's best and strictly beats
+    the best ``y`` of every group with a larger ``x``.  The first group
+    has no such rival (``-inf`` cannot stand in for "none": a ``y`` of
+    ``-inf`` there is still on the frontier).
+    """
+    k, n = z.shape
+    if k == 0:
+        return np.ones(n, dtype=bool)
+    order = np.argsort(-z[0])
+    xs = z[0, order]
+    ys = z[1, order] if k == 2 else np.zeros(n)
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    best = np.maximum.reduceat(ys, starts)
+    alive = np.ones(len(starts), dtype=bool)
+    alive[1:] = best[1:] > np.maximum.accumulate(best)[:-1]
+    sizes = np.diff(np.r_[starts, n])
+    keep = np.repeat(alive, sizes) & (ys == np.repeat(best, sizes))
+    mask = np.zeros(n, dtype=bool)
+    mask[order[keep]] = True
     return mask
 
 
@@ -484,7 +529,8 @@ def evaluate_pareto_chunk(chunk: ParetoChunk) -> ParetoAccumulator:
     Vectorized end to end: one :func:`~repro.core.model.speedup_grid`
     call, one :func:`~repro.core.energy.energy_grid` call (with the
     chunk's tech node scaling the energy parameters), then one
-    dominance reduction over the feasible cells.
+    dominance reduction over the feasible cells; the per-point
+    annotation columns are built for the surviving rows only.
     """
     node = get_tech_node(chunk.tech)
     a = np.asarray(chunk.fractions, dtype=float)[:, np.newaxis]
@@ -514,17 +560,24 @@ def evaluate_pareto_chunk(chunk: ParetoChunk) -> ParetoAccumulator:
     s = speedup[feasible]
     n = s.size
     if n:
-        areas = np.full(n, area)
-        values = np.column_stack([s, grid.ratio[feasible], areas])
-        columns = {
-            "core": np.full(n, chunk.core.name, dtype=object),
-            "mode": np.full(n, chunk.mode.value, dtype=object),
-            "tech": np.full(n, chunk.tech, dtype=object),
-            "acceleratable_fraction": big_a[feasible],
-            "invocation_frequency": big_v[feasible],
-            "efficiency": efficiency_values(s, areas),
-        }
-        acc.add(values, columns)
+        values = np.column_stack([s, grid.ratio[feasible], np.full(n, area)])
+        # The panel's area is constant, so this is a 2-objective sort;
+        # annotations are built for the few frontier rows only.
+        rows = np.flatnonzero(non_dominated_mask(values, PARETO_MAXIMIZE))
+        values = values[rows]
+        kept = len(rows)
+        acc.add(
+            values,
+            {
+                "core": np.full(kept, chunk.core.name, dtype=object),
+                "mode": np.full(kept, chunk.mode.value, dtype=object),
+                "tech": np.full(kept, chunk.tech, dtype=object),
+                "acceleratable_fraction": big_a[feasible][rows],
+                "invocation_frequency": big_v[feasible][rows],
+                "efficiency": efficiency_values(values[:, 0], values[:, 2]),
+            },
+        )
+        acc.points_seen = n  # every feasible cell was a candidate
     _PARETO_POINTS.inc(int(n))
     return acc
 

@@ -32,6 +32,30 @@ _TCA = OpClass.TCA
 _NOP_RECORD = Instruction(op=OpClass.NOP)
 
 
+#: ``repr`` of a record's nine-field encoding tuple, spelled out; the
+#: op's ``repr(op.value)`` comes from :data:`_OP_REPRS`.
+_RECORD_FORMAT = "(%s, %r, %r, %r, %r, %r, %r, %r, %r)"
+_OP_REPRS = {op: repr(op.value) for op in OpClass}
+
+
+def _encode_record(inst: Instruction) -> str:
+    """One record's canonical encoding: ``repr`` of its field tuple."""
+    op, srcs, dsts, addr, size, mispredicted, low_confidence, tca, latency = inst
+    if tca is not None:
+        tca = (
+            tca.name,
+            tca.compute_latency,
+            tuple((r.addr, r.size, r.is_write) for r in tca.reads),
+            tuple((w.addr, w.size, w.is_write) for w in tca.writes),
+            tca.replaced_instructions,
+            tca.replaced_cycles,
+        )
+    return _RECORD_FORMAT % (
+        _OP_REPRS[op], srcs, dsts, addr, size, mispredicted, low_confidence,
+        latency, tca,
+    )
+
+
 def fingerprint_records(instructions: Iterable[Instruction]) -> str:
     """Content fingerprint of an instruction sequence (sha256 hex).
 
@@ -39,33 +63,17 @@ def fingerprint_records(instructions: Iterable[Instruction]) -> str:
     :meth:`repro.sim.compile.CompiledTrace.fingerprint`: sha256 over a
     canonical per-instruction encoding (never Python ``hash()``), so it
     is stable across interpreter restarts and ``PYTHONHASHSEED`` values.
+    Generators append shared record objects many times, so each
+    distinct object is encoded once and the encodings are joined into
+    one buffer to hash.
     """
-    digest = hashlib.sha256()
-    digest.update(b"trace.v1")
-    for inst in instructions:
-        tca = None
-        if inst.tca is not None:
-            tca = (
-                inst.tca.name,
-                inst.tca.compute_latency,
-                tuple((r.addr, r.size, r.is_write) for r in inst.tca.reads),
-                tuple((w.addr, w.size, w.is_write) for w in inst.tca.writes),
-                inst.tca.replaced_instructions,
-                inst.tca.replaced_cycles,
-            )
-        record = (
-            inst.op.value,
-            inst.srcs,
-            inst.dsts,
-            inst.addr,
-            inst.size,
-            inst.mispredicted,
-            inst.low_confidence,
-            inst.latency,
-            tca,
-        )
-        digest.update(repr(record).encode("utf-8"))
-    return digest.hexdigest()
+    # The list keeps every record alive, so no id is reused mid-call.
+    records = list(instructions)
+    ids = list(map(id, records))
+    distinct = dict(zip(ids, records))
+    encoded = {key: _encode_record(inst) for key, inst in distinct.items()}
+    body = "".join(map(encoded.__getitem__, ids))
+    return hashlib.sha256(b"trace.v1" + body.encode("utf-8")).hexdigest()
 
 
 @lru_cache(maxsize=1024)

@@ -27,7 +27,7 @@ from repro.core.pareto import (
     ParetoSweepSpec,
     _reduce_chunk_state,
 )
-from repro.core.parallel import parallel_map
+from repro.core.parallel import parallel_imap
 from repro.obs.metrics import get_registry
 from repro.serve.cache import MISS, EvaluationCache
 from repro.serve.keys import drain_config, schema_tag, sha256_key
@@ -77,41 +77,34 @@ def pareto_chunk_key(chunk: ParetoChunk) -> str:
 
 def _chunk_states(
     spec: ParetoSweepSpec, cache: EvaluationCache, jobs: int
-) -> list[tuple[ParetoChunk, Mapping[str, Any], bool]]:
+) -> Iterator[tuple[ParetoChunk, Mapping[str, Any], bool]]:
     """Every chunk's partial-frontier state, cache-first, in sweep order.
 
-    Misses fan out over :func:`~repro.core.parallel.parallel_map` (one
-    shot, preserving order); each fresh state is written back under its
-    chunk key.  States are partial *frontiers* — small — so holding all
-    of them is O(chunks × frontier), not O(points).
+    All chunk keys are probed up front; the misses go to one
+    :func:`~repro.core.parallel.parallel_imap` (order-preserving), and
+    each miss is taken from it — and written back under its chunk key —
+    only when its turn in the sweep comes, so the first record streams
+    after the first chunk, not after all of them.  The
+    ``serve.pareto.evaluate`` timer sums the time spent waiting on
+    evaluations.
     """
     registry = get_registry()
-    chunks = list(spec.chunks())
-    keyed = [(chunk, pareto_chunk_key(chunk)) for chunk in chunks]
-    states: dict[int, tuple[Mapping[str, Any], bool]] = {}
-    missing: list[tuple[ParetoChunk, str]] = []
-    for chunk, key in keyed:
-        value = cache.get(key)
-        if value is not MISS:
-            states[chunk.index] = (value, True)
-        else:
-            missing.append((chunk, key))
-    registry.counter("serve.pareto.cache_hits").inc(len(chunks) - len(missing))
+    probed = []
+    for chunk in spec.chunks():
+        key = pareto_chunk_key(chunk)
+        probed.append((chunk, key, cache.get(key)))
+    missing = [chunk for chunk, _, state in probed if state is MISS]
+    registry.counter("serve.pareto.cache_hits").inc(len(probed) - len(missing))
     registry.counter("serve.pareto.cache_misses").inc(len(missing))
-    if missing:
-        with registry.timer("serve.pareto.evaluate").time():
-            fresh = parallel_map(
-                _reduce_chunk_state,
-                [chunk for chunk, _ in missing],
-                jobs=jobs,
-            )
-        for (chunk, key), state in zip(missing, fresh):
+    fresh = parallel_imap(_reduce_chunk_state, missing, jobs=jobs)
+    evaluate = registry.timer("serve.pareto.evaluate")
+    for chunk, key, state in probed:
+        cached = state is not MISS
+        if not cached:
+            with evaluate.time():
+                state = next(fresh)
             cache.put(key, state)
-            states[chunk.index] = (state, False)
-    return [
-        (chunk, states[chunk.index][0], states[chunk.index][1])
-        for chunk, _ in keyed
-    ]
+        yield chunk, state, cached
 
 
 def pareto_summary(

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 from repro.isa.instructions import Instruction, TCADescriptor
 from repro.isa.program import AcceleratableRegion, Program
-from repro.isa.trace import TraceBuilder
+from repro.isa.trace import TraceBuilder, alu_record
 
 #: Streaming data region for the synthetic loads.
 DATA_BASE = 0x3000_0000
@@ -132,11 +132,11 @@ def _mixed_template(
             load_regs.append(_REGS[index % 8])
             marks.append(len(scratch))
         elif index % chain_every == 0:
-            scratch.alu(_CHAIN_REG, (_CHAIN_REG,))
+            scratch.emit(alu_record(_CHAIN_REG, (_CHAIN_REG,)))
         elif index % 17 == 0:
             scratch.branch(srcs=(_REGS[index % 8],))
         else:
-            scratch.alu(_REGS[index % 8], ())
+            scratch.emit(alu_record(_REGS[index % 8]))
     records = scratch.build().instructions
     marks.append(len(records))
     runs = [records[lo:hi] for lo, hi in zip(marks, marks[1:])]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.modes import TCAMode
-from repro.core.parallel import chunked, parallel_map
+from repro.core.parallel import chunked, parallel_imap, parallel_map
 from repro.core.parameters import HIGH_PERF, LOW_PERF, AcceleratorParameters
 from repro.core.sweep import speedup_heatmap
 from repro.obs.metrics import get_registry
@@ -78,6 +78,32 @@ class TestParallelMap:
         assert not thread.is_alive(), "parallel_map deadlocked in a thread"
         assert not errors
         assert result == [x * x for x in range(8)]
+
+    def test_imap_jobs_one_evaluates_on_demand(self):
+        seen = []
+
+        def record(x):
+            seen.append(x)
+            return x * x
+
+        results = parallel_imap(record, [1, 2, 3], jobs=1)
+        assert seen == []
+        assert next(results) == 1
+        assert seen == [1]
+        assert list(results) == [4, 9]
+        assert seen == [1, 2, 3]
+
+    def test_imap_preserves_order_and_merges_counters(self):
+        counter = get_registry().counter("parallel.test_items")
+        before = counter.value
+        out = list(parallel_imap(_count_and_square, range(11), jobs=2))
+        assert out == [x * x for x in range(11)]
+        assert counter.value == before + 11
+
+    def test_imap_closed_early_stops_cleanly(self):
+        results = parallel_imap(_square, range(40), jobs=2, chunk_size=2)
+        assert [next(results) for _ in range(3)] == [0, 1, 4]
+        results.close()  # leaves the pool block; must not hang
 
     def test_explicit_chunk_size(self):
         items = list(range(10))

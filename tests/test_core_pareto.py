@@ -1,13 +1,16 @@
 """Tests for the streaming Pareto engine (mask, accumulator, sweeps)."""
 
+import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import pareto
 from repro.core.modes import TCAMode
 from repro.core.parameters import ARM_A72, HIGH_PERF, AcceleratorParameters
 from repro.core.pareto import (
@@ -61,6 +64,44 @@ _objective = st.one_of(
 )
 
 
+_objective_or_zero = st.one_of(
+    _objective, st.sampled_from([0.0, -0.0])
+)
+
+
+@st.composite
+def _constant_column_rows(draw):
+    """Rows with 1-3 objectives of which 1-3 are constant (signed zeros
+    and ±inf included), plus NaN rows and duplicated rows."""
+    k = draw(st.integers(min_value=1, max_value=3))
+    constant = draw(
+        st.sets(st.integers(min_value=0, max_value=k - 1), min_size=1)
+    )
+    n = draw(st.integers(min_value=0, max_value=20))
+    values = np.empty((n, k))
+    for c in range(k):
+        if c in constant:
+            level = draw(
+                st.sampled_from([0.0, 2.5, -1.0, math.inf, -math.inf])
+            )
+            pool = [0.0, -0.0] if level == 0.0 else [level]
+            column = draw(
+                st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+            )
+        else:
+            column = draw(
+                st.lists(_objective_or_zero, min_size=n, max_size=n)
+            )
+        values[:, c] = column
+    if n:
+        for row in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+            values[row, draw(st.integers(0, k - 1))] = math.nan
+        copies = draw(st.lists(st.integers(0, n - 1), max_size=5))
+        values = np.concatenate([values, values[copies]])
+    maximize = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    return values, maximize
+
+
 class TestNonDominatedMask:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -75,6 +116,39 @@ class TestNonDominatedMask:
         values = np.asarray(rows, dtype=float).reshape(len(rows), 3)
         fast = non_dominated_mask(values, maximize)
         assert np.array_equal(fast, _oracle_mask(values, maximize))
+
+    @settings(max_examples=200, deadline=None)
+    @given(_constant_column_rows())
+    def test_constant_columns_match_quadratic_oracle(self, case):
+        values, maximize = case
+        fast = non_dominated_mask(values, maximize)
+        assert np.array_equal(fast, _oracle_mask(values, maximize))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(_objective, _objective, _objective),
+            min_size=0,
+            max_size=25,
+        ),
+        st.tuples(st.booleans(), st.booleans(), st.booleans()),
+        st.integers(min_value=1, max_value=40),
+    )
+    def test_multi_pass_loop_matches_quadratic_oracle(
+        self, rows, maximize, budget
+    ):
+        # A small comparison budget makes the three-objective loop take
+        # one or a few references per pass instead of all of them.
+        values = np.asarray(rows, dtype=float).reshape(len(rows), 3)
+        with mock.patch.object(pareto, "_COMPARISONS_PER_PASS", budget):
+            fast = non_dominated_mask(values, maximize)
+        assert np.array_equal(fast, _oracle_mask(values, maximize))
+
+    def test_minus_inf_alone_in_its_group_stays(self):
+        # The first x group has no rival; its best y is -inf.
+        values = np.array([[2.0, -np.inf], [1.0, 0.0], [2.0, -np.inf]])
+        mask = non_dominated_mask(values, (True, True))
+        assert mask.tolist() == [True, True, True]
 
     def test_exact_ties_all_kept(self):
         values = np.array([[1.0, 2.0], [1.0, 2.0], [0.5, 3.0]])
@@ -272,6 +346,44 @@ class TestParetoSweep:
         v = np.asarray(chunk.frequencies)[None, :]
         feasible = (a > 0) & (a <= 1) & (v > 0) & (v <= 1) & (a >= v)
         assert acc.points_seen == int(feasible.sum())
+
+    def test_points_seen_counts_every_feasible_cell(self, small_spec):
+        # The frontier keeps a handful of rows; points_seen still counts
+        # every feasible candidate of every chunk, and a chunk with no
+        # feasible cell (a == 0) yields an empty, zero-count partial.
+        total = 0
+        for chunk in small_spec.chunks():
+            acc = evaluate_pareto_chunk(chunk)
+            a = np.asarray(chunk.fractions)[:, None]
+            v = np.asarray(chunk.frequencies)[None, :]
+            feasible = int(((a > 0) & (a <= 1) & (v > 0) & (v <= 1) & (a >= v)).sum())
+            assert acc.points_seen == feasible
+            assert acc.size <= feasible
+            assert all(len(col) == acc.size for col in acc._columns.values())
+            total += feasible
+        assert sweep_pareto(small_spec).points_seen == total
+        first = next(small_spec.chunks())
+        assert first.fractions[0] == 0.0
+        empty = evaluate_pareto_chunk(
+            dataclasses.replace(first, fractions=(0.0,), a_stop=1)
+        )
+        assert (empty.points_seen, empty.size) == (0, 0)
+
+    @pytest.mark.parametrize("acceleration", [1.5, 8.0, 40.0])
+    def test_two_tech_nodes_match_scalar_oracle(self, acceleration):
+        # Two tech nodes give every mode two areas, so the cross-panel
+        # merges compare three varying objectives.
+        spec = ParetoSweepSpec(
+            cores=(HIGH_PERF,),
+            accelerator=AcceleratorParameters(
+                name="t", acceleration=acceleration
+            ),
+            fractions=tuple(np.linspace(0.05, 1.0, 13)),
+            frequencies=tuple(np.geomspace(1e-3, 0.5, 9)),
+            tech=("cmos-hp-45", "finfet-hp-20"),
+        )
+        assert len({c.tech for c in spec.chunks()}) == 2
+        assert sweep_pareto(spec).points() == sweep_pareto_scalar(spec)
 
     def test_spec_validation(self):
         accel = AcceleratorParameters(name="t", acceleration=2.0)

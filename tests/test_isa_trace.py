@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.isa.instructions import Instruction, MemRequest, OpClass, TCADescriptor
-from repro.isa.trace import Trace, TraceBuilder, alu_block
+from repro.isa.trace import Trace, TraceBuilder, alu_block, fingerprint_records
 
 
 class TestTrace:
@@ -489,3 +489,18 @@ def test_seeded_program_fingerprints_are_pinned(generator, seed):
 def test_shaped_program_fingerprints_are_pinned(shape):
     generator, overrides = SHAPES[shape]
     assert _fingerprints(generator, **overrides) == SHAPE_FINGERPRINTS[shape]
+
+
+def test_fingerprint_of_transient_records_matches_held_records():
+    # A generator's records die as soon as they are consumed, so their
+    # ids can be reused; each distinct id is encoded once, which is only
+    # sound while every record stays alive for the whole call.
+    def records():
+        for i in range(200):
+            yield Instruction(op=OpClass.LOAD, dsts=(i % 7,), addr=64 * i)
+
+    held = list(records())
+    shared = [held[0], held[1], held[0], held[2], held[1]] * 3
+    assert fingerprint_records(records()) == fingerprint_records(held)
+    assert fingerprint_records(iter(shared)) == Trace(list(shared)).fingerprint()
+    assert fingerprint_records(held) != fingerprint_records(held[::-1])
