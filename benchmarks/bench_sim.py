@@ -1,11 +1,8 @@
-"""Micro-benchmark: seed simulator vs the compile-once trace pipeline.
+"""Micro-benchmark: the compile-once simulator pipeline, cold and warm.
 
-Times characteristic simulator workloads three ways and writes the
+Times characteristic simulator workloads four ways and writes the
 throughputs to ``BENCH_sim.json``:
 
-- **seed** — the seed engine preserved verbatim as
-  :class:`repro.sim.reference.ReferenceCoreSim` (the baseline every
-  optimization is measured against);
 - **cold** — the compiled pipeline paying its one-pass trace analysis
   inside the timed region (``compile_trace`` + ``CoreSim.run``), i.e.
   the first-ever simulation of a trace;
@@ -21,25 +18,19 @@ throughputs to ``BENCH_sim.json``:
   kernel: a fresh trace's compile, packing and the kernel run all
   inside the timed region (what a new program costs by default).
 
-The seed/cold/precompiled sections are pinned to the pure-Python hot
-loop (``use_backend("python")``) so their meaning is stable across
-hosts; only the ``native`` section exercises the compiled kernel.
-
-It also times the end-to-end four-mode experiment shape
-(:func:`repro.sim.simulator.simulate_modes`: baseline + four mode runs,
-each trace compiled once and the analysis shared across runs) against
-the same five runs on the seed engine — both the first-ever call
-(**cold_compile**, analysis inside the timed region) and every later
-call (**compile_reused**, the memoized steady state).
+The cold/precompiled sections are pinned to the pure-Python hot loop
+(``use_backend("python")``) so their meaning is stable across hosts;
+only the ``native`` sections exercise the compiled kernel.
 
 Run it directly (defaults to the full-scale workloads)::
 
     PYTHONPATH=src python benchmarks/bench_sim.py
     PYTHONPATH=src python benchmarks/bench_sim.py --scale smoke
 
-Every timed pipeline run is cross-checked byte-identical
-(``SimStats.to_dict()``) against the seed engine, so the speedups can't
-silently come from simulating something different.
+Every other timed run is cross-checked byte-identical
+(``SimStats.to_dict()``) against the pure-Python cold run, so the
+speedups can't silently come from simulating something different; the
+tests hold that engine to the cycle-stepped seed engine.
 """
 
 from __future__ import annotations
@@ -56,14 +47,8 @@ from repro.sim import backend as sim_backend
 from repro.sim.config import ARM_A72_SIM, HIGH_PERF_SIM
 from repro.sim.compile import compile_trace
 from repro.sim.core import CoreSim
-from repro.sim.reference import ReferenceCoreSim
 from repro.sim.sample import SamplingConfig, simulate_sampled
 from repro.workloads.heap import HeapWorkloadSpec, generate_heap_program
-from repro.workloads.matmul import (
-    MatmulSpec,
-    generate_accelerated_trace,
-    generate_baseline_trace,
-)
 
 #: Best-of-N timing repetitions per approach.
 REPEATS = 3
@@ -75,13 +60,11 @@ _SCALES = {
     "smoke": {
         "alu": 4_000,
         "heap_slots": 80,
-        "matmul": (8, 8, 4),
         "sampled_repeats": 110,
     },
     "full": {
         "alu": 30_000,
         "heap_slots": 400,
-        "matmul": (16, 8, 4),
         "sampled_repeats": 110,
     },
 }
@@ -120,10 +103,6 @@ def _best_of(fn, repeats: int = REPEATS) -> tuple[float, object]:
 
 
 def _bench_single(trace, config, warm) -> dict:
-    seed_s, seed_stats = _best_of(
-        lambda: ReferenceCoreSim(config, trace, warm_ranges=warm).run()
-    )
-    expected = json.dumps(seed_stats.to_dict())
     compiled = compile_trace(trace, cache=False)
     with sim_backend.use_backend("python"):
         cold_s, cold_stats = _best_of(
@@ -134,10 +113,10 @@ def _bench_single(trace, config, warm) -> dict:
         pre_s, pre_stats = _best_of(
             lambda: CoreSim(config, compiled, warm_ranges=warm).run()
         )
-    for label, stats in (("cold", cold_stats), ("precompiled", pre_stats)):
-        if json.dumps(stats.to_dict()) != expected:
-            raise AssertionError(f"{label}: stats diverge from the seed engine")
-    instructions = seed_stats.instructions
+    expected = json.dumps(cold_stats.to_dict())
+    if json.dumps(pre_stats.to_dict()) != expected:
+        raise AssertionError("precompiled: stats diverge from the cold run")
+    instructions = cold_stats.instructions
 
     def entry(seconds: float) -> dict:
         return {
@@ -145,13 +124,11 @@ def _bench_single(trace, config, warm) -> dict:
             "instructions_per_sec": (
                 instructions / seconds if seconds > 0 else float("inf")
             ),
-            "speedup_vs_seed": seed_s / seconds if seconds > 0 else float("inf"),
         }
 
     row = {
         "instructions": instructions,
-        "cycles": seed_stats.cycles,
-        "seed": entry(seed_s),
+        "cycles": cold_stats.cycles,
         "cold": entry(cold_s),
         "precompiled": entry(pre_s),
     }
@@ -165,7 +142,7 @@ def _bench_single(trace, config, warm) -> dict:
             stats = CoreSim(config, compiled, warm_ranges=warm).run()
             if json.dumps(stats.to_dict()) != expected:
                 raise AssertionError(
-                    f"native ({backend_name}): stats diverge from the seed engine"
+                    f"native ({backend_name}): stats diverge from the cold run"
                 )
             return stats
 
@@ -174,7 +151,7 @@ def _bench_single(trace, config, warm) -> dict:
             stats = CoreSim(config, fresh, warm_ranges=warm).run()
             if json.dumps(stats.to_dict()) != expected:
                 raise AssertionError(
-                    f"native_cold ({backend_name}): stats diverge from the seed engine"
+                    f"native_cold ({backend_name}): stats diverge from the cold run"
                 )
             return stats
 
@@ -193,73 +170,6 @@ def _bench_single(trace, config, warm) -> dict:
             speedup_vs_cold=cold_s / native_cold_s if native_cold_s > 0 else float("inf"),
         )
     return row
-
-
-def _bench_four_mode(scale: str) -> dict:
-    """End-to-end baseline + four-mode comparison, cold caches."""
-    n, block, m = _SCALES[scale]["matmul"]
-    spec = MatmulSpec(n=n, block=block, accel_sizes=(m,))
-    baseline = generate_baseline_trace(spec)
-    accelerated = generate_accelerated_trace(spec, m)
-    modes = TCAMode.all_modes()
-
-    def seed_runs():
-        results = [ReferenceCoreSim(HIGH_PERF_SIM, baseline).run()]
-        for mode in modes:
-            results.append(
-                ReferenceCoreSim(
-                    HIGH_PERF_SIM.with_mode(mode), accelerated
-                ).run()
-            )
-        return results
-
-    def pipeline_runs(base, accel):
-        results = [CoreSim(HIGH_PERF_SIM, base).run()]
-        for mode in modes:
-            results.append(CoreSim(HIGH_PERF_SIM.with_mode(mode), accel).run())
-        return results
-
-    def cold_runs():
-        # Fresh Trace wrappers each repeat so the one-shared-compilation
-        # cost is inside the timed region (a trace's first-ever
-        # simulate_modes call).
-        return pipeline_runs(
-            compile_trace(_fresh(baseline), cache=False),
-            compile_trace(_fresh(accelerated), cache=False),
-        )
-
-    compiled_base = compile_trace(baseline, cache=False)
-    compiled_accel = compile_trace(accelerated, cache=False)
-
-    seed_s, seed_results = _best_of(seed_runs)
-    with sim_backend.use_backend("python"):
-        cold_s, cold_results = _best_of(cold_runs)
-        reused_s, reused_results = _best_of(
-            lambda: pipeline_runs(compiled_base, compiled_accel)
-        )
-    expected = [json.dumps(stats.to_dict()) for stats in seed_results]
-    for label, results in (("cold", cold_results), ("reused", reused_results)):
-        got = [json.dumps(stats.to_dict()) for stats in results]
-        if got != expected:
-            raise AssertionError(
-                f"four-mode {label}: stats diverge from the seed engine"
-            )
-    instructions = sum(stats.instructions for stats in seed_results)
-
-    def entry(seconds: float) -> dict:
-        return {
-            "seconds": seconds,
-            "speedup_vs_seed": seed_s / seconds if seconds > 0 else float("inf"),
-        }
-
-    return {
-        "workload": f"matmul-{n}x{n}-cold-caches",
-        "runs": 1 + len(modes),
-        "instructions": instructions,
-        "seed": entry(seed_s),
-        "cold_compile": entry(cold_s),
-        "compile_reused": entry(reused_s),
-    }
 
 
 def _bench_sampled(scale: str) -> dict:
@@ -350,7 +260,6 @@ def main(argv: list[str] | None = None) -> int:
     workloads = {}
     for label, trace, config, warm in _workloads(args.scale):
         workloads[label] = _bench_single(trace, config, warm)
-    four_mode = _bench_four_mode(args.scale)
     sampled = _bench_sampled(args.scale)
 
     payload = {
@@ -360,7 +269,6 @@ def main(argv: list[str] | None = None) -> int:
         "identical_stats": True,  # _bench_* raise on any divergence
         "native_backend": sim_backend.effective_backend(),
         "workloads": workloads,
-        "four_mode": four_mode,
         "sampled": sampled,
         "provenance": bench_provenance(),
     }
@@ -373,7 +281,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     for label, row in workloads.items():
         print(f"  {label} ({row['instructions']} instructions):")
-        for approach in ("seed", "cold", "precompiled", "native", "native_cold"):
+        for approach in ("cold", "precompiled", "native", "native_cold"):
             entry = row.get(approach)
             if entry is None:
                 continue
@@ -387,19 +295,8 @@ def main(argv: list[str] | None = None) -> int:
                 suffix = f"  [{entry['backend']}, {entry['speedup_vs_cold']:.2f}x vs cold]"
             print(
                 f"    {approach:<12} {entry['seconds']:>9.4f}s  "
-                f"{entry['instructions_per_sec']:>12.0f} inst/s  "
-                f"{entry['speedup_vs_seed']:>6.2f}x vs seed{suffix}"
+                f"{entry['instructions_per_sec']:>12.0f} inst/s{suffix}"
             )
-    print(
-        f"  four-mode {four_mode['workload']} ({four_mode['runs']} runs, "
-        f"{four_mode['instructions']} instructions):"
-    )
-    for approach in ("seed", "cold_compile", "compile_reused"):
-        entry = four_mode[approach]
-        print(
-            f"    {approach:<15} {entry['seconds']:>9.4f}s  "
-            f"{entry['speedup_vs_seed']:>6.2f}x vs seed"
-        )
     print(
         f"  sampled {sampled['workload']} "
         f"({sampled['trace_instructions']} instructions, "

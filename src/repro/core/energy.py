@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.drain import DrainEstimator
-from repro.core.model import TCAModel, mode_time_grid
+from repro.core.model import TCAModel, _grid_cells, mode_time_grid
 from repro.core.modes import TCAMode
 from repro.core.parameters import AcceleratorParameters, CoreParameters
 from repro.obs.metrics import get_registry
@@ -258,22 +258,34 @@ def energy_grid(
     Returns:
         An :class:`EnergyGrid` with the broadcast shape of ``(a, v)``.
     """
-    a, v = np.broadcast_arrays(
-        np.asarray(a, dtype=float), np.asarray(v, dtype=float)
-    )
-    in_range = (a >= 0.0) & (a <= 1.0) & (v >= 0.0) & (v <= 1.0)
-    no_invocations = in_range & ((a == 0.0) | (v == 0.0))
-    active = in_range & (a > 0.0) & (v > 0.0) & (a >= v)
-    _ENERGY_CELLS.inc(int(active.sum()) + int(no_invocations.sum()))
-
-    # Feasible substitutes at masked cells keep the arithmetic finite
-    # and warning-free; masked results are overwritten below.
-    sa = np.where(active, a, 1.0)
-    sv = np.where(active, v, 1.0)
-
+    cells = _grid_cells(a, v)
+    _ENERGY_CELLS.inc(cells.evaluated)
     time = mode_time_grid(
-        core, accelerator, sa, sv, mode, drain_estimator, drain_time
+        core, accelerator, cells.sa, cells.sv, mode, drain_estimator, drain_time
     )
+    total, core_static, core_dynamic, accel, baseline_total, ratio = (
+        _energy_values(core, params, cells.sa, cells.sv, time)
+    )
+    return EnergyGrid(
+        mode=mode,
+        total=cells.mask(total, np.nan),
+        core_static=cells.mask(core_static, np.nan),
+        core_dynamic=cells.mask(core_dynamic, np.nan),
+        accelerator=cells.mask(accel, np.nan),
+        baseline_total=cells.mask(baseline_total, np.nan),
+        ratio=cells.mask(ratio, 1.0),
+    )
+
+
+def _energy_values(
+    core: CoreParameters,
+    params: EnergyParameters,
+    sa: np.ndarray,
+    sv: np.ndarray,
+    time: np.ndarray,
+) -> tuple[np.ndarray, ...]:
+    """Unmasked §VII terms from interval times: ``(total, core_static,
+    core_dynamic, accelerator, baseline_total, ratio)``."""
     t_base = 1.0 / (sv * core.ipc)  # eq. (1)
     instructions = 1.0 / sv  # baseline instructions per interval
 
@@ -294,17 +306,4 @@ def energy_grid(
     ratio = np.where(
         positive, total / np.where(positive, baseline_total, 1.0), np.nan
     )
-
-    def _mask(values: np.ndarray, no_invocation_fill: float) -> np.ndarray:
-        out = np.where(no_invocations, no_invocation_fill, np.nan)
-        return np.where(active, values, out)
-
-    return EnergyGrid(
-        mode=mode,
-        total=_mask(total, np.nan),
-        core_static=_mask(core_static, np.nan),
-        core_dynamic=_mask(core_dynamic, np.nan),
-        accelerator=_mask(accel, np.nan),
-        baseline_total=_mask(baseline_total, np.nan),
-        ratio=_mask(ratio, 1.0),
-    )
+    return total, core_static, core_dynamic, accel, baseline_total, ratio

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -393,29 +394,63 @@ def speedup_grid(
     Returns:
         Speedups with the broadcast shape of ``(a, v)``.
     """
+    cells = _grid_cells(a, v)
+    _EVALUATIONS.inc(cells.evaluated)
+    time = mode_time_grid(
+        core, accelerator, cells.sa, cells.sv, mode, drain_estimator, drain_time
+    )
+    return cells.mask(_speedup_values(core, cells.sv, time), 1.0)
+
+
+class _GridCells(NamedTuple):
+    """``(a, v)`` broadcast and classified cell by cell (see :func:`_grid_cells`)."""
+
+    a: np.ndarray
+    v: np.ndarray
+    no_invocations: np.ndarray
+    active: np.ndarray
+    sa: np.ndarray
+    sv: np.ndarray
+
+    @property
+    def evaluated(self) -> int:
+        """Cells a grid evaluation counts: active plus no-invocation."""
+        return int(self.active.sum()) + int(self.no_invocations.sum())
+
+    def mask(self, values: np.ndarray, no_invocation_fill: float) -> np.ndarray:
+        """``values`` at active cells, the fill at no-invocation cells,
+        NaN at infeasible ones."""
+        out = np.where(self.no_invocations, no_invocation_fill, np.nan)
+        return np.where(self.active, values, out)
+
+
+def _grid_cells(a: np.ndarray | float, v: np.ndarray | float) -> _GridCells:
+    """The cell classification :func:`speedup_grid` and
+    :func:`repro.core.energy.energy_grid` share.
+
+    ``active`` cells are valid, invoking workloads; ``no_invocations``
+    cells have ``a == 0`` or ``v == 0``; every other cell is infeasible.
+    ``sa``/``sv`` hold a feasible substitute (1.0) at every inactive
+    cell, which keeps each arithmetic step finite and warning-free; the
+    masked results are discarded by :meth:`_GridCells.mask`.
+    """
     a, v = np.broadcast_arrays(
         np.asarray(a, dtype=float), np.asarray(v, dtype=float)
     )
     in_range = (a >= 0.0) & (a <= 1.0) & (v >= 0.0) & (v <= 1.0)
     no_invocations = in_range & ((a == 0.0) | (v == 0.0))
     active = in_range & (a > 0.0) & (v > 0.0) & (a >= v)
-    _EVALUATIONS.inc(int(active.sum()) + int(no_invocations.sum()))
-
-    # Feasible substitutes at masked cells keep every arithmetic step
-    # finite and warning-free; masked results are discarded below.
     sa = np.where(active, a, 1.0)
     sv = np.where(active, v, 1.0)
+    return _GridCells(a, v, no_invocations, active, sa, sv)
 
+
+def _speedup_values(
+    core: CoreParameters, sv: np.ndarray, time: np.ndarray
+) -> np.ndarray:
+    """Unmasked ``t_baseline / t_mode`` (``inf`` at zero interval time)."""
     t_base = 1.0 / (sv * core.ipc)  # eq. (1)
-    time = mode_time_grid(
-        core, accelerator, sa, sv, mode, drain_estimator, drain_time
-    )
-
-    speedup = np.where(
-        time > 0.0, t_base / np.where(time > 0.0, time, 1.0), np.inf
-    )
-    out = np.where(no_invocations, 1.0, np.nan)
-    return np.where(active, speedup, out)
+    return np.where(time > 0.0, t_base / np.where(time > 0.0, time, 1.0), np.inf)
 
 
 def predict_speedups(

@@ -22,9 +22,9 @@ Three layers:
 - :class:`ParetoSweepSpec` / :func:`sweep_pareto` — the TCA sweep
   engine: a cross product of cores × modes × tech nodes × an ``(a, v)``
   lattice, chunked so no intermediate grid exceeds ``block_size`` cells,
-  evaluated through :func:`~repro.core.model.speedup_grid` and
-  :func:`~repro.core.energy.energy_grid`, with per-node scaling from
-  :mod:`repro.core.tech`.
+  evaluated with the arithmetic of :func:`~repro.core.model.speedup_grid`
+  and :func:`~repro.core.energy.energy_grid` over one shared time grid
+  per chunk, with per-node scaling from :mod:`repro.core.tech`.
 
 :func:`sweep_pareto_scalar` is the oracle: per-point
 :class:`~repro.core.model.TCAModel` / :class:`~repro.core.energy.EnergyModel`
@@ -41,8 +41,19 @@ from typing import Any, Iterator, Mapping, Sequence
 import numpy as np
 
 from repro.core.drain import DrainEstimator, PowerLawDrain
-from repro.core.energy import EnergyModel, EnergyParameters, energy_grid
-from repro.core.model import TCAModel, speedup_grid
+from repro.core.energy import (
+    _ENERGY_CELLS,
+    EnergyModel,
+    EnergyParameters,
+    _energy_values,
+)
+from repro.core.model import (
+    _EVALUATIONS,
+    TCAModel,
+    _grid_cells,
+    _speedup_values,
+    mode_time_grid,
+)
 from repro.core.modes import MODE_COSTS, TCAMode
 from repro.core.parallel import parallel_map
 from repro.core.parameters import (
@@ -526,41 +537,41 @@ def _feasible_mask(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 def evaluate_pareto_chunk(chunk: ParetoChunk) -> ParetoAccumulator:
     """Evaluate one chunk's grid and reduce it to a partial frontier.
 
-    Vectorized end to end: one :func:`~repro.core.model.speedup_grid`
-    call, one :func:`~repro.core.energy.energy_grid` call (with the
-    chunk's tech node scaling the energy parameters), then one
-    dominance reduction over the feasible cells; the per-point
-    annotation columns are built for the surviving rows only.
+    Vectorized end to end: one :func:`~repro.core.model.mode_time_grid`
+    pass feeds both the speedup and the energy-ratio columns (the
+    arithmetic of :func:`~repro.core.model.speedup_grid` and
+    :func:`~repro.core.energy.energy_grid`, with the chunk's tech node
+    scaling the energy parameters), then one dominance reduction over
+    the feasible cells; the per-point annotation columns are built for
+    the surviving rows only.
     """
     node = get_tech_node(chunk.tech)
-    a = np.asarray(chunk.fractions, dtype=float)[:, np.newaxis]
-    v = np.asarray(chunk.frequencies, dtype=float)[np.newaxis, :]
-    speedup = speedup_grid(
-        chunk.core,
-        chunk.accelerator,
-        a,
-        v,
-        chunk.mode,
-        drain_estimator=chunk.drain_estimator,
+    cells = _grid_cells(
+        np.asarray(chunk.fractions, dtype=float)[:, np.newaxis],
+        np.asarray(chunk.frequencies, dtype=float)[np.newaxis, :],
     )
-    grid = energy_grid(
+    # Counted as the speedup and energy grids this pass stands for.
+    _EVALUATIONS.inc(cells.evaluated)
+    _ENERGY_CELLS.inc(cells.evaluated)
+    time = mode_time_grid(
         chunk.core,
         chunk.accelerator,
-        node.scale_energy(chunk.energy),
-        a,
-        v,
+        cells.sa,
+        cells.sv,
         chunk.mode,
-        drain_estimator=chunk.drain_estimator,
+        chunk.drain_estimator,
     )
     area = float(node.scale_area(MODE_COSTS[chunk.mode].total))
-    big_a, big_v = np.broadcast_arrays(a, v)
-    feasible = _feasible_mask(big_a, big_v)
+    feasible = cells.active  # the design points: valid, invoking workloads
 
     acc = ParetoAccumulator()
-    s = speedup[feasible]
+    s = _speedup_values(chunk.core, cells.sv, time)[feasible]
     n = s.size
     if n:
-        values = np.column_stack([s, grid.ratio[feasible], np.full(n, area)])
+        *_, ratio = _energy_values(
+            chunk.core, node.scale_energy(chunk.energy), cells.sa, cells.sv, time
+        )
+        values = np.column_stack([s, ratio[feasible], np.full(n, area)])
         # The panel's area is constant, so this is a 2-objective sort;
         # annotations are built for the few frontier rows only.
         rows = np.flatnonzero(non_dominated_mask(values, PARETO_MAXIMIZE))
@@ -572,8 +583,8 @@ def evaluate_pareto_chunk(chunk: ParetoChunk) -> ParetoAccumulator:
                 "core": np.full(kept, chunk.core.name, dtype=object),
                 "mode": np.full(kept, chunk.mode.value, dtype=object),
                 "tech": np.full(kept, chunk.tech, dtype=object),
-                "acceleratable_fraction": big_a[feasible][rows],
-                "invocation_frequency": big_v[feasible][rows],
+                "acceleratable_fraction": cells.a[feasible][rows],
+                "invocation_frequency": cells.v[feasible][rows],
                 "efficiency": efficiency_values(values[:, 0], values[:, 2]),
             },
         )

@@ -25,21 +25,17 @@ split in two: :func:`~repro.sim.compile.compile_trace` pays the
 trace-static analysis once (dependency edges, op/latency tables, cache-line
 spans, pre-chunked TCA requests), and :class:`CoreSim` executes against the
 resulting :class:`~repro.sim.compile.CompiledTrace` plus a pooled per-run
-state block of flat arrays — no per-run ``DynInst`` allocation, no rename
-table, and a reorder buffer reduced to the contiguous sequence window
+state block of flat arrays — no per-instruction object allocation, no
+rename table, and a reorder buffer reduced to the contiguous sequence window
 ``[committed, pc)``.  The run loop skips stage calls whose structures are
 provably idle and fast-forwards over cycles where no pipeline event can
 occur, attributing the skipped cycles to the active dispatch-stall reason,
 so wall-clock cost scales with events rather than cycles.
 
 The stats produced are byte-identical (``SimStats.to_dict()``) to the seed
-object-per-instruction engine, preserved as
-:class:`repro.sim.reference.ReferenceCoreSim` and pinned by the seeded
-equivalence suite in ``tests/test_sim_equivalence.py``.
-
-:class:`DynInst` remains the dynamic-instruction record used by the
-component classes (:mod:`repro.sim.rob`, :mod:`repro.sim.issue_queue`, …)
-and the reference engine.
+object-per-instruction engine, which steps every cycle and lives outside
+the package as a test oracle (``tests/seed_engine.py``); the seeded
+equivalence suite in ``tests/test_sim_equivalence.py`` pins the match.
 """
 
 from __future__ import annotations
@@ -47,7 +43,6 @@ from __future__ import annotations
 import heapq
 from bisect import insort
 
-from repro.isa.instructions import Instruction
 from repro.isa.trace import Trace
 from repro.obs.tracer import PipelineTracer, get_active_tracer
 from repro.sim.cache import CacheConfig, CacheHierarchy
@@ -70,45 +65,6 @@ _EV_MSHR = 2
 # call), and converts back to StallReason only when flushing SimStats.
 _STALL_REASONS = tuple(StallReason)
 _STALL_INDEX = {reason: i for i, reason in enumerate(_STALL_REASONS)}
-
-
-class DynInst:
-    """Dynamic (in-flight) state of one trace instruction."""
-
-    __slots__ = (
-        "inst",
-        "seq",
-        "deps",
-        "dependents",
-        "completed",
-        "complete_cycle",
-        "forwarded",
-        "issued",
-        "first_ready_cycle",
-        "tca_start_cycle",
-        "tca_reads_left",
-        "tca_read_index",
-    )
-
-    def __init__(self, inst: Instruction, seq: int) -> None:
-        self.inst = inst
-        self.seq = seq
-        self.deps = 0
-        self.dependents: list[DynInst] = []
-        self.completed = False
-        self.complete_cycle: int | None = None
-        self.forwarded = False
-        self.issued = False
-        self.first_ready_cycle: int | None = None
-        self.tca_start_cycle: int | None = None
-        self.tca_reads_left = 0
-        self.tca_read_index = 0
-
-    def __lt__(self, other: "DynInst") -> bool:
-        return self.seq < other.seq
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"DynInst(seq={self.seq}, op={self.inst.op.value})"
 
 
 class DeadlockError(RuntimeError):
@@ -782,8 +738,7 @@ class CoreSim:
             # the candidate times below — so re-attempting the deferred
             # instructions before then cannot succeed, and the ready heap
             # is re-keyed to the target instead of being polled every
-            # cycle (the event-proportional cost the seed engine only
-            # achieved when the IQ was empty).
+            # cycle, as the seed engine does.
             target = -1
             if events:
                 target = events[0] >> 40

@@ -1,16 +1,18 @@
-"""Unit tests for the simulator's structural components."""
+"""Unit tests for the seed engine's structural components."""
 
 import pytest
 
 from repro.isa.instructions import Instruction, OpClass
-from repro.sim.branch import RedirectUnit
 from repro.sim.config import SimConfig
-from repro.sim.core import DynInst
-from repro.sim.functional_units import FUPool
-from repro.sim.issue_queue import IssueQueue
-from repro.sim.lsq import LoadStoreQueue
-from repro.sim.rename import RenameTable
-from repro.sim.rob import ReorderBuffer
+from seed_engine import (
+    DynInst,
+    FUPool,
+    IssueQueue,
+    LoadStoreQueue,
+    RedirectUnit,
+    RenameTable,
+    ReorderBuffer,
+)
 
 
 def dyn(seq: int, op: OpClass = OpClass.INT_ALU, **kwargs) -> DynInst:

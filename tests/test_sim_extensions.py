@@ -9,7 +9,7 @@ from repro.core.modes import TCAMode
 from repro.isa.instructions import TCADescriptor
 from repro.isa.trace import TraceBuilder
 from repro.sim.simulator import simulate
-from repro.sim.tca_unit import TCAUnit
+from seed_engine import TCAUnit
 
 
 def burst_trace(count: int, latency: int):
@@ -19,6 +19,20 @@ def burst_trace(count: int, latency: int):
     )
     for _ in range(count):
         builder.tca(descriptor)
+    return builder.build()
+
+
+def branchy_trace(low_confidence: bool):
+    builder = TraceBuilder("branchy")
+    descriptor = TCADescriptor(
+        name="t", compute_latency=5, replaced_instructions=20
+    )
+    for i in range(8):
+        builder.load(0, 0x9000_0000 + i * 64)  # slow (missing) condition
+        builder.branch(srcs=(0,), low_confidence=low_confidence)
+        builder.independent_block(10, [1, 2, 3])
+        builder.tca(descriptor)
+        builder.independent_block(10, [1, 2, 3])
     return builder.build()
 
 
@@ -74,21 +88,8 @@ class TestMultiContextTCA:
 
 
 class TestPartialSpeculation:
-    def _branchy_trace(self, low_confidence: bool):
-        builder = TraceBuilder("branchy")
-        descriptor = TCADescriptor(
-            name="t", compute_latency=5, replaced_instructions=20
-        )
-        for i in range(8):
-            builder.load(0, 0x9000_0000 + i * 64)  # slow (missing) condition
-            builder.branch(srcs=(0,), low_confidence=low_confidence)
-            builder.independent_block(10, [1, 2, 3])
-            builder.tca(descriptor)
-            builder.independent_block(10, [1, 2, 3])
-        return builder.build()
-
     def test_confident_gating_beats_full_drain(self, tiny_sim_config):
-        trace = self._branchy_trace(low_confidence=False)
+        trace = branchy_trace(low_confidence=False)
         nl = simulate(trace, tiny_sim_config.with_mode(TCAMode.NL_T))
         gated = simulate(
             trace,
@@ -105,8 +106,8 @@ class TestPartialSpeculation:
         config = replace(
             tiny_sim_config.with_mode(TCAMode.NL_T), partial_speculation=True
         )
-        confident = simulate(self._branchy_trace(False), config)
-        doubtful = simulate(self._branchy_trace(True), config)
+        confident = simulate(branchy_trace(False), config)
+        doubtful = simulate(branchy_trace(True), config)
         # Low-confidence branches gate the TCA until they resolve.
         assert (
             doubtful.stats.tca_wait_drain_cycles
@@ -114,7 +115,7 @@ class TestPartialSpeculation:
         )
 
     def test_partial_between_nl_and_l(self, tiny_sim_config):
-        trace = self._branchy_trace(low_confidence=False)
+        trace = branchy_trace(low_confidence=False)
         nl = simulate(trace, tiny_sim_config.with_mode(TCAMode.NL_T)).cycles
         gated = simulate(
             trace,
@@ -126,7 +127,7 @@ class TestPartialSpeculation:
         assert l <= gated <= nl
 
     def test_l_modes_ignore_partial_flag(self, tiny_sim_config):
-        trace = self._branchy_trace(low_confidence=True)
+        trace = branchy_trace(low_confidence=True)
         plain = simulate(trace, tiny_sim_config.with_mode(TCAMode.L_T))
         flagged = simulate(
             trace,

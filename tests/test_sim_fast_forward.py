@@ -3,10 +3,10 @@
 When the run loop makes no progress it jumps straight to the next cycle
 at which anything can happen, bulk-charging the skipped cycles to the
 active :class:`~repro.sim.stats.StallReason` and bulk-sampling ROB
-occupancy.  The ground truth is ``ReferenceCoreSim(fast_forward=False)``,
-which steps every cycle and charges stalls one at a time: every stats
-field — stall buckets, ``rob_occupancy_sum``, ``rob_samples`` — must
-match it exactly.
+occupancy.  The ground truth is the seed engine
+(:class:`seed_engine.ReferenceCoreSim`), which steps every cycle and
+charges stalls one at a time: every stats field — stall buckets,
+``rob_occupancy_sum``, ``rob_samples`` — must match it exactly.
 """
 
 import dataclasses
@@ -18,9 +18,9 @@ from repro.core.modes import TCAMode
 from repro.isa.trace import TraceBuilder
 from repro.sim.config import HIGH_PERF_SIM, LOW_PERF_SIM
 from repro.sim.core import CoreSim
-from repro.sim.reference import ReferenceCoreSim
 from repro.sim.stats import StallReason
 from repro.workloads.heap import HeapWorkloadSpec, generate_heap_program
+from seed_engine import ReferenceCoreSim
 
 
 def _barrier_trace():
@@ -83,25 +83,13 @@ class TestSkippedCycleAttribution:
     )
     def test_matches_cycle_stepped_reference(self, label, trace, reason):
         config = _config()
-        stepped = ReferenceCoreSim(config, trace, fast_forward=False).run()
+        stepped = ReferenceCoreSim(config, trace).run()
         fast = CoreSim(config, trace).run()
         assert _dump(fast) == _dump(stepped)
         # The scenario actually produced the stall class it targets, and
         # the period is long enough that fast-forward must have skipped
         # cycles inside it (multi-cycle periods charged to one reason).
         assert fast.stall_cycles.get(reason, 0) > 10
-
-    @pytest.mark.parametrize(
-        "label,trace,reason", TARGETED, ids=[t[0] for t in TARGETED]
-    )
-    def test_seed_fast_forward_matches_cycle_stepped(self, label, trace, reason):
-        # The seed engine's own fast-forward is attribution-exact too —
-        # the compiled loop's sterile fast-forward extends it, so both
-        # must agree with the stepped ground truth.
-        config = _config()
-        stepped = ReferenceCoreSim(config, trace, fast_forward=False).run()
-        fast = ReferenceCoreSim(config, trace, fast_forward=True).run()
-        assert _dump(fast) == _dump(stepped)
 
 
 class TestRobOccupancySampling:
@@ -112,7 +100,7 @@ class TestRobOccupancySampling:
         # Skipped cycles still sample ROB occupancy: exactly one sample
         # per simulated cycle, and sums identical to the stepped run.
         config = _config()
-        stepped = ReferenceCoreSim(config, trace, fast_forward=False).run()
+        stepped = ReferenceCoreSim(config, trace).run()
         fast = CoreSim(config, trace).run()
         assert fast.rob_samples == fast.cycles
         assert fast.rob_samples == stepped.rob_samples
@@ -132,7 +120,7 @@ class TestRobOccupancySampling:
                 for ranges in (None, warm):
                     config = _config(base)
                     stepped = ReferenceCoreSim(
-                        config, trace, warm_ranges=ranges, fast_forward=False
+                        config, trace, warm_ranges=ranges
                     ).run()
                     fast = CoreSim(config, trace, warm_ranges=ranges).run()
                     assert _dump(fast) == _dump(stepped)

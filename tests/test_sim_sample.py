@@ -1,11 +1,10 @@
 """Tests for sampled, checkpointed, and sharded simulation.
 
-The exact engine (:class:`~repro.sim.core.ReferenceCoreSim` semantics via
-the compiled hot loop) stays the oracle throughout: every estimator here
-is judged against a full exact run of the same trace.  The long-trace
-acceptance test builds a trace two orders of magnitude past the seed
-workloads' per-request length and requires the sampled estimate to land
-within the issue's 2% mean-error budget.
+The exact engine (:class:`~repro.sim.core.CoreSim`) stays the oracle
+throughout: every estimator here is judged against a full exact run of
+the same trace.  The long-trace acceptance test builds a trace two
+orders of magnitude past the seed workloads' per-request length and
+requires the sampled estimate to land within a 2% mean-error budget.
 """
 
 import json
