@@ -92,7 +92,7 @@ from repro.api import (
 )
 from repro.serve import EvaluationCache
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     "ARM_A72",

@@ -156,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
             "sampling thresholds still run exact"
         ),
     )
-    add_common_arguments(parser, jobs=True, trace=True, sim_backend=True)
+    add_common_arguments(parser, jobs=True, trace=True)
     args = parser.parse_args(argv)
     configure_from_args(args)
 

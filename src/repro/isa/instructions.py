@@ -25,6 +25,10 @@ CACHE_LINE_BYTES = 64
 #: (paper §IV: "contiguous loads for sizes up to 64B").
 MAX_TCA_CHUNK_BYTES = 64
 
+#: Largest latency (cycles) a latency override or TCA compute latency may
+#: carry; :data:`repro.sim.config.MAX_CYCLES` states why.
+MAX_LATENCY = 1 << 26
+
 
 @unique
 class OpClass(Enum):
@@ -151,7 +155,7 @@ class TCADescriptor:
     Attributes:
         name: accelerator name (e.g. ``"heap-malloc"``, ``"mma4x4"``).
         compute_latency: cycles of accelerator compute after its input
-            requests have returned.
+            requests have returned (at most :data:`MAX_LATENCY`).
         reads: input memory requests (each ≤64 B contiguous).
         writes: output memory requests, buffered at completion.
         replaced_instructions: number of software instructions this
@@ -170,9 +174,10 @@ class TCADescriptor:
     replaced_cycles: int = 0
 
     def __post_init__(self) -> None:
-        if self.compute_latency < 0:
+        if not 0 <= self.compute_latency <= MAX_LATENCY:
             raise ValueError(
-                f"compute_latency must be non-negative, got {self.compute_latency}"
+                f"compute_latency must be in [0, {MAX_LATENCY}], "
+                f"got {self.compute_latency}"
             )
         if self.replaced_instructions < 0:
             raise ValueError(
@@ -236,7 +241,8 @@ class Instruction(_InstructionRecord):
             while an older low-confidence branch is unresolved.
         tca: descriptor when ``op is OpClass.TCA``.
         latency: optional per-instruction execution latency override
-            (cycles); ``None`` uses the functional-unit default.
+            (cycles, at most :data:`MAX_LATENCY`); ``None`` uses the
+            functional-unit default.
     """
 
     __slots__ = ()
@@ -263,8 +269,10 @@ class Instruction(_InstructionRecord):
             raise ValueError("non-TCA instruction carries a TCADescriptor")
         if memory and size <= 0:
             raise ValueError(f"memory access size must be positive, got {size}")
-        if latency is not None and latency < 0:
-            raise ValueError(f"latency override must be non-negative, got {latency}")
+        if latency is not None and not 0 <= latency <= MAX_LATENCY:
+            raise ValueError(
+                f"latency override must be in [0, {MAX_LATENCY}], got {latency}"
+            )
         if mispredicted and op is not _BRANCH:
             raise ValueError("only BRANCH instructions can be mispredicted")
         if low_confidence and op is not _BRANCH:

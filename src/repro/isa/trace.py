@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
-from repro.isa.instructions import Instruction, OpClass, TCADescriptor, chunk_memory_range
+from repro.isa.instructions import (
+    MAX_LATENCY,
+    Instruction,
+    OpClass,
+    TCADescriptor,
+    chunk_memory_range,
+)
 
 # TraceBuilder's helpers build Instruction records directly with
 # tuple.__new__ after running only the checks their own arguments can
@@ -351,7 +357,7 @@ class TraceBuilder:
             op is _LOAD
             or op is _STORE
             or op is _TCA
-            or (latency is not None and latency < 0)
+            or (latency is not None and not 0 <= latency <= MAX_LATENCY)
         ):
             # Invalid for a compute op: the full constructor raises.
             Instruction(op=op, srcs=tuple(srcs), dsts=(dst,), latency=latency)

@@ -100,6 +100,7 @@ from repro.serve.stream import (
     stream_pareto_records,
 )
 from repro.sim.compile import compile_trace
+from repro.sim.core import CycleLimitError
 from repro.sim.stats import SimStats
 
 _log = get_logger("serve.service")
@@ -174,9 +175,14 @@ def _simulate_run(item: tuple[Any, Any, Any, Any]) -> dict[str, Any]:
     process boundary.
     """
     trace, config, warm_ranges, sampling = item
-    result = api.simulate(
-        trace, config, warm_ranges=warm_ranges, sampling=sampling
-    )
+    try:
+        result = api.simulate(
+            trace, config, warm_ranges=warm_ranges, sampling=sampling
+        )
+    except CycleLimitError as exc:
+        # The client chose the bound: returned, not raised, so the
+        # handler can tag the run that hit it.
+        return {"cycle_limit": str(exc)}
     return {"stats": result.stats.to_dict(), "sampling": result.sampling}
 
 
@@ -453,6 +459,11 @@ class ServeApp:
             for (i, (trace, config, warm, sampling), key), run in zip(
                 fresh, run_dicts
             ):
+                if "cycle_limit" in run:
+                    raise RequestError(
+                        run["cycle_limit"],
+                        field=_field("runs", runs[i][0], "config.max_cycles"),
+                    )
                 self.cache.put(
                     key, {"stats": run["stats"], "sampling": run["sampling"]}
                 )
@@ -837,7 +848,7 @@ def main(argv: list[str] | None = None) -> int:
         help="log a structured slow-request record for requests at or "
         "above this many seconds (default: $REPRO_SLOW_REQUEST_S or 1.0)",
     )
-    add_common_arguments(parser, jobs=True, workers=True, sim_backend=True)
+    add_common_arguments(parser, jobs=True, workers=True)
     args = parser.parse_args(argv)
     configure_from_args(args)
 

@@ -37,7 +37,7 @@ enum {
     ST_CYCLES = 0, ST_INSTR, ST_DISPATCHED, ST_LOADS, ST_STORES,
     ST_BRANCHES, ST_MISPRED, ST_TCA_INV, ST_TCA_READS, ST_TCA_WRITES,
     ST_TCA_WAIT, ST_TCA_EXEC, ST_ROB_SUM, ST_ROB_SAMPLES, ST_MAX_ROB,
-    ST_ERR_CYCLE, ST_ERR_COMMITTED, ST_ERR_PC,
+    ST_ERR_CYCLE, ST_ERR_COMMITTED, ST_ERR_PC, ST_ERR_ARRAY,
     ST_STALL_BASE = 20
 };
 
@@ -48,6 +48,10 @@ enum { CS_L1_ACC = 0, CS_L1_MISS, CS_L2_ACC, CS_L2_MISS, CS_PREFETCHES };
 #define RC_CAPACITY (-2)
 #define RC_WATCHDOG (-3)
 #define RC_DEADLOCK (-4)
+
+/* Scratch arrays a capacity abort names in stats[ST_ERR_ARRAY]. */
+enum { CAP_EVENTS = 1, CAP_READY, CAP_WRITERS, CAP_LOWCONF };
+#define OVERFLOW(which) do { stats[ST_ERR_ARRAY] = (which); return RC_CAPACITY; } while (0)
 
 enum {
     S_NONE = 0, S_FRONTEND_FILL, S_TCA_BARRIER, S_BRANCH_REDIRECT,
@@ -259,7 +263,7 @@ i64 repro_coresim_run(
                     if (d == 0) {
                         first_ready[c] = cycle;
                         if (ready_n >= ready_cap)
-                            return RC_CAPACITY;
+                            OVERFLOW(CAP_READY);
                         ready_n = heap_push(ready, ready_n, ready_key | c);
                     }
                     e = edge_next[e];
@@ -281,7 +285,7 @@ i64 repro_coresim_run(
                 tca_reads_left[s] = r;
                 if (r == 0 && tca_read_index[s] >= tca_read_count[s]) {
                     if (events_n >= events_cap)
-                        return RC_CAPACITY;
+                        OVERFLOW(CAP_EVENTS);
                     events_n = heap_push(
                         events, events_n,
                         ((cycle + tca_comp_lat[s]) << EV_SHIFT) | (s << 2));
@@ -409,7 +413,7 @@ i64 repro_coresim_run(
                             i64 ev =
                                 ((cycle + worst) << EV_SHIFT) | (atca << 2);
                             if (events_n + 2 > events_cap)
-                                return RC_CAPACITY;
+                                OVERFLOW(CAP_EVENTS);
                             events_n = heap_push(events, events_n, ev | 1);
                             if (missed) {
                                 mshr_out += 1;
@@ -480,7 +484,7 @@ i64 repro_coresim_run(
                         iq_occ -= 1;
                         if (tca_read_count[k] == 0) {
                             if (events_n >= events_cap)
-                                return RC_CAPACITY;
+                                OVERFLOW(CAP_EVENTS);
                             events_n = heap_push(
                                 events, events_n,
                                 ((cycle + tca_comp_lat[k]) << EV_SHIFT) |
@@ -543,7 +547,7 @@ i64 repro_coresim_run(
                         if (missed) {
                             mshr_out += 1;
                             if (events_n >= events_cap)
-                                return RC_CAPACITY;
+                                OVERFLOW(CAP_EVENTS);
                             events_n = heap_push(
                                 events, events_n,
                                 ((cycle + lat) << EV_SHIFT) | (k << 2) | 2);
@@ -551,7 +555,7 @@ i64 repro_coresim_run(
                     }
                     iq_occ -= 1;
                     if (events_n >= events_cap)
-                        return RC_CAPACITY;
+                        OVERFLOW(CAP_EVENTS);
                     events_n = heap_push(
                         events, events_n,
                         ((cycle + lat) << EV_SHIFT) | (k << 2));
@@ -567,7 +571,7 @@ i64 repro_coresim_run(
                     }
                     iq_occ -= 1;
                     if (events_n >= events_cap)
-                        return RC_CAPACITY;
+                        OVERFLOW(CAP_EVENTS);
                     events_n = heap_push(
                         events, events_n,
                         ((cycle + 1) << EV_SHIFT) | (k << 2));
@@ -597,7 +601,7 @@ i64 repro_coresim_run(
                 }
                 iq_occ -= 1;
                 if (events_n >= events_cap)
-                    return RC_CAPACITY;
+                    OVERFLOW(CAP_EVENTS);
                 events_n = heap_push(
                     events, events_n, ((cycle + lat) << EV_SHIFT) | (k << 2));
                 issued += 1;
@@ -605,7 +609,7 @@ i64 repro_coresim_run(
             }
             for (i64 di = 0; di < deferred_n; di++) {
                 if (ready_n >= ready_cap)
-                    return RC_CAPACITY;
+                    OVERFLOW(CAP_READY);
                 ready_n = heap_push(ready, ready_n,
                                     ready_limit | deferred[di]);
             }
@@ -713,7 +717,7 @@ i64 repro_coresim_run(
             } else if (kk == 1) { /* STORE */
                 sq_count += 1;
                 if (writers_n >= writers_cap)
-                    return RC_CAPACITY;
+                    OVERFLOW(CAP_WRITERS);
                 writers[writers_n++] = k;
             } else if (kk == 2) { /* TCA */
                 tca_read_index[k] = 0;
@@ -775,13 +779,13 @@ i64 repro_coresim_run(
                 }
                 if (wr_start[k + 1] > wr_start[k]) {
                     if (writers_n >= writers_cap)
-                        return RC_CAPACITY;
+                        OVERFLOW(CAP_WRITERS);
                     writers[writers_n++] = k;
                 }
             }
             if (lowconf_flag[k] != 0) {
                 if (lowconf_n >= lowconf_cap)
-                    return RC_CAPACITY;
+                    OVERFLOW(CAP_LOWCONF);
                 lowconf[lowconf_n++] = k;
             }
             iq_occ += 1;
@@ -789,7 +793,7 @@ i64 repro_coresim_run(
             if (ndeps == 0) {
                 first_ready[k] = cycle + 1;
                 if (ready_n >= ready_cap)
-                    return RC_CAPACITY;
+                    OVERFLOW(CAP_READY);
                 ready_n = heap_push(ready, ready_n,
                                     ((cycle + 1) << EV_SHIFT) | k);
             }

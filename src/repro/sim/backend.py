@@ -1,20 +1,17 @@
-"""Selectable execution engines for the CoreSim hot loop.
+"""The C kernel that runs the CoreSim hot loop, and the engine choice.
 
-The pure-Python event loop in :meth:`repro.sim.core.CoreSim._run` stays
-the equivalence oracle; this module can replace its execution with a
-compiled kernel over flat int64 arrays:
+``repro/sim/_native/coresim.c`` is a hand-maintained mirror of the
+pure-Python event loop in :meth:`repro.sim.core.CoreSim._run`, compiled
+once with the system C compiler (``$CC``, else ``cc``/``gcc``/``clang``)
+into ``~/.cache/repro/native`` (``$REPRO_NATIVE_CACHE_DIR``) and driven
+through ``ctypes`` over flat int64 arrays.  It needs no Python
+dependency beyond NumPy.
 
-- ``python`` — the pure-Python hot loop (always available; the oracle).
-- ``c`` — ``repro/sim/_native/coresim.c`` (a hand-maintained mirror of
-  the same loop) compiled once with the system C compiler into
-  ``~/.cache/repro/native`` and driven through ``ctypes``.  No Python
-  dependencies; needs only ``cc``.
-- ``auto`` (default) — ``c`` if a C compiler builds the kernel, else
-  ``python``.
-
-Selection happens at import time from ``REPRO_SIM_BACKEND`` and can be
-overridden programmatically (:func:`set_backend`, :func:`use_backend`)
-— the CLI's ``--sim-backend`` flag routes through :func:`set_backend`.
+The simulator picks its engine from what it can observe: the kernel runs
+whenever the compiler builds it; the Python loop runs when it cannot,
+and for runs with a :class:`~repro.obs.tracer.PipelineTracer` attached.
+:func:`set_backend` / :func:`use_backend` pin the Python loop (or the
+kernel) as the oracle hook for tests and benchmarks.
 
 Both engines produce byte-identical ``SimStats.to_dict()`` payloads
 (enforced by ``tests/test_sim_equivalence.py`` / ``test_sim_backends.py``)
@@ -22,17 +19,13 @@ and leave the run's :class:`~repro.sim.cache.CacheHierarchy` in the
 same state, so interval sampling's cache-residency checkpoints
 (:mod:`repro.sim.sample`) work unchanged on native runs.
 
-Runs the kernel cannot represent exactly — pipeline tracers attached,
-``seq``/``when`` outside the int64 packing bounds, a cache snapshot
-wider than the configured associativity, a scratch-capacity abort —
-transparently fall back to the Python loop.
-
 Events and ready entries are packed ints exactly like the pure-Python
 hot loop, but with a 32-bit cycle shift so they fit in int64
-(``(when << 32) | (seq << 2) | kind`` and ``(cycle << 32) | seq``);
-:func:`try_run_native` guarantees ``seq < 2**30`` and ``when < 2**31``,
-so the packing cannot overflow and orders identically to the reference
-tuples.
+(``(when << 32) | (seq << 2) | kind`` and ``(cycle << 32) | seq``).
+Construction bounds make every run representable:
+:data:`~repro.sim.compile.MAX_TRACE_LENGTH` keeps ``seq < 2**30`` and
+:data:`~repro.sim.config.MAX_CYCLES` keeps ``when < 2**31``, so the
+packing cannot overflow and orders identically to the reference tuples.
 """
 
 from __future__ import annotations
@@ -43,7 +36,6 @@ import os
 import shutil
 import subprocess
 import threading
-import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -54,9 +46,6 @@ from repro.sim.compile import FU_CLASSES, CompiledTrace
 from repro.sim.stats import SimStats, StallReason
 
 _STALL_REASONS = tuple(StallReason)
-
-#: Recognised REPRO_SIM_BACKEND values.
-VALID_BACKENDS = ("auto", "python", "c")
 
 #: Native-state pool bound per PackedTrace (mirrors compile._POOL_MAX).
 _POOL_MAX = 8
@@ -89,8 +78,8 @@ CFG_LEN = 36
     ST_CYCLES, ST_INSTR, ST_DISPATCHED, ST_LOADS, ST_STORES,
     ST_BRANCHES, ST_MISPRED, ST_TCA_INV, ST_TCA_READS, ST_TCA_WRITES,
     ST_TCA_WAIT, ST_TCA_EXEC, ST_ROB_SUM, ST_ROB_SAMPLES, ST_MAX_ROB,
-    ST_ERR_CYCLE, ST_ERR_COMMITTED, ST_ERR_PC,
-) = range(18)
+    ST_ERR_CYCLE, ST_ERR_COMMITTED, ST_ERR_PC, ST_ERR_ARRAY,
+) = range(19)
 ST_STALL_BASE = 20  # one slot per StallReason, in definition order
 ST_LEN = 32
 
@@ -98,12 +87,12 @@ CS_L1_ACC, CS_L1_MISS, CS_L2_ACC, CS_L2_MISS, CS_PREFETCHES = range(5)
 CS_LEN = 8
 
 RC_OK = 0
-RC_CAPACITY = -2  # scratch array overflow: the Python loop runs instead
+RC_CAPACITY = -2  # a scratch array overflowed (names it in ST_ERR_ARRAY)
 RC_WATCHDOG = -3  # exceeded max_cycles
 RC_DEADLOCK = -4  # no progress possible
 
-_SEQ_LIMIT = 1 << 30
-_WHEN_LIMIT = 1 << 31
+#: The scratch arrays ST_ERR_ARRAY names (mirrors CAP_* in coresim.c).
+_CAPACITY_ARRAYS = {1: "events", 2: "ready", 3: "writers", 4: "lowconf"}
 
 _I64 = np.int64
 _U8 = np.uint8
@@ -148,7 +137,7 @@ class PackedTrace:
 
     __slots__ = (
         "length", "n_edges", "columns", "fu_used", "max_tca_reads",
-        "writers_cap", "lowconf_cap", "max_static_lat", "_pool",
+        "writers_cap", "lowconf_cap", "_pool",
     )
 
     def __init__(self, ct: CompiledTrace) -> None:
@@ -160,9 +149,6 @@ class PackedTrace:
         self.max_tca_reads = int(ct.tca_read_count.max()) if n else 0
         self.writers_cap = int(np.count_nonzero(np.diff(ct.wr_start)))
         self.lowconf_cap = int(np.count_nonzero(ct.lowconf_flag))
-        lat_max = int(ct.lat_over.max()) if n else 0
-        comp_max = int(ct.tca_comp_lat.max()) if n else 0
-        self.max_static_lat = max(1, lat_max, comp_max)
         self._pool: list[NativeRunState] = []
 
     def acquire_state(self) -> NativeRunState:
@@ -190,37 +176,22 @@ def get_packed(ct: CompiledTrace) -> PackedTrace:
 # =================================================================== selection
 
 _lock = threading.Lock()
-_requested: str | None = None  # programmatic override (None = environment)
-_resolved: tuple[str, object] | None = None  # (effective name, impl callable)
-
-
-def _env_request() -> str:
-    value = os.environ.get("REPRO_SIM_BACKEND", "auto").strip().lower()
-    if value not in VALID_BACKENDS:
-        warnings.warn(
-            f"unknown REPRO_SIM_BACKEND={value!r}; using 'auto' "
-            f"(valid: {', '.join(VALID_BACKENDS)})",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return "auto"
-    return value
-
-
-def requested_backend() -> str:
-    """The backend request in effect (override, else environment)."""
-    return _requested if _requested is not None else _env_request()
+_requested: str | None = None  # "python", "c", or None (the kernel if it builds)
+_resolved: str | None = None  # the engine in effect, resolved on first use
 
 
 def set_backend(name: str | None) -> None:
-    """Override the backend selection (``None`` returns to the environment)."""
+    """Pin the engine: ``"python"`` (the oracle loop), ``"c"`` or ``None``.
+
+    The oracle hook for tests and benchmarks.  ``None`` restores the
+    default: the kernel whenever the C compiler builds it.  ``"c"``
+    builds the kernel now and raises ``RuntimeError`` if it cannot.
+    """
     global _requested, _resolved
-    if name is not None:
-        name = name.strip().lower()
-        if name not in VALID_BACKENDS:
-            raise ValueError(
-                f"unknown sim backend {name!r}; valid: {', '.join(VALID_BACKENDS)}"
-            )
+    if name not in ("python", "c", None):
+        raise ValueError(f"unknown sim backend {name!r}; valid: 'python', 'c', None")
+    if name == "c":
+        _build_c_kernel()
     with _lock:
         _requested = name
         _resolved = None
@@ -283,81 +254,34 @@ def _call_c(args):
     return fn(*[ctypes.c_void_p(a.ctypes.data) for a in args])
 
 
-def _resolve() -> tuple[str, object]:
-    """Resolve the request to ``(effective_name, impl)``.
-
-    ``impl`` is ``None`` for the pure-Python hot loop, else a callable
-    taking the packed kernel argument tuple and returning an RC code.
-    """
-    request = requested_backend()
-    if request == "python":
-        return "python", None
-    try:
-        _build_c_kernel()
-    except Exception as exc:
-        if request == "c":
-            warnings.warn(
-                f"REPRO_SIM_BACKEND=c unavailable ({exc}); "
-                "falling back to the pure-Python engine",
-                RuntimeWarning,
-                stacklevel=3,
-            )
-        return "python", None
-    return "c", _call_c
-
-
 def effective_backend() -> str:
-    """The backend actually in use after availability fallbacks."""
+    """The engine untraced runs use: ``"c"`` or ``"python"``."""
     global _resolved
     with _lock:
         if _resolved is None:
-            _resolved = _resolve()
-        return _resolved[0]
-
-
-def _impl():
-    global _resolved
-    with _lock:
-        if _resolved is None:
-            _resolved = _resolve()
-        return _resolved[1]
+            _resolved = "python"
+            if _requested != "python":
+                try:
+                    _build_c_kernel()
+                    _resolved = "c"
+                except (OSError, RuntimeError):  # no compiler, or it failed
+                    pass
+        return _resolved
 
 
 # ====================================================================== driver
 
 
-def _fits(sim, pt: PackedTrace) -> bool:
-    """Whether the run is representable in the kernel's int64 packing."""
-    config = sim.config
-    if pt.length >= _SEQ_LIMIT:
-        return False
-    cache = sim.cache
-    max_lat = max(
-        pt.max_static_lat,
-        cache.l1.config.latency + cache.l2.config.latency + cache.mem_latency,
-        config.forward_latency,
-        config.commit_latency,
-        config.redirect_penalty,
-        config.frontend_depth,
-        1,
-    )
-    for cls in pt.fu_used:
-        max_lat = max(max_lat, config.fu_for(FU_CLASSES[cls]).latency)
-    return config.max_cycles + 2 + max_lat < _WHEN_LIMIT
-
-
 def _load_level(level, num_sets: int, assoc: int):
     """Marshal one _CacheLevel's residency into (tags, cnt) arrays.
 
-    Returns ``None`` when a loaded snapshot exceeds the configured
-    associativity (a foreign snapshot the fixed-way arrays cannot hold).
+    ``_CacheLevel.load_state`` refuses a snapshot wider than the ways, so
+    every set fits its ``assoc`` slots.
     """
     tags = np.zeros(num_sets * assoc, dtype=_I64)
     cnt = np.zeros(num_sets, dtype=_I64)
     for idx, set_tags in level._sets.items():
         m = len(set_tags)
-        if m > assoc:
-            return None
         cnt[idx] = m
         tags[idx * assoc : idx * assoc + m] = set_tags
     return tags, cnt
@@ -373,36 +297,24 @@ def _store_level(level, tags, cnt, assoc: int) -> None:
 
 
 def try_run_native(sim) -> SimStats | None:
-    """Run ``sim`` on the selected native backend.
+    """Run ``sim`` on the C kernel.
 
-    Returns the populated :class:`SimStats` on success, or ``None`` when
-    the Python hot loop should run instead (python backend selected, the
-    run is untraceable natively, packing bounds exceeded, or a scratch
-    capacity abort).  On ``None`` the simulation state (cache hierarchy,
-    pooled run state) is untouched, so the caller's fallback is exact.
+    Returns the populated :class:`SimStats`, or ``None`` when the Python
+    loop is the engine (pinned by :func:`set_backend`, or the kernel
+    cannot build); the simulation state is then untouched.  A scratch
+    overflow in the kernel raises ``RuntimeError`` naming the array.
     """
-    impl = _impl()
-    if impl is None:
+    if effective_backend() != "c":
         return None
     pt = get_packed(sim.compiled)
-    if not _fits(sim, pt):
-        return None
     config = sim.config
     cache = sim.cache
     l1c = cache.l1.config
     l2c = cache.l2.config
-    if l1c.line != l2c.line:
-        return None
     l1_sets, l1_assoc = l1c.num_sets, l1c.assoc
     l2_sets, l2_assoc = l2c.num_sets, l2c.assoc
-    l1_loaded = _load_level(cache.l1, l1_sets, l1_assoc)
-    if l1_loaded is None:
-        return None
-    l2_loaded = _load_level(cache.l2, l2_sets, l2_assoc)
-    if l2_loaded is None:
-        return None
-    l1_tags, l1_cnt = l1_loaded
-    l2_tags, l2_cnt = l2_loaded
+    l1_tags, l1_cnt = _load_level(cache.l1, l1_sets, l1_assoc)
+    l2_tags, l2_cnt = _load_level(cache.l2, l2_sets, l2_assoc)
 
     start = sim._start
     stop = sim._stop
@@ -511,17 +423,17 @@ def try_run_native(sim) -> SimStats | None:
         stats_out,
     )
     with span("sim.kernel"):
-        rc = impl(args)
+        rc = _call_c(args)
 
     if rc == RC_CAPACITY:
-        # Scratch overflow: discard the (dirty) native state and let the
-        # oracle loop run this one.  sim.cache was not written back, so
-        # the fallback starts from the exact pre-run hierarchy.
-        return None
+        # The driver sizes every scratch array for the worst case, so this
+        # is a sizing bug; the dirty state block is not pooled.
+        array = _CAPACITY_ARRAYS.get(int(stats_out[ST_ERR_ARRAY]), "unknown")
+        raise RuntimeError(f"C kernel overflowed its {array!r} scratch array")
     if rc == RC_WATCHDOG:
-        from repro.sim.core import DeadlockError
+        from repro.sim.core import CycleLimitError
 
-        raise DeadlockError(
+        raise CycleLimitError(
             f"exceeded max_cycles={config.max_cycles} "
             f"(committed {int(stats_out[ST_ERR_COMMITTED])}/{stop})"
         )
@@ -536,7 +448,7 @@ def try_run_native(sim) -> SimStats | None:
             f"rob={err_pc - err_committed}, pc={err_pc})"
         )
     if rc != RC_OK:  # pragma: no cover - defensive
-        return None
+        raise RuntimeError(f"C kernel returned unknown code {rc}")
 
     pt.release_state(st)
 

@@ -132,13 +132,31 @@ class _CacheLevel:
         """Replace residency with an :meth:`export_state` snapshot.
 
         Set indices arriving as strings (a snapshot round-tripped through
-        JSON) are accepted; stats counters are untouched.
+        JSON) are accepted; stats counters are untouched.  A snapshot
+        this level could not have produced raises ``ValueError``: a set
+        index out of range, more tags than ways, a repeated tag, or a tag
+        (outside int64 or) of another set.
         """
-        self._sets = {
-            int(idx): [int(tag) for tag in tags]
-            for idx, tags in state.items()
-            if tags
-        }
+        num_sets = self._num_sets
+        sets: dict[int, list[int]] = {}
+        for key, raw in state.items():
+            idx = int(key)
+            tags = [int(tag) for tag in raw]
+            if not tags:
+                continue
+            if not 0 <= idx < num_sets:
+                raise ValueError(f"cache snapshot set {idx} outside [0, {num_sets})")
+            if len(tags) > self._assoc:
+                raise ValueError(
+                    f"cache snapshot set {idx} holds {len(tags)} tags "
+                    f"for {self._assoc} ways"
+                )
+            if len(set(tags)) != len(tags):
+                raise ValueError(f"cache snapshot set {idx} repeats a tag")
+            if any(not 0 <= tag < 1 << 63 or tag % num_sets != idx for tag in tags):
+                raise ValueError(f"cache snapshot set {idx} holds a foreign tag")
+            sets[idx] = tags
+        self._sets = sets
 
 
 class CacheHierarchy:

@@ -74,6 +74,10 @@ _KIND_OF = {
 _I64 = np.int64
 _U8 = np.uint8
 
+#: Traces must be shorter than this: the C kernel packs a sequence number
+#: into 30 bits of each event key.
+MAX_TRACE_LENGTH = 1 << 30
+
 #: Op class → op code, an index into ``tuple(OpClass)``.
 _CODE_OF = {op: code for code, op in enumerate(OpClass)}.__getitem__
 _KIND_BY_CODE = np.array([_KIND_OF.get(op, K_OTHER) for op in OpClass], dtype=_U8)
@@ -402,6 +406,10 @@ class CompiledTrace:
     def __init__(self, trace: Trace) -> None:
         records = trace.instructions
         n = len(records)
+        if n >= MAX_TRACE_LENGTH:
+            raise ValueError(
+                f"trace of {n} instructions exceeds the {MAX_TRACE_LENGTH - 1} limit"
+            )
         self.instructions = records
         self._fingerprint: str | None = getattr(trace, "_fingerprint", None)
         self.name = trace.name

@@ -18,7 +18,36 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.core.modes import TCAMode
-from repro.isa.instructions import OpClass
+from repro.isa.instructions import CACHE_LINE_BYTES, MAX_LATENCY, OpClass
+
+#: Upper bound on :attr:`SimConfig.max_cycles`.  With
+#: :data:`~repro.isa.instructions.MAX_LATENCY` (2**26, the bound on every
+#: latency field, functional unit, latency override and TCA compute
+#: latency) it keeps every timestamp inside the C kernel's event packing,
+#: which needs ``when < 2**31``.  An event is scheduled at most one
+#: latency after cycle ``max_cycles + 1``, and the longest latency is a
+#: full L1 + L2 + memory miss:
+#: ``max_cycles + 2 + 3 * MAX_LATENCY <= 2**30 + 2 + 3 * 2**26 < 2**31``.
+MAX_CYCLES = 1 << 30
+
+_INF = float("inf")
+
+#: The inclusive range of every int field: counts of structures, ports
+#: and contexts, then latencies (cycles), then the watchdog.
+_INT_RANGES = {
+    **dict.fromkeys(
+        ("dispatch_width", "issue_width", "commit_width", "rob_size", "iq_size",
+         "lq_size", "sq_size", "load_ports", "store_ports", "l1d_size",
+         "l1d_assoc", "l2_size", "l2_assoc", "mshrs", "tca_units"),
+        (1, _INF),
+    ),
+    **dict.fromkeys(
+        ("frontend_depth", "commit_latency", "redirect_penalty", "forward_latency"),
+        (0, MAX_LATENCY),
+    ),
+    **dict.fromkeys(("l1d_latency", "l2_latency", "mem_latency"), (1, MAX_LATENCY)),
+    "max_cycles": (1, MAX_CYCLES),
+}
 
 
 @dataclass(frozen=True)
@@ -40,8 +69,10 @@ class FunctionalUnitConfig:
     def __post_init__(self) -> None:
         if self.ports <= 0:
             raise ValueError(f"ports must be positive, got {self.ports}")
-        if self.latency < 1:
-            raise ValueError(f"latency must be >= 1, got {self.latency}")
+        if not 1 <= self.latency <= MAX_LATENCY:
+            raise ValueError(
+                f"latency must be in [1, {MAX_LATENCY}], got {self.latency}"
+            )
 
 
 def _default_fus(width: int) -> dict[OpClass, FunctionalUnitConfig]:
@@ -92,7 +123,8 @@ class SimConfig:
         mem_latency: DRAM access latency.
         prefetch_next_line: idealized next-line prefetcher on demand
             misses (default off; see :class:`repro.sim.cache.CacheHierarchy`).
-        mshrs: maximum outstanding cache misses (core + TCA).
+        mshrs: maximum outstanding cache misses (core + TCA; at least
+            one, or no L1 miss could ever issue).
         tca_mode: TCA integration mode (leading/trailing concurrency).
         tca_units: concurrent TCA invocations the accelerator supports
             (1 = the paper's single hardware block; higher values model a
@@ -101,7 +133,13 @@ class SimConfig:
             §VIII confidence-gated policy — an invocation may begin once
             every older *low-confidence* branch has resolved, instead of
             waiting for a full ROB drain.  L modes are unaffected.
-        max_cycles: watchdog bound; the simulator raises if exceeded.
+        max_cycles: watchdog bound, at most :data:`MAX_CYCLES`; the
+            simulator raises :class:`~repro.sim.core.CycleLimitError` if
+            a run exceeds it.
+
+    Construction type-checks every int and bool field and rejects values
+    outside the ranges above, so a bad configuration fails here rather
+    than mid-run.
     """
 
     name: str = "custom"
@@ -136,27 +174,26 @@ class SimConfig:
     max_cycles: int = 200_000_000
 
     def __post_init__(self) -> None:
-        for attr in (
-            "dispatch_width",
-            "issue_width",
-            "commit_width",
-            "rob_size",
-            "iq_size",
-            "lq_size",
-            "sq_size",
-            "load_ports",
-            "store_ports",
-            "tca_units",
-        ):
-            if getattr(self, attr) <= 0:
-                raise ValueError(f"{attr} must be positive, got {getattr(self, attr)}")
-        for attr in ("frontend_depth", "commit_latency", "redirect_penalty", "mshrs"):
-            if getattr(self, attr) < 0:
-                raise ValueError(
-                    f"{attr} must be non-negative, got {getattr(self, attr)}"
-                )
+        for attr, (low, high) in _INT_RANGES.items():
+            value = getattr(self, attr)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{attr} must be an int, got {value!r}")
+            if not low <= value <= high:
+                raise ValueError(f"{attr} must be in [{low}, {high}], got {value}")
+        for attr in ("prefetch_next_line", "partial_speculation"):
+            value = getattr(self, attr)
+            if not isinstance(value, bool):
+                raise TypeError(f"{attr} must be a bool, got {value!r}")
         if self.rob_size < self.dispatch_width:
             raise ValueError("rob_size must be at least dispatch_width")
+        for level in ("l1d", "l2"):
+            size = getattr(self, f"{level}_size")
+            assoc = getattr(self, f"{level}_assoc")
+            if size % (assoc * CACHE_LINE_BYTES):
+                raise ValueError(
+                    f"{level}_size {size} is not a multiple of {level}_assoc "
+                    f"* line ({assoc} * {CACHE_LINE_BYTES})"
+                )
 
     def with_mode(self, mode: TCAMode) -> "SimConfig":
         """Copy of this config with a different TCA integration mode."""

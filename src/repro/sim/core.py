@@ -71,6 +71,10 @@ class DeadlockError(RuntimeError):
     """The pipeline can make no further progress (internal invariant broken)."""
 
 
+class CycleLimitError(DeadlockError):
+    """The run exceeded its configuration's ``max_cycles`` watchdog bound."""
+
+
 class CoreSim:
     """Cycle-level execution of one trace on one core configuration.
 
@@ -322,7 +326,7 @@ class CoreSim:
         cycle = 0
         while committed < trace_len:
             if cycle > max_cycles:
-                raise DeadlockError(
+                raise CycleLimitError(
                     f"exceeded max_cycles={max_cycles} "
                     f"(committed {committed}/{trace_len})"
                 )

@@ -8,6 +8,7 @@ encoding are all exercised exactly as a client would see them.
 import io
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -20,6 +21,7 @@ from repro.isa.trace import TraceBuilder
 from repro.isa.trace_io import dump_trace
 from repro.serve.params import RequestError
 from repro.serve.service import ServeApp, make_server
+from repro.workloads.heap import HeapWorkloadSpec, generate_heap_program
 
 
 @pytest.fixture(scope="module")
@@ -563,6 +565,77 @@ class TestSimulate:
         )
         assert status == 400
         assert "bogus_knob" in body["error"]
+
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"mshrs": 0},
+            {"max_cycles": "100000"},
+            {"l1d_assoc": "8"},
+            {"l1d_latency": -3},
+            {"max_cycles": -5},
+            {"l1d_latency": 3.5},
+            {"rob_size": True},
+            {"prefetch_next_line": 1},
+            {"l2_size": 1000},
+        ],
+        ids=lambda override: "{}={!r}".format(*next(iter(override.items()))),
+    )
+    def test_bad_config_override_is_field_tagged_400(self, server_port, override):
+        # Refused when the config is built, before any run: mshrs=0 used
+        # to spin to the 200M-cycle watchdog on a trace with L1 misses.
+        heap = generate_heap_program(HeapWorkloadSpec(slots=40, seed=3))
+        text = io.StringIO()
+        dump_trace(heap.accelerated(), text)
+        config = {"preset": "a72", **override}
+        for payload, field in (
+            ({"trace": text.getvalue(), "config": config}, "config"),
+            (
+                {"runs": [{"trace": _trace_text()},
+                          {"trace": text.getvalue(), "config": config}]},
+                "runs[1].config",
+            ),
+        ):
+            started = time.monotonic()
+            status, body = _request(server_port, "/simulate", payload)
+            assert time.monotonic() - started < 1.0
+            assert status == 400, body
+            assert body["field"] == field
+            assert next(iter(override)) in body["error"]
+
+    def test_exceeding_client_max_cycles_is_tagged_400(self, server_port):
+        # The client chose the bound, so overrunning it is a 400 on that
+        # run's max_cycles field, not a server error.
+        short = {"preset": "a72", "max_cycles": 5}
+        for payload, field in (
+            ({"trace": _trace_text(), "config": short}, "config.max_cycles"),
+            (
+                {"runs": [{"trace": _trace_text()},
+                          {"trace": _trace_text(), "config": short}]},
+                "runs[1].config.max_cycles",
+            ),
+        ):
+            started = time.monotonic()
+            status, body = _request(server_port, "/simulate", payload)
+            assert time.monotonic() - started < 1.0
+            assert status == 400, body
+            assert body["field"] == field
+            assert "max_cycles=5" in body["error"]
+
+    def test_engine_deadlock_stays_a_server_error(self, monkeypatch):
+        # "No progress possible" breaks an engine invariant: not the
+        # client's fault, so it must not become a 400.
+        from repro.serve import service
+        from repro.sim.core import DeadlockError
+
+        def deadlock(*args, **kwargs):
+            raise DeadlockError("no progress possible at cycle 7")
+
+        monkeypatch.setattr(service.api, "simulate", deadlock)
+        with pytest.raises(DeadlockError) as info:
+            ServeApp().handle_simulate({"trace": _trace_text()})
+        assert not isinstance(info.value, RequestError)
 
 
 class TestLimitsAndRouting:

@@ -1,28 +1,40 @@
-"""Tests of the selectable sim backends (:mod:`repro.sim.backend`).
+"""Tests of the simulator's engine choice and C kernel (:mod:`repro.sim.backend`).
 
-Three layers: selection semantics (environment parsing, programmatic
-overrides, the availability-fallback chain), the representability
-guards that route unsupported runs back to the Python oracle, and
+Three layers: engine selection (the kernel whenever it builds, the
+Python loop when pinned as the oracle, when the kernel cannot build, or
+when a tracer is attached), the construction bounds that make every run
+representable in the kernel's int64 packing (each input the kernel once
+handed back to the Python loop is now refused before a run starts), and
 byte-identical equivalence of the compiled C kernel against the
-pure-Python hot loop.  The ``c`` tests run whenever a system C compiler
-is present.
+pure-Python hot loop.  The ``c`` tests run whenever the kernel builds.
 """
 
 import dataclasses
 import json
-import shutil
 
 import pytest
 
 from repro.core.modes import TCAMode
-from repro.sim import backend
+from repro.isa.instructions import MAX_LATENCY, Instruction, OpClass, TCADescriptor
+from repro.isa.trace import Trace, TraceBuilder
+from repro.obs.tracer import PipelineTracer
+from repro.sim import backend, compile as sim_compile
 from repro.sim.compile import compile_trace
-from repro.sim.config import HIGH_PERF_SIM, LOW_PERF_SIM
-from repro.sim.core import CoreSim, DeadlockError
+from repro.sim.config import (
+    HIGH_PERF_SIM,
+    LOW_PERF_SIM,
+    MAX_CYCLES,
+    FunctionalUnitConfig,
+)
+from repro.sim.core import CoreSim, CycleLimitError, DeadlockError
 from repro.workloads.heap import HeapWorkloadSpec, generate_heap_program
 from repro.workloads.synthetic import SyntheticSpec, generate_synthetic_program
 
-HAS_CC = any(shutil.which(cc) for cc in ("cc", "gcc", "clang"))
+#: Whether the C kernel builds here (a ``cc`` binary alone is not enough).
+HAS_KERNEL = backend.effective_backend() == "c"
+needs_kernel = pytest.mark.skipif(
+    not HAS_KERNEL, reason="the C kernel does not build here"
+)
 
 MODES = TCAMode.all_modes()
 
@@ -65,49 +77,57 @@ def _run(backend_name, config, trace, warm_ranges=None):
 
 
 class TestSelection:
-    def test_env_request_parses_valid_values(self, monkeypatch):
-        for name in backend.VALID_BACKENDS:
-            monkeypatch.setenv("REPRO_SIM_BACKEND", name.upper() + " ")
-            assert backend._env_request() == name
-
-    def test_unknown_env_value_warns_and_uses_auto(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SIM_BACKEND", "fortran")
-        backend.set_backend(None)
-        with pytest.warns(RuntimeWarning, match="unknown REPRO_SIM_BACKEND"):
-            assert backend.requested_backend() == "auto"
-
     def test_set_backend_rejects_unknown_names(self):
-        # Includes the retired numba/interpreted/cython selectors.
-        for name in ("fortran", "numba", "interpreted", "cython"):
+        # Includes the retired auto/numba/interpreted/cython selectors.
+        for name in ("auto", "fortran", "numba", "interpreted", "cython", "C"):
             with pytest.raises(ValueError, match="unknown sim backend"):
                 backend.set_backend(name)
 
-    def test_override_beats_environment(self, monkeypatch):
+    def test_environment_does_not_select_the_engine(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIM_BACKEND", "python")
-        backend.set_backend("c")
-        assert backend.requested_backend() == "c"
         backend.set_backend(None)
-        assert backend.requested_backend() == "python"
+        assert backend.effective_backend() == ("c" if HAS_KERNEL else "python")
 
     def test_use_backend_restores_on_exit(self):
         backend.set_backend("python")
-        with backend.use_backend("c"):
-            assert backend.requested_backend() == "c"
-        assert backend.requested_backend() == "python"
+        with backend.use_backend(None):
+            assert backend.effective_backend() == ("c" if HAS_KERNEL else "python")
+        assert backend.effective_backend() == "python"
 
     def test_python_backend_resolves_to_no_impl(self):
         backend.set_backend("python")
         assert backend.effective_backend() == "python"
-        assert backend._impl() is None
 
     def test_auto_prefers_a_native_backend_when_available(self):
-        backend.set_backend("auto")
-        assert backend.effective_backend() == ("c" if HAS_CC else "python")
+        backend.set_backend(None)
+        assert backend.effective_backend() == ("c" if HAS_KERNEL else "python")
 
-    @pytest.mark.skipif(not HAS_CC, reason="no C compiler on this host")
+    @needs_kernel
     def test_c_backend_resolves_when_compiler_present(self):
         backend.set_backend("c")
         assert backend.effective_backend() == "c"
+
+    def test_no_compiler_selects_the_python_loop(self, monkeypatch, tmp_path):
+        # A host whose compiler fails (CC=false) and whose kernel cache is
+        # empty: pinning "c" raises, and the default is the Python loop.
+        monkeypatch.setenv("CC", "false")
+        monkeypatch.setenv("REPRO_NATIVE_CACHE_DIR", str(tmp_path))
+        monkeypatch.setattr(backend, "_C_FUNC", None)
+        with pytest.raises(RuntimeError, match="C kernel build failed"):
+            backend.set_backend("c")
+        backend.set_backend(None)
+        assert backend.effective_backend() == "python"
+        assert backend.try_run_native(CoreSim(HIGH_PERF_SIM, CASES[0][1])) is None
+
+    def test_tracer_runs_the_python_loop(self, monkeypatch):
+        def refuse(sim):
+            raise AssertionError("a traced run reached the kernel")
+
+        monkeypatch.setattr(backend, "try_run_native", refuse)
+        tracer = PipelineTracer()
+        stats = CoreSim(HIGH_PERF_SIM, CASES[2][1], tracer=tracer).run()
+        assert stats.instructions == len(CASES[2][1])
+        assert tracer.instruction_events()
 
     def test_packed_trace_is_memoized_on_the_compiled_trace(self):
         compiled = compile_trace(CASES[0][1])
@@ -117,83 +137,120 @@ class TestSelection:
 # ====================================================== representability guards
 
 
-@pytest.mark.skipif(not HAS_CC, reason="no C compiler on this host")
 class TestNativeGuards:
-    def _sim(self, **config_overrides):
-        config = dataclasses.replace(HIGH_PERF_SIM, **config_overrides)
-        return CoreSim(config, CASES[0][1])
+    """Inputs the kernel once handed back to the Python loop are refused
+    at construction, so ``try_run_native`` never declines a run."""
 
     def test_python_backend_never_runs_native(self):
         backend.set_backend("python")
-        assert backend.try_run_native(self._sim()) is None
+        assert backend.try_run_native(CoreSim(HIGH_PERF_SIM, CASES[0][1])) is None
 
-    def test_when_packing_bound_routes_to_the_oracle(self):
-        backend.set_backend("c")
-        sim = self._sim(max_cycles=backend._WHEN_LIMIT)
-        assert backend.try_run_native(sim) is None
+    def test_when_packing_bound_is_refused_at_construction(self):
+        replace = dataclasses.replace
+        replace(HIGH_PERF_SIM, max_cycles=MAX_CYCLES, mem_latency=MAX_LATENCY)
+        for overrides in (
+            {"max_cycles": MAX_CYCLES + 1},
+            {"mem_latency": MAX_LATENCY + 1},
+            {"l1d_latency": MAX_LATENCY + 1},
+            {"redirect_penalty": MAX_LATENCY + 1},
+        ):
+            with pytest.raises(ValueError, match=next(iter(overrides))):
+                replace(HIGH_PERF_SIM, **overrides)
+        with pytest.raises(ValueError, match="latency"):
+            FunctionalUnitConfig(ports=1, latency=MAX_LATENCY + 1)
+        with pytest.raises(ValueError, match="latency override"):
+            Instruction(OpClass.INT_ALU, latency=MAX_LATENCY + 1)
+        with pytest.raises(ValueError, match="latency override"):
+            TraceBuilder("t").alu(1, latency=MAX_LATENCY + 1)
+        with pytest.raises(ValueError, match="compute_latency"):
+            TCADescriptor("acc", compute_latency=MAX_LATENCY + 1)
 
-    def test_oversized_cache_snapshot_routes_to_the_oracle(self):
-        # A loaded residency snapshot wider than the configured ways
-        # cannot live in the kernel's fixed-way arrays.
-        backend.set_backend("c")
-        sim = self._sim()
-        assoc = sim.cache.l1.config.assoc
-        sim.cache.l1._sets[0] = list(range(assoc + 1))
-        assert backend.try_run_native(sim) is None
+    def test_trace_length_bound_is_refused_at_construction(self, monkeypatch):
+        monkeypatch.setattr(sim_compile, "MAX_TRACE_LENGTH", 8)
+        compile_trace(Trace([Instruction(OpClass.NOP)] * 7), cache=False)
+        with pytest.raises(ValueError, match="exceeds the 7 limit"):
+            compile_trace(Trace([Instruction(OpClass.NOP)] * 8), cache=False)
 
-    def test_guard_fallback_leaves_the_run_exact(self):
-        # A run that trips a guard must produce stats identical to an
-        # unguarded python run: the fallback path is the same oracle.
-        trace = CASES[0][1]
-        config = dataclasses.replace(HIGH_PERF_SIM, max_cycles=backend._WHEN_LIMIT)
-        expected = _run("python", config, trace)
-        actual = _run("c", config, trace)
-        assert _dump(actual) == _dump(expected)
+    def test_malformed_cache_snapshot_is_refused(self):
+        sim = CoreSim(HIGH_PERF_SIM, CASES[0][1])
+        level = sim.cache.l1
+        sets, assoc = level.config.num_sets, level.config.assoc
+        level.load_state({"3": [3 + sets, 3]})  # JSON-style index, two ways
+        for snapshot, match in (
+            ({sets: [sets]}, "outside"),
+            ({0: [sets * i for i in range(assoc + 1)]}, "ways"),
+            ({0: [sets, sets]}, "repeats"),
+            ({0: [1]}, "foreign"),
+            ({0: [-sets]}, "foreign"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                level.load_state(snapshot)
+        with pytest.raises(ValueError, match="ways"):
+            CoreSim(
+                HIGH_PERF_SIM,
+                CASES[0][1],
+                cache_state={"l2": {0: list(range(0, 9 * 1024, 1024))}},
+            )
 
-    def test_capacity_abort_falls_back_to_an_exact_python_run(self, monkeypatch):
-        # The real kernel runs (dirtying its state block) and then reports
-        # a scratch overflow: try_run_native must drop that block and leave
-        # the cache hierarchy untouched so the Python loop runs exactly.
-        # Cold caches: a leaked write-back would turn later misses into hits.
-        label, trace, _ = CASES[1]
-        config = dataclasses.replace(HIGH_PERF_SIM, prefetch_next_line=True)
-        compiled = compile_trace(trace, cache=False)
-        with backend.use_backend("python"):
-            expected = CoreSim(config, compiled)
-            expected_stats = expected.run()
-
-        backend.set_backend("c")
-        kernel = backend._impl()
+    @needs_kernel
+    def test_capacity_abort_raises_naming_the_array(self, monkeypatch):
+        # The real kernel runs (dirtying its state block), then reports a
+        # ready-array overflow: a sizing bug that must surface, not be
+        # answered by another engine, and the dirty block is not pooled.
+        compiled = compile_trace(CASES[1][1], cache=False)
+        kernel = backend._call_c
 
         def run_then_abort(args):
             assert kernel(args) == backend.RC_OK
+            args[-1][backend.ST_ERR_ARRAY] = 2
             return backend.RC_CAPACITY
 
-        monkeypatch.setattr(backend, "_impl", lambda: run_then_abort)
-        sim = CoreSim(config, compiled)
-        stats = sim.run()
-
-        assert _dump(stats) == _dump(expected_stats), label
-        assert sim.cache.export_state() == expected.cache.export_state()
-        for level in ("l1", "l2"):
-            assert getattr(sim.cache, level).stats == getattr(
-                expected.cache, level
-            ).stats
-        assert sim.cache.prefetches == expected.cache.prefetches
+        backend.set_backend("c")
+        monkeypatch.setattr(backend, "_call_c", run_then_abort)
+        with pytest.raises(RuntimeError, match="'ready' scratch array"):
+            CoreSim(HIGH_PERF_SIM, compiled).run()
         assert backend.get_packed(compiled)._pool == []
 
     def test_watchdog_maps_to_deadlock_error(self):
         config = dataclasses.replace(HIGH_PERF_SIM, max_cycles=40)
-        with pytest.raises(DeadlockError):
-            _run("python", config, CASES[0][1])
-        with pytest.raises(DeadlockError, match="max_cycles"):
-            _run("c", config, CASES[0][1])
+        engines = ["python", "c"] if HAS_KERNEL else ["python"]
+        for engine in engines:
+            with pytest.raises(CycleLimitError, match="max_cycles=40"):
+                _run(engine, config, CASES[0][1])
+        assert issubclass(CycleLimitError, DeadlockError)
+
+    @needs_kernel
+    def test_extreme_bounds_match_the_python_loop(self):
+        # Every latency at MAX_LATENCY and the largest max_cycles: the
+        # kernel's packing must still order events like the Python loop.
+        builder = TraceBuilder("extreme")
+        builder.load(1, 0x1000)
+        builder.alu(2, (1,), latency=MAX_LATENCY)
+        builder.tca_over_range(
+            "acc", MAX_LATENCY, read_ranges=[(0x2000, 64)], srcs=(2,)
+        )
+        builder.branch((2,), mispredicted=True)
+        builder.alu(3, (2,))
+        config = dataclasses.replace(
+            LOW_PERF_SIM,
+            max_cycles=MAX_CYCLES,
+            l1d_latency=MAX_LATENCY,
+            l2_latency=MAX_LATENCY,
+            mem_latency=MAX_LATENCY,
+            redirect_penalty=MAX_LATENCY,
+            commit_latency=MAX_LATENCY,
+            forward_latency=MAX_LATENCY,
+        )
+        trace = builder.build()
+        expected = _run("python", config, trace)
+        assert expected.cycles > 4 * MAX_LATENCY
+        assert _dump(_run("c", config, trace)) == _dump(expected)
 
 
 # ================================================================= equivalence
 
 
-@pytest.mark.skipif(not HAS_CC, reason="no C compiler on this host")
+@needs_kernel
 class TestCEquivalence:
     """Full matrix on the compiled C kernel (fast enough to afford it)."""
 

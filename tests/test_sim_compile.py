@@ -3,7 +3,6 @@
 import gc
 import json
 import pickle
-import shutil
 import weakref
 from itertools import accumulate
 
@@ -13,14 +12,15 @@ from hypothesis import strategies as st
 
 from repro.core.modes import TCAMode
 from repro.isa.trace import Trace, TraceBuilder
-from repro.sim.backend import use_backend
+from repro.sim.backend import effective_backend, use_backend
 from repro.sim.compile import FU_CLASSES, CompiledTrace, compile_trace, warm_lines
 from repro.sim.config import HIGH_PERF_SIM
 from repro.sim.core import CoreSim
 from repro.sim.simulator import simulate, simulate_modes
 from repro.workloads.heap import HeapWorkloadSpec, generate_heap_program
 
-HAS_CC = any(shutil.which(cc) for cc in ("cc", "gcc", "clang"))
+#: Whether the C kernel builds here (a ``cc`` binary alone is not enough).
+HAS_KERNEL = effective_backend() == "c"
 
 
 def _trace():
@@ -79,7 +79,7 @@ class TestCompileTrace:
             "python",
             pytest.param(
                 "c",
-                marks=pytest.mark.skipif(not HAS_CC, reason="no C compiler on this host"),
+                marks=pytest.mark.skipif(not HAS_KERNEL, reason="the C kernel does not build here"),
             ),
         ],
     )
@@ -371,7 +371,7 @@ class TestRunStatePool:
         assert len(dumps) == 1
         assert len(compiled._pool) == 1
 
-    @pytest.mark.skipif(not HAS_CC, reason="no C compiler on this host")
+    @pytest.mark.skipif(not HAS_KERNEL, reason="the C kernel does not build here")
     def test_native_state_pool_reuses_blocks(self):
         # The native driver's per-run arrays pool mirrors the RunState
         # pool: clean runs recycle one block, and reuse leaves no residue.
@@ -400,7 +400,7 @@ class TestPickling:
         assert CoreSim(HIGH_PERF_SIM, clone).run().to_dict() == baseline
 
 
-    @pytest.mark.skipif(not HAS_CC, reason="no C compiler on this host")
+    @pytest.mark.skipif(not HAS_KERNEL, reason="the C kernel does not build here")
     def test_round_trip_simulates_identically_on_both_engines(self):
         from repro.sim import backend
 
@@ -422,7 +422,7 @@ class TestPickling:
                 got = CoreSim(HIGH_PERF_SIM, clone).run().to_dict()
             assert json.dumps(got) == expected, engine
 
-    @pytest.mark.skipif(not HAS_CC, reason="no C compiler on this host")
+    @pytest.mark.skipif(not HAS_KERNEL, reason="the C kernel does not build here")
     def test_native_runs_never_build_the_oracle_tables(self):
         from repro.sim import backend
 
@@ -439,7 +439,7 @@ class TestSpans:
         for child in node.get("children", ()):
             yield from TestSpans._names(child)
 
-    @pytest.mark.skipif(not HAS_CC, reason="no C compiler on this host")
+    @pytest.mark.skipif(not HAS_KERNEL, reason="the C kernel does not build here")
     def test_compile_and_kernel_spans(self):
         from repro import api
         from repro.obs.span import request_scope

@@ -8,15 +8,20 @@ the guarantee across three workload generators, all four TCA integration
 modes, warm and cold caches, and both bundled configuration extremes —
 the acceptance matrix of the compiled-trace optimization — plus
 multi-context TCAs (``tca_units=2``) with partial speculation, a TCA
-burst and a trace gated by low-confidence branches.
+burst and a trace gated by low-confidence branches.  Small-structure
+configurations (:data:`SMALL_STRUCTURES`) run every case on the seed
+engine, the Python loop and the C kernel: tight queues, MSHRs, ports
+and TCA contexts put the most pressure on the kernel's scratch arrays.
 """
 
 import dataclasses
 import json
+import random
 
 import pytest
 
 from repro.core.modes import TCAMode
+from repro.sim import backend
 from repro.sim.compile import compile_trace
 from repro.sim.config import HIGH_PERF_SIM, LOW_PERF_SIM
 from repro.sim.core import CoreSim
@@ -77,6 +82,35 @@ CASES = _cases()
 MODES = TCAMode.all_modes()
 
 
+def _small_structures():
+    """The all-minimum and all-maximum corners plus four seeded draws
+    from rob 2-24, iq 1-12, lq/sq 1-8, mshrs 1-4, tca_units 1-4 and
+    1-3 load/store ports."""
+    ranges = {
+        "rob_size": (2, 24), "iq_size": (1, 12), "lq_size": (1, 8),
+        "sq_size": (1, 8), "mshrs": (1, 4), "tca_units": (1, 4),
+        "load_ports": (1, 3), "store_ports": (1, 3),
+    }
+    rng = random.Random(21)
+    configs = [
+        {name: low for name, (low, _) in ranges.items()},
+        {name: high for name, (_, high) in ranges.items()},
+    ]
+    configs += [
+        {name: rng.randint(low, high) for name, (low, high) in ranges.items()}
+        for _ in range(4)
+    ]
+    for config in configs:
+        config["dispatch_width"] = min(2, config["rob_size"])
+    return configs
+
+
+SMALL_STRUCTURES = _small_structures()
+
+#: The engines CoreSim can run here: the kernel only where it builds.
+ENGINES = ["python", "c"] if backend.effective_backend() == "c" else ["python"]
+
+
 def _dump(stats) -> str:
     return json.dumps(stats.to_dict(), sort_keys=False)
 
@@ -98,6 +132,26 @@ class TestByteIdenticalStats:
         expected = ReferenceCoreSim(config, trace, warm_ranges=ranges).run()
         actual = CoreSim(config, trace, warm_ranges=ranges).run()
         assert _dump(actual) == _dump(expected)
+
+    @pytest.mark.parametrize(
+        "small",
+        SMALL_STRUCTURES,
+        ids=["rob{rob_size}-iq{iq_size}-mshr{mshrs}-tca{tca_units}".format(**c)
+             for c in SMALL_STRUCTURES],
+    )
+    @pytest.mark.parametrize("case", CASES, ids=[case[0] for case in CASES])
+    def test_small_structures_match_on_every_engine(self, small, case):
+        label, trace, warm_ranges, overrides = case
+        base = dataclasses.replace(LOW_PERF_SIM, **{**overrides, **small})
+        for mode in MODES:
+            config = base.with_mode(mode)
+            expected = _dump(
+                ReferenceCoreSim(config, trace, warm_ranges=warm_ranges).run()
+            )
+            for engine in ENGINES:
+                with backend.use_backend(engine):
+                    actual = CoreSim(config, trace, warm_ranges=warm_ranges).run()
+                assert _dump(actual) == expected, (engine, mode.value)
 
     def test_precompiled_trace_matches_reference(self):
         # Running from an explicitly precompiled trace (the reuse path of
