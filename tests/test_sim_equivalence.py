@@ -185,3 +185,41 @@ class TestByteIdenticalStats:
         expected = ReferenceCoreSim(HIGH_PERF_SIM, trace).run()
         actual = CoreSim(HIGH_PERF_SIM, trace).run()
         assert _dump(actual) == _dump(expected)
+
+
+def _residency(sim: CoreSim) -> tuple:
+    """The cache state a run leaves: residency plus every counter."""
+    cache = sim.cache
+    return (
+        cache.export_state(),
+        cache.l1.stats.accesses, cache.l1.stats.misses,
+        cache.l2.stats.accesses, cache.l2.stats.misses,
+        cache.prefetches,
+    )
+
+
+@pytest.mark.skipif(ENGINES == ["python"], reason="the C kernel does not build here")
+class TestCrossEngineResidency:
+    """Both engines leave the same cache behind, not only the same stats:
+    sampled checkpoints resume from the residency a native run exports."""
+
+    @pytest.mark.parametrize("config_name", ["high", "low"])
+    @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
+    @pytest.mark.parametrize(
+        "case", CASES, ids=[case[0] for case in CASES]
+    )
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    def test_export_state_and_counters_match(self, config_name, mode, case, warm):
+        label, trace, warm_ranges, overrides = case
+        if warm and not warm_ranges:
+            pytest.skip(f"{label} has no warm ranges")
+        base = HIGH_PERF_SIM if config_name == "high" else LOW_PERF_SIM
+        config = dataclasses.replace(base, tca_mode=mode, **overrides)
+        ranges = warm_ranges if warm else None
+        left = {}
+        for engine in ENGINES:
+            with backend.use_backend(engine):
+                sim = CoreSim(config, trace, warm_ranges=ranges)
+                sim.run()
+            left[engine] = _residency(sim)
+        assert left["c"] == left["python"]
