@@ -100,6 +100,7 @@ _POOL_MAX = 8
 
 #: Memo of warm-range tuples → cache-line address tuples (bounded).
 _WARM_LINE_MEMO: dict[tuple[tuple[int, int], ...], tuple[int, ...]] = {}
+_WARM_ARRAY_MEMO: dict[tuple[tuple[int, int], ...], np.ndarray] = {}
 _WARM_MEMO_MAX = 256
 
 
@@ -131,15 +132,32 @@ def warm_lines(warm_ranges) -> tuple[int, ...]:
     out: list[int] = []
     for addr, size in key:
         out.extend(lines_for_range(addr, size))
-    result = tuple(out)
-    # FIFO eviction: a long-lived serving process that has seen many
-    # distinct range lists keeps admitting new ones instead of degrading
-    # to uncached expansion forever (dicts preserve insertion order, so
-    # the first key out of the iterator is the oldest).
-    while len(_WARM_LINE_MEMO) >= _WARM_MEMO_MAX:
-        del _WARM_LINE_MEMO[next(iter(_WARM_LINE_MEMO))]
-    _WARM_LINE_MEMO[key] = result
-    return result
+    return _memoize(_WARM_LINE_MEMO, key, tuple(out))
+
+
+def warm_line_array(warm_ranges) -> np.ndarray:
+    """:func:`warm_lines` as a read-only int64 array (the kernel's input), memoized."""
+    key = tuple((int(a), int(s)) for a, s in warm_ranges)
+    cached = _WARM_ARRAY_MEMO.get(key)
+    if cached is not None:
+        return cached
+    lines = np.array(warm_lines(key), dtype=_I64)
+    lines.flags.writeable = False
+    return _memoize(_WARM_ARRAY_MEMO, key, lines)
+
+
+def _memoize(memo: dict, key, value):
+    """Store ``value`` under ``key``, evicting FIFO beyond the bound.
+
+    A long-lived serving process that has seen many distinct range lists
+    keeps admitting new ones instead of degrading to uncached expansion
+    forever (dicts preserve insertion order, so the first key out of the
+    iterator is the oldest).
+    """
+    while len(memo) >= _WARM_MEMO_MAX:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
 
 
 class RunState:

@@ -579,6 +579,13 @@ class TestSimulate:
             {"rob_size": True},
             {"prefetch_next_line": 1},
             {"l2_size": 1000},
+            {"iq_size": 10**12},
+            {"l2_size": 2**50},
+            {"rob_size": 2**40},
+            {"mshrs": 10**9},
+            {"tca_units": 10**6},
+            {"l1d_assoc": 2**20},
+            {"issue_width": 10**9},
         ],
         ids=lambda override: "{}={!r}".format(*next(iter(override.items()))),
     )

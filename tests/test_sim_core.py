@@ -4,8 +4,9 @@ import pytest
 
 from dataclasses import replace
 
+from repro.core.modes import TCAMode
 from repro.isa.trace import Trace, TraceBuilder
-from repro.sim.config import SimConfig
+from repro.sim.config import ARM_A72_SIM, HIGH_PERF_SIM, LOW_PERF_SIM, SimConfig
 from repro.sim.core import CoreSim, DeadlockError
 from repro.sim.simulator import simulate
 from repro.sim.stats import StallReason
@@ -213,3 +214,36 @@ class TestPrefetcherOption:
             warm_ranges=warm,
         )
         assert with_pf.cycles == without.cycles
+
+
+class TestConfigConstruction:
+    PRESETS = [SimConfig(), HIGH_PERF_SIM, LOW_PERF_SIM, ARM_A72_SIM]
+
+    @pytest.mark.parametrize("config", PRESETS, ids=lambda c: c.name)
+    @pytest.mark.parametrize("mode", TCAMode.all_modes(), ids=lambda m: m.value)
+    def test_with_mode_equals_replace(self, config, mode):
+        expected = replace(config, tca_mode=mode)
+        copy = config.with_mode(mode)
+        assert copy == expected
+        assert repr(copy) == repr(expected)  # checkpoint config keys
+        assert type(copy) is SimConfig and copy is not config
+        assert config.tca_mode is TCAMode.L_T  # the source is untouched
+
+    def test_structure_bounds_admit_their_maximum_and_refuse_past_it(self):
+        from repro.sim import config as sim_config
+
+        for field, bound in (
+            ("issue_width", sim_config.MAX_WIDTH),
+            ("iq_size", sim_config.MAX_ENTRIES),
+            ("mshrs", sim_config.MAX_ENTRIES),
+            ("tca_units", sim_config.MAX_TCA_UNITS),
+            ("l2_size", sim_config.MAX_CACHE_BYTES),
+            ("l1d_assoc", sim_config.MAX_ASSOC),
+        ):
+            overrides = {field: bound}
+            if field == "l1d_assoc":
+                overrides["l1d_size"] = bound * 64
+            replace(HIGH_PERF_SIM, **overrides)
+            overrides[field] = bound + 1
+            with pytest.raises(ValueError, match=field):
+                replace(HIGH_PERF_SIM, **overrides)
