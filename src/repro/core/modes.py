@@ -31,6 +31,10 @@ class TCAMode(Enum):
     NL_T = "NL_T"
     L_T = "L_T"
 
+    # Singleton members: identity hashing agrees with equality, skips
+    # Enum's Python-level hash (a batch hashes each query's mode).
+    __hash__ = object.__hash__
+
     @property
     def leading(self) -> bool:
         """Whether the TCA may overlap with leading instructions

@@ -175,7 +175,13 @@ class MetricsRegistry:
         }
 
     def set_info(self, name: str, value: Any) -> None:
-        """Attach a JSON-safe structured value under ``name``."""
+        """Attach a JSON-safe structured value under ``name``.
+
+        ``value`` may also be a zero-argument callable that builds it:
+        :meth:`snapshot` calls it, so an entry set on every simulator
+        run but read only by the occasional snapshot or manifest costs
+        nothing until it is read.
+        """
         self._info[name] = value
 
     def merge(self, other: "MetricsRegistry | dict[str, Any]") -> None:
@@ -237,7 +243,10 @@ class MetricsRegistry:
             "histograms": {
                 n: h.as_dict() for n, h in sorted(self._histograms.items())
             },
-            "info": dict(sorted(self._info.items())),
+            "info": {
+                n: value() if callable(value) else value
+                for n, value in sorted(self._info.items())
+            },
         }
 
     def render_table(self) -> str:

@@ -11,11 +11,11 @@ heavy traffic:
 - :mod:`repro.serve.cache` — a thread-safe, size/TTL-bounded in-memory
   LRU plus an optional on-disk store under ``~/.cache/repro/``, with
   hit/miss/eviction counters in the :class:`~repro.obs.metrics.MetricsRegistry`;
-- :mod:`repro.serve.batch` — a batch evaluation engine that partitions
-  heterogeneous queries by (core, accelerator, drain, mode) group,
-  coalesces each group into one vectorized
-  :func:`~repro.core.model.speedup_grid` call, and scatters results back
-  in request order (cached entries short-circuit before coalescing);
+- :mod:`repro.serve.batch` — a batch evaluation engine that evaluates
+  a batch's cache misses in one vectorized
+  :func:`~repro.core.model.speedup_rows` pass per mode, each row with
+  its own core, accelerator and drain, and scatters results back in
+  request order (cached entries short-circuit before evaluation);
 - :mod:`repro.serve.service` — a concurrent JSON-over-HTTP service
   (``repro-serve``) exposing ``/evaluate``, ``/sweep``, ``/simulate``,
   and ``/healthz``;

@@ -1,36 +1,35 @@
-"""Batch evaluation: coalesce heterogeneous queries into vectorized calls.
+"""Batch evaluation: heterogeneous queries in a few vectorized passes.
 
 A service request may mix queries over many cores, accelerators, modes,
-and drain configurations.  Evaluating each with a scalar
-:class:`~repro.core.model.TCAModel` wastes the vectorized path PR 2 built;
-this engine instead:
+and drain configurations, and the service parses every query into new
+parameter objects.  Evaluating each with a scalar
+:class:`~repro.core.model.TCAModel`, or each distinct configuration
+with its own :func:`~repro.core.model.speedup_grid` call, spends the
+request on per-call overhead.  This engine instead does per-request
+work in proportion to distinct values:
 
-1. partitions the queries into groups sharing
-   ``(core, accelerator, drain config, mode)`` — everything
-   :func:`~repro.core.model.speedup_grid` holds fixed per call;
-2. hashes each group's fixed configuration **once**
-   (:func:`~repro.serve.keys.evaluation_group_key`) and derives every
-   member's cache key as a cheap tuple over that digest — with caching
+1. derives every query's cache key from its group digest
+   (:func:`~repro.serve.keys.evaluation_group_key` over core,
+   accelerator, mode and drain configuration), looked up once per
+   parameter-object combination and memoized by value, so a digest is
+   hashed once per distinct configuration, not per query — with caching
    disabled, key construction is skipped entirely;
-3. short-circuits queries the cache already answers (one bulk
+2. short-circuits queries the cache already answers (one bulk
    :meth:`~repro.serve.cache.EvaluationCache.get_many` — a single lock
    round-trip for the whole batch);
-4. evaluates each group's remaining ``(a, v[, drain_time])`` vectors in
-   **one** ``speedup_grid`` pass;
-5. scatters results back in request order and feeds them to the cache
+3. evaluates all remaining queries of one mode in **one** pass of
+   :func:`~repro.core.model.speedup_rows`, which gathers each row's
+   core, accelerator and drain values into columns and runs the same
+   eqs. (2)–(9) as ``speedup_grid`` — results equal the per-query
+   ``speedup_grid`` call bit for bit;
+4. scatters results back in request order and feeds them to the cache
    in one :meth:`~repro.serve.cache.EvaluationCache.put_many`.
 
-The per-query work is a few tuple packs and dict operations; every
-sha256/canonical-JSON pass is amortized across its group.  That is what
-makes the batched path beat the scalar model on heterogeneous batches
-instead of drowning in keying overhead (the 0.19x regression the
-pre-group-digest engine measured).
-
 Because every query carries a validated
-:class:`~repro.core.parameters.WorkloadParameters`, the coalesced grid
-never produces the NaN infeasibility markers — each cell is either an
-active evaluation or the no-invocation speedup of 1.0, exactly matching
-the scalar model.
+:class:`~repro.core.parameters.WorkloadParameters`, the rows never
+produce the NaN infeasibility markers — each is either an active
+evaluation or the no-invocation speedup of 1.0, exactly matching the
+scalar model.
 """
 
 from __future__ import annotations
@@ -38,10 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, NamedTuple, Sequence
 
-import numpy as np
-
 from repro.core.drain import DrainEstimator
-from repro.core.model import speedup_grid
+from repro.core.model import speedup_rows
 from repro.core.modes import TCAMode
 from repro.core.parameters import (
     AcceleratorParameters,
@@ -75,29 +72,6 @@ class EvaluationQuery:
     mode: TCAMode
     drain_estimator: DrainEstimator | None = None
 
-    def cache_key(self) -> EvaluationKey:
-        """This query's content-addressed key, memoized on first use.
-
-        The key is a pure function of the (frozen) query, so it is
-        computed once and stored on the instance — re-evaluating the
-        same query objects (a repeated batch, a retry loop) skips the
-        group-digest work entirely.  The benign race under concurrent
-        first calls just computes the same value twice.
-        """
-        key = self.__dict__.get("_key")
-        if key is None:
-            workload = self.workload
-            key = (
-                evaluation_group_key(
-                    self.core, self.accelerator, self.mode, self.drain_estimator
-                ),
-                workload.acceleratable_fraction,
-                workload.invocation_frequency,
-                workload.drain_time,
-            )
-            object.__setattr__(self, "_key", key)
-        return key
-
 
 class BatchEntry(NamedTuple):
     """One query's outcome within a batch.
@@ -125,140 +99,98 @@ def evaluate_batch(
 
     Returns one :class:`BatchEntry` per query, **in request order**.
     With a ``cache``, previously seen queries short-circuit before
-    coalescing and fresh results are stored on the way out.
+    evaluation and fresh results are stored on the way out.
 
     Batch-layer metrics land in the default registry:
     ``serve.batch.queries`` (total queries), ``serve.batch.groups``
-    (vectorized calls issued), ``serve.batch.evaluated`` (cells actually
-    computed), the ``serve.batch`` timer, and the
-    ``serve.batch.group_size`` histogram (cells per vectorized call).
-    Inside a request scope the phases record spans
-    (``serve.batch.partition`` / ``.cache_probe`` / ``.evaluate``).
+    (vectorized passes issued: one per mode with cache misses),
+    ``serve.batch.evaluated`` (rows actually computed), the
+    ``serve.batch`` timer, and the ``serve.batch.group_size`` histogram
+    (rows per pass).  Inside a request scope the phases record spans
+    (``serve.batch.cache_probe`` / ``.partition`` / ``.evaluate`` /
+    ``.store``).
     """
     registry = get_registry()
     registry.counter("serve.batch.queries").inc(len(queries))
     group_sizes = registry.histogram("serve.batch.group_size", COUNT_BOUNDS)
     n = len(queries)
     entries: list[BatchEntry | None] = [None] * n
+    keys: list[EvaluationKey | None] = [None] * n
 
     with registry.timer("serve.batch").time(), span("serve.batch"):
-        # --- Phase 1: partition by what speedup_grid holds fixed. ----
-        # Grouping is by object identity (plus the drain-time-presence
-        # flag), which is both cheap and safe: equal-but-distinct
-        # parameter objects merely land in separate groups with equal
-        # group digests, so cache keys stay canonical either way.
-        # Each member is (request index, query, a, v, drain_time).
-        groups: dict[
-            tuple[int, int, TCAMode, int, bool],
-            list[tuple[int, EvaluationQuery, float, float, float | None]],
-        ] = {}
-        groups_get = groups.get
-        with span("serve.batch.partition"):
-            for index, query in enumerate(queries):
-                workload = query.workload
-                drain_time = workload.drain_time
-                group_key = (
-                    id(query.core),
-                    id(query.accelerator),
-                    query.mode,
-                    id(query.drain_estimator),
-                    # Explicit drain times override the estimator per
-                    # cell; speedup_grid applies that precedence per
-                    # call, so mixed explicit/estimated workloads may
-                    # not share a group.
-                    drain_time is not None,
-                )
-                members = groups_get(group_key)
-                if members is None:
-                    members = groups[group_key] = []
-                members.append(
-                    (
-                        index,
-                        query,
-                        workload.acceleratable_fraction,
-                        workload.invocation_frequency,
-                        drain_time,
-                    )
-                )
-
-        # --- Phase 2: keys + bulk cache probe (skipped uncached). ----
-        use_cache = cache is not None
-        if use_cache:
+        # --- Phase 1: keys + bulk cache probe (skipped uncached). ----
+        if cache is not None:
             with span("serve.batch.cache_probe"):
-                keys: list[EvaluationKey] = [None] * n  # type: ignore[list-item]
-                for members in groups.values():
-                    digest: str | None = None
-                    for index, query, a, v, drain_time in members:
-                        key = query.__dict__.get("_key")
-                        if key is None:
-                            if digest is None:
-                                first = members[0][1]
-                                digest = evaluation_group_key(
-                                    first.core,
-                                    first.accelerator,
-                                    first.mode,
-                                    first.drain_estimator,
-                                )
-                            key = (digest, a, v, drain_time)
-                            object.__setattr__(query, "_key", key)
-                        elif digest is None:
-                            digest = key[0]
-                        keys[index] = key
-                values = cache.get_many(keys)
-                any_hits = False
-                for index, value in enumerate(values):
+                # Queries parsed from one request spec share their
+                # parameter objects, so digests are looked up once per
+                # object combination; equal values in new objects then
+                # hit the value memo in evaluation_group_key.
+                digests: dict[tuple[int, int, TCAMode, int], str] = {}
+                for index, query in enumerate(queries):
+                    key = query.__dict__.get("_key")
+                    if key is None:
+                        group = (
+                            id(query.core),
+                            id(query.accelerator),
+                            query.mode,
+                            id(query.drain_estimator),
+                        )
+                        digest = digests.get(group)
+                        if digest is None:
+                            digest = digests[group] = evaluation_group_key(
+                                query.core,
+                                query.accelerator,
+                                query.mode,
+                                query.drain_estimator,
+                            )
+                        # Stored on the query, so a query object that is
+                        # evaluated again skips the digest lookup.
+                        workload = query.workload
+                        key = (
+                            digest,
+                            workload.acceleratable_fraction,
+                            workload.invocation_frequency,
+                            workload.drain_time,
+                        )
+                        object.__setattr__(query, "_key", key)
+                    keys[index] = key
+                for index, value in enumerate(cache.get_many(keys)):
                     if value is not MISS:
                         entries[index] = BatchEntry(
                             float(value), True, keys[index]
                         )
-                        any_hits = True
-        else:
-            keys = None  # type: ignore[assignment]
-            any_hits = False
 
-        # --- Phase 3: one vectorized evaluation per group. -----------
+        # --- Phase 2: the misses, by mode. ---------------------------
+        with span("serve.batch.partition"):
+            by_mode: dict[TCAMode, list[int]] = {}
+            for index, query in enumerate(queries):
+                if entries[index] is None:
+                    by_mode.setdefault(query.mode, []).append(index)
+            misses = [index for rows in by_mode.values() for index in rows]
+
+        # --- Phase 3: one vectorized pass per mode. ------------------
         fresh: list[tuple[EvaluationKey, Any]] = []
-        fresh_append = fresh.append
-        issued = 0
-        evaluated = 0
         with span("serve.batch.evaluate"):
-            for members in groups.values():
-                if any_hits:
-                    members = [m for m in members if entries[m[0]] is None]
-                    if not members:
-                        continue
-                issued += 1
-                evaluated += len(members)
-                group_sizes.observe(len(members))
-                _, first, _, _, _ = members[0]
-                _indices, _queries, aa, vv, dd = zip(*members)
-                has_drain = dd[0] is not None
-                grid = speedup_grid(
-                    first.core,
-                    first.accelerator,
-                    np.asarray(aa),
-                    np.asarray(vv),
-                    first.mode,
-                    first.drain_estimator,
-                    drain_time=np.asarray(dd) if has_drain else None,
+            if misses:
+                for rows in by_mode.values():
+                    group_sizes.observe(len(rows))
+                members = [queries[index] for index in misses]
+                speedups = speedup_rows(
+                    [query.core for query in members],
+                    [query.accelerator for query in members],
+                    [query.workload for query in members],
+                    [query.mode for query in members],
+                    [query.drain_estimator for query in members],
                 )
-                results = np.atleast_1d(grid).tolist()
-                # --- Phase 4: scatter in request order, feed cache. --
-                if use_cache:
-                    for (index, _query, _a, _v, _d), value in zip(
-                        members, results
-                    ):
-                        key = keys[index]
-                        entries[index] = BatchEntry(value, False, key)
-                        fresh_append((key, value))
-                else:
-                    for (index, _query, _a, _v, _d), value in zip(
-                        members, results
-                    ):
-                        entries[index] = BatchEntry(value, False, None)
-        registry.counter("serve.batch.groups").inc(issued)
-        registry.counter("serve.batch.evaluated").inc(evaluated)
-        if use_cache and fresh:
+                # --- Phase 4: scatter in request order. --------------
+                for index, value in zip(misses, speedups.tolist()):
+                    key = keys[index]
+                    entries[index] = BatchEntry(value, False, key)
+                    if key is not None:
+                        fresh.append((key, value))
+        registry.counter("serve.batch.groups").inc(len(by_mode))
+        registry.counter("serve.batch.evaluated").inc(len(misses))
+        if fresh:
             with span("serve.batch.store"):
                 cache.put_many(fresh)
 

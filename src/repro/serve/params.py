@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import io
 import math
-from typing import Any, Iterable, Mapping
+from collections.abc import Iterable, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from repro.core.parameters import (
     CoreParameters,
     WorkloadParameters,
 )
+from repro.isa.instructions import CACHE_LINE_BYTES
 from repro.isa.trace import Trace
 from repro.isa.trace_io import load_trace_stream
 from repro.sim.config import ARM_A72_SIM, HIGH_PERF_SIM, LOW_PERF_SIM, SimConfig
@@ -86,7 +88,7 @@ class RequestError(ValueError):
 
 
 def _require_mapping(spec: Any, field: str) -> Mapping[str, Any]:
-    if not isinstance(spec, Mapping):
+    if type(spec) is not dict and not isinstance(spec, Mapping):
         raise RequestError(
             f"expected an object, got {type(spec).__name__}", field=field
         )
@@ -118,6 +120,8 @@ def _number(spec: Mapping[str, Any], key: str, field: str) -> float:
         value = spec[key]
     except KeyError:
         raise RequestError(f"missing required key {key!r}", field=field) from None
+    if type(value) is float and math.isfinite(value):
+        return value  # the common case, before any error text is built
     return finite_number(value, repr(key), f"{field}.{key}")
 
 
@@ -224,6 +228,10 @@ def parse_modes(spec: Any, field: str = "modes") -> tuple[TCAMode, ...]:
             "modes must be a mode string or a non-empty list of them",
             field=field,
         )
+    try:
+        return tuple(map(TCAMode, spec))
+    except ValueError:
+        pass
     return tuple(
         parse_mode(item, f"{field}[{i}]") for i, item in enumerate(spec)
     )
@@ -340,28 +348,59 @@ def parse_trace(spec: Any, field: str = "trace") -> Trace:
         raise RequestError(f"malformed trace: {exc}", field=field) from exc
 
 
+#: Bound on every warm-range value, as on every trace value (see
+#: :mod:`repro.sim.compile`): line addresses are int64 in the kernel.
+WARM_VALUE_LIMIT = 1 << 62
+
+#: Bound on the cache lines one run's warm ranges may touch: 64 MiB of
+#: warm data, 128 times the presets' 512 KiB L2.  Every line becomes a
+#: Python int and an int64 before the run starts.
+MAX_WARM_LINES = 1 << 20
+
+
 def parse_warm_ranges(
     spec: Any, field: str = "warm_ranges"
 ) -> list[tuple[int, int]] | None:
-    """Cache warm-up ranges from ``[[lo, hi], ...]`` (or ``None``)."""
+    """Cache warm-up ranges from ``[[addr, size], ...]`` (or ``None``).
+
+    Each value must be an integer within ±2**62, and the ranges together
+    may touch at most :data:`MAX_WARM_LINES` cache lines.
+    """
     if spec is None:
         return None
     if not isinstance(spec, (list, tuple)):
         raise RequestError(
-            "warm_ranges must be a list of [lo, hi] pairs", field=field
+            "warm_ranges must be a list of [addr, size] pairs", field=field
         )
     ranges: list[tuple[int, int]] = []
+    lines = 0
     for i, pair in enumerate(spec):
         if (
             not isinstance(pair, (list, tuple))
             or len(pair) != 2
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in pair)
+            or any(
+                isinstance(v, bool)
+                or not isinstance(v, int)
+                or not -WARM_VALUE_LIMIT < v < WARM_VALUE_LIMIT
+                for v in pair
+            )
         ):
             raise RequestError(
-                "each warm range must be an [lo, hi] integer pair",
+                "each warm range must be an [addr, size] pair of integers "
+                "within ±2**62",
                 field=f"{field}[{i}]",
             )
-        ranges.append((pair[0], pair[1]))
+        addr, size = pair
+        if size > 0:
+            last = (addr + size - 1) // CACHE_LINE_BYTES
+            lines += last - addr // CACHE_LINE_BYTES + 1
+            if lines > MAX_WARM_LINES:
+                raise RequestError(
+                    f"warm ranges may touch at most {MAX_WARM_LINES} "
+                    "cache lines in total",
+                    field=f"{field}[{i}]",
+                )
+        ranges.append((addr, size))
     return ranges
 
 

@@ -8,8 +8,8 @@ dependencies to install):
 - ``POST /evaluate`` — one query or ``{"queries": [...]}``; the whole
   request is routed through the batch engine
   (:func:`repro.serve.batch.evaluate_batch`), so heterogeneous queries
-  coalesce into vectorized :func:`~repro.core.model.speedup_grid` calls
-  and repeated ones are answered from the content-addressed cache;
+  are evaluated in one vectorized pass per mode and repeated ones are
+  answered from the content-addressed cache;
 - ``POST /sweep`` — a 1-D design-space sweep via :func:`repro.api.sweep`,
   or (``kind: "pareto"``) a streaming multi-objective sweep: chunks of
   the cores × modes × tech × (a, v) lattice are evaluated through the
@@ -52,9 +52,10 @@ import signal
 import socket
 import sys
 import threading
+from collections.abc import Callable, Mapping
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from time import monotonic
-from typing import Any, Callable, Mapping
+from time import monotonic, perf_counter
+from typing import Any
 from urllib.parse import parse_qs
 
 from repro import api
@@ -163,6 +164,28 @@ def _json_safe(value: Any) -> Any:
     if isinstance(value, (list, tuple)):
         return [_json_safe(item) for item in value]
     return value
+
+
+def _encode_json(payload: Any) -> bytes:
+    """``payload`` as RFC 8259-strict JSON bytes (see :func:`_json_safe`).
+
+    ``allow_nan=False`` raises on any non-finite float, so the
+    (overwhelmingly common) all-finite payload pays nothing; only a
+    payload that actually carries NaN/inf takes the rebuild.
+    """
+    try:
+        return json.dumps(payload, allow_nan=False).encode("utf-8")
+    except ValueError:
+        return json.dumps(_json_safe(payload), allow_nan=False).encode("utf-8")
+
+
+def _with_field(body: bytes, key: str, value: Any) -> bytes:
+    """``body`` (an encoded JSON object) with ``key: value`` appended,
+    byte for byte what encoding the object with the key would give."""
+    field = json.dumps(key).encode("utf-8") + b": " + _encode_json(value)
+    if body == b"{}":
+        return b"{" + field + b"}"
+    return body[:-1] + b", " + field + b"}"
 
 
 def _simulate_run(item: tuple[Any, Any, Any, Any]) -> dict[str, Any]:
@@ -279,31 +302,26 @@ class ServeApp:
 
         Every (query, mode) pair in the request becomes one
         :class:`~repro.serve.batch.EvaluationQuery`; the batch engine
-        coalesces them across queries, so a 10k-query request over a few
-        core/accelerator groups costs a few vectorized evaluations.
+        evaluates them across queries, so a 10k-query request costs at
+        most one vectorized pass per mode.
         """
         specs = []
         queries: list[EvaluationQuery] = []
         slices: list[tuple[int, int]] = []  # queries[i] -> slice of `queries`
         with span("serve.evaluate.parse"):
             for index, spec in iter_queries(payload):
-                core = parse_core(
-                    spec.get("core"), _field("queries", index, "core")
-                )
-                accelerator = parse_accelerator(
-                    spec.get("accelerator"),
-                    _field("queries", index, "accelerator"),
-                )
-                workload = parse_workload(
-                    spec.get("workload"), _field("queries", index, "workload")
-                )
-                modes = parse_modes(
-                    spec.get("modes", spec.get("mode")),
-                    _field("queries", index, "modes"),
-                )
-                drain = parse_drain(
-                    spec.get("drain"), _field("queries", index, "drain")
-                )
+                try:
+                    core = parse_core(spec.get("core"))
+                    accelerator = parse_accelerator(spec.get("accelerator"))
+                    workload = parse_workload(spec.get("workload"))
+                    modes = parse_modes(spec.get("modes", spec.get("mode")))
+                    drain = parse_drain(spec.get("drain"))
+                except RequestError as exc:
+                    # Each parser's default field is the query's key, so
+                    # only a batched query's path needs its prefix.
+                    if index is not None and exc.field is not None:
+                        exc.field = f"queries[{index}].{exc.field}"
+                    raise
                 start = len(queries)
                 queries.extend(
                     EvaluationQuery(core, accelerator, workload, mode, drain)
@@ -540,18 +558,19 @@ class _Handler(BaseHTTPRequestHandler):
         payload: dict[str, Any],
         request_id: str | None = None,
     ) -> None:
-        # Fast path first: allow_nan=False raises on any non-finite
-        # float, so the (overwhelmingly common) all-finite response pays
-        # nothing; only a payload that actually carries NaN/inf takes
-        # the _json_safe rebuild.
-        try:
-            body = json.dumps(payload, allow_nan=False).encode("utf-8")
-        except ValueError:
-            body = json.dumps(
-                _json_safe(payload), allow_nan=False
-            ).encode("utf-8")
+        self._send_bytes(
+            status, _encode_json(payload), "application/json", request_id
+        )
+
+    def _send_bytes(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str,
+        request_id: str | None = None,
+    ) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         if request_id is not None:
             self.send_header("X-Request-Id", request_id)
         self.send_header("Content-Length", str(len(body)))
@@ -577,11 +596,7 @@ class _Handler(BaseHTTPRequestHandler):
         registry = get_registry()
         try:
             for record in stream.records:
-                try:
-                    line = json.dumps(record, allow_nan=False)
-                except ValueError:
-                    line = json.dumps(_json_safe(record), allow_nan=False)
-                self.wfile.write(line.encode("utf-8") + b"\n")
+                self.wfile.write(_encode_json(record) + b"\n")
                 self.wfile.flush()
         except (BrokenPipeError, ConnectionResetError):
             registry.counter("serve.requests.disconnected").inc()
@@ -598,17 +613,6 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             except OSError:  # pragma: no cover - client already gone
                 pass
-
-    def _send_text(
-        self, status: int, text: str, content_type: str, request_id: str
-    ) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("X-Request-Id", request_id)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
 
     def _read_body(self) -> Any:
         length_header = self.headers.get("Content-Length")
@@ -629,12 +633,17 @@ class _Handler(BaseHTTPRequestHandler):
     ) -> None:
         """Run one request under a traced scope and send the response.
 
-        The request scope opens before the handler and closes before the
-        bytes go out, so the root span covers effectively all of the
-        handler wall time; its duration feeds the per-endpoint latency
-        histogram, the slow-request log, and — when the client asked
-        with ``?debug=trace`` — the ``trace`` block of the JSON body.
+        The request scope opens before the handler and closes once the
+        response body is encoded (the ``serve.encode`` span), so the
+        root span covers all of the handler's work but the socket write;
+        its duration feeds the per-endpoint latency histogram, the
+        slow-request log, and — when the client asked with
+        ``?debug=trace`` — the ``trace`` block, appended to the encoded
+        body after the scope closes.  Once the last byte is written the
+        server's ``after_response`` hook, if set, receives the request
+        ID and the wall seconds since this method began.
         """
+        started = perf_counter()
         registry = get_registry()
         name = endpoint.lstrip("/")
         registry.counter(f"serve.requests.{name}").inc()
@@ -678,6 +687,11 @@ class _Handler(BaseHTTPRequestHandler):
                 registry.counter("serve.requests.errors").inc()
                 _log.exception("unhandled error serving %s", endpoint)
                 status, payload = 500, {"error": "internal server error"}
+            if metrics_page is not None:
+                response = metrics_page.encode("utf-8")
+            elif not streamed:
+                with span("serve.encode"):
+                    response = _encode_json(payload)
         registry.histogram(f"serve.latency.{name}").observe(trace.duration_s)
         slow_after = self.server.slow_request_s
         if slow_after is not None and trace.duration_s >= slow_after:
@@ -691,16 +705,17 @@ class _Handler(BaseHTTPRequestHandler):
         hook = self.server.after_request
         if hook is not None:
             hook()
-        if streamed:
-            return  # response already written line by line
         if metrics_page is not None:
-            self._send_text(
-                status, metrics_page, PROMETHEUS_CONTENT_TYPE, request_id
+            self._send_bytes(
+                status, response, PROMETHEUS_CONTENT_TYPE, request_id
             )
-        else:
+        elif not streamed:
             if want_trace:
-                payload["trace"] = trace.to_dict()
-            self._send_json(status, payload, request_id)
+                response = _with_field(response, "trace", trace.to_dict())
+            self._send_bytes(status, response, "application/json", request_id)
+        done = self.server.after_response
+        if done is not None:
+            done(request_id, perf_counter() - started)
 
     def do_GET(self) -> None:
         """Serve ``GET /healthz`` and ``GET /metrics`` (else a 404)."""
@@ -769,6 +784,9 @@ class ServeServer(ThreadingHTTPServer):
         )
         #: Optional post-request hook (pool workers report state here).
         self.after_request: Callable[[], None] | None = None
+        #: Optional hook called after a response's last byte is written,
+        #: with the request ID and the handler's wall seconds up to then.
+        self.after_response: Callable[[str, float], None] | None = None
 
     def get_request(self) -> tuple[socket.socket, Any]:
         """Accept one connection, re-blocking it for the handler.

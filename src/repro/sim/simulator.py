@@ -161,12 +161,19 @@ def _record_run(
         registry.gauge("sim.instructions_per_sec").set(
             stats.instructions / elapsed
         )
+    # The entry is built only when a snapshot reads it; the closure holds
+    # names, not the compiled trace, so it keeps no trace alive.
+    trace_name, config_name, mode = (
+        compiled.name,
+        config.name,
+        config.tca_mode.value,
+    )
     registry.set_info(
         "sim.last_run",
-        {
-            "trace": compiled.name,
-            "config": config.name,
-            "mode": config.tca_mode.value,
+        lambda: {
+            "trace": trace_name,
+            "config": config_name,
+            "mode": mode,
             "sim_mode": sim_mode,
             "wall_time_s": elapsed,
             "stats": stats.to_dict(),

@@ -365,6 +365,25 @@ class TestSimulatorIntegration:
         assert last["trace"] == alu_trace.name
         assert last["stats"]["cycles"] == result.stats.cycles
 
+    def test_last_run_info_built_only_when_read(
+        self, tiny_sim_config, alu_trace, monkeypatch
+    ):
+        from repro.sim.simulator import simulate
+        from repro.sim.stats import SimStats
+
+        calls = []
+        to_dict = SimStats.to_dict
+        monkeypatch.setattr(
+            SimStats, "to_dict", lambda self: calls.append(1) or to_dict(self)
+        )
+        result = simulate(alu_trace, tiny_sim_config)
+        assert calls == []
+        last = get_registry().snapshot()["info"]["sim.last_run"]
+        assert calls == [1]
+        assert last["stats"] == to_dict(result.stats)
+        assert last["config"] == tiny_sim_config.name
+        assert last["mode"] == tiny_sim_config.tca_mode.value
+
     def test_model_evaluations_counted(self, small_core, simple_accelerator,
                                        simple_workload):
         from repro.core.model import TCAModel
