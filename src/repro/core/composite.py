@@ -195,7 +195,7 @@ def composite_from_trace(
     per_name_invocations: dict[str, int] = {}
     per_name_replaced: dict[str, int] = {}
     non_tca = 0
-    for inst in accelerated.instructions:
+    for inst in accelerated:
         if inst.is_tca:
             assert inst.tca is not None
             per_name_invocations[inst.tca.name] = (
@@ -236,7 +236,7 @@ def mean_latency_by_name(
 
     totals: dict[str, float] = {}
     counts: dict[str, int] = {}
-    for inst in accelerated.instructions:
+    for inst in accelerated:
         if inst.is_tca:
             assert inst.tca is not None
             latency = estimate_tca_latency(inst.tca, config)

@@ -226,9 +226,7 @@ def validate_workload(
         invocation_frequency=stats.invocation_frequency,
     )
     if accelerator is None:
-        descriptor = next(
-            inst.tca for inst in accelerated.instructions if inst.is_tca
-        )
+        descriptor = next(inst.tca for inst in accelerated if inst.is_tca)
         assert descriptor is not None
         accelerator = AcceleratorParameters(
             name=descriptor.name,

@@ -217,7 +217,8 @@ def get_packed(ct: CompiledTrace) -> PackedTrace:
     """The packed form of ``ct`` (built once, memoized on the trace)."""
     pt = getattr(ct, "_packed", None)
     if pt is None:
-        pt = PackedTrace(ct)
+        with span("sim.backend.pack"):
+            pt = PackedTrace(ct)
         ct._packed = pt
     return pt
 
@@ -540,24 +541,25 @@ def try_run_native(sim) -> SimStats | None:
         cache.l2.stats.misses = l2_miss
         cache.prefetches = prefetches
 
-    stats = sim.stats
-    stats.cycles = out[ST_CYCLES]
-    stats.instructions = out[ST_INSTR]
-    stats.dispatched = out[ST_DISPATCHED]
-    stats.loads = out[ST_LOADS]
-    stats.stores = out[ST_STORES]
-    stats.branches = out[ST_BRANCHES]
-    stats.mispredicts = out[ST_MISPRED]
-    stats.tca_invocations = out[ST_TCA_INV]
-    stats.tca_read_requests = out[ST_TCA_READS]
-    stats.tca_write_requests = out[ST_TCA_WRITES]
-    stats.tca_wait_drain_cycles = out[ST_TCA_WAIT]
-    stats.tca_exec_cycles = out[ST_TCA_EXEC]
-    stats.rob_occupancy_sum = out[ST_ROB_SUM]
-    stats.rob_samples = out[ST_ROB_SAMPLES]
-    stats.max_rob_occupancy = out[ST_MAX_ROB]
-    for i, reason in enumerate(_STALL_REASONS):
-        count = out[ST_STALL_BASE + i]
-        if count:
-            stats.stall_cycles[reason] = count
+    with span("sim.stats.assemble"):
+        stats = sim.stats
+        stats.cycles = out[ST_CYCLES]
+        stats.instructions = out[ST_INSTR]
+        stats.dispatched = out[ST_DISPATCHED]
+        stats.loads = out[ST_LOADS]
+        stats.stores = out[ST_STORES]
+        stats.branches = out[ST_BRANCHES]
+        stats.mispredicts = out[ST_MISPRED]
+        stats.tca_invocations = out[ST_TCA_INV]
+        stats.tca_read_requests = out[ST_TCA_READS]
+        stats.tca_write_requests = out[ST_TCA_WRITES]
+        stats.tca_wait_drain_cycles = out[ST_TCA_WAIT]
+        stats.tca_exec_cycles = out[ST_TCA_EXEC]
+        stats.rob_occupancy_sum = out[ST_ROB_SUM]
+        stats.rob_samples = out[ST_ROB_SAMPLES]
+        stats.max_rob_occupancy = out[ST_MAX_ROB]
+        for i, reason in enumerate(_STALL_REASONS):
+            count = out[ST_STALL_BASE + i]
+            if count:
+                stats.stall_cycles[reason] = count
     return stats

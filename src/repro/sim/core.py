@@ -44,6 +44,7 @@ import heapq
 from bisect import insort
 
 from repro.isa.trace import Trace
+from repro.obs.span import span
 from repro.obs.tracer import PipelineTracer, get_active_tracer
 from repro.sim import backend
 from repro.sim.cache import CacheConfig, CacheHierarchy
@@ -794,23 +795,24 @@ class CoreSim:
                     ready = [target_key | (v & READY_MASK) for v in ready]
             cycle = target
 
-        stats.cycles = cycle
-        stats.instructions = s_instructions
-        stats.dispatched = s_dispatched
-        stats.loads = s_loads
-        stats.stores = s_stores
-        stats.branches = s_branches
-        stats.mispredicts = s_mispredicts
-        stats.tca_invocations = s_tca_inv
-        stats.tca_read_requests = s_tca_reads
-        stats.tca_write_requests = s_tca_writes
-        stats.tca_wait_drain_cycles = s_tca_wait
-        stats.tca_exec_cycles = s_tca_exec
-        stats.rob_occupancy_sum = rob_occ_sum
-        stats.rob_samples = rob_samples
-        stats.max_rob_occupancy = max_rob
-        for i, reason in enumerate(_STALL_REASONS):
-            count = stall_counts[i]
-            if count:
-                stats.stall_cycles[reason] = count
+        with span("sim.stats.assemble"):
+            stats.cycles = cycle
+            stats.instructions = s_instructions
+            stats.dispatched = s_dispatched
+            stats.loads = s_loads
+            stats.stores = s_stores
+            stats.branches = s_branches
+            stats.mispredicts = s_mispredicts
+            stats.tca_invocations = s_tca_inv
+            stats.tca_read_requests = s_tca_reads
+            stats.tca_write_requests = s_tca_writes
+            stats.tca_wait_drain_cycles = s_tca_wait
+            stats.tca_exec_cycles = s_tca_exec
+            stats.rob_occupancy_sum = rob_occ_sum
+            stats.rob_samples = rob_samples
+            stats.max_rob_occupancy = max_rob
+            for i, reason in enumerate(_STALL_REASONS):
+                count = stall_counts[i]
+                if count:
+                    stats.stall_cycles[reason] = count
         return stats

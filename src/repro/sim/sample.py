@@ -776,12 +776,11 @@ def simulate_sharded(
     bounds = [length * i // shards for i in range(shards)] + [length]
     starts = bounds[:-1]
     snapshots = _boundary_cache_states(compiled, config, starts, warm_ranges)
-    instructions = compiled.instructions
     items = []
     for i in range(shards):
         a, b = bounds[i], bounds[i + 1]
-        shard_trace = Trace(
-            instructions[a:b], name=f"{compiled.name}[{a}:{b}]"
+        shard_trace = Trace.from_rows(
+            compiled.rows.window(a, b), name=f"{compiled.name}[{a}:{b}]"
         )
         items.append((shard_trace, config, snapshots[i]))
     results = parallel_map(_shard_worker, items, jobs=jobs)

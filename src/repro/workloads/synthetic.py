@@ -30,9 +30,11 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.isa.instructions import Instruction, TCADescriptor
+import numpy as np
+
+from repro.isa.instructions import Instruction, OpClass, TCADescriptor
 from repro.isa.program import AcceleratableRegion, Program
-from repro.isa.trace import TraceBuilder, alu_record
+from repro.isa.trace import TraceBuilder, alu_record, load_record, row_template
 
 #: Streaming data region for the synthetic loads.
 DATA_BASE = 0x3000_0000
@@ -111,36 +113,38 @@ class SyntheticSpec:
 @lru_cache(maxsize=8)
 def _mixed_template(
     load_every: int, chain_every: int, mispredict_every: int, length: int
-) -> tuple[tuple[Instruction, ...], tuple[tuple[int, tuple[Instruction, ...]], ...]]:
-    """The baseline mix at positions ``[0, length)``, loads left out.
+) -> tuple[tuple[Instruction, ...], np.ndarray, tuple[int, ...]]:
+    """The baseline mix at positions ``[0, length)``, loads left as holes.
 
-    Returns the record run before the first load, then one ``(load
-    register, record run after it)`` pair per load.  The mix at position
+    Returns :func:`~repro.isa.trace.row_template`'s records and index,
+    then the register of each load in order.  The mix at position
     ``index`` depends only on ``index`` modulo :func:`_mix_period`, so a
-    template one period long, repeated, is the whole trace; the records
+    template one period long, repeated, is the whole trace; its records
     are built once here and shared by every repetition.  Loads are the
     only records that differ between repetitions (each streams a fresh
-    line), so :func:`_emit_mixed` emits them itself.
+    line), so :func:`_emit_mixed` builds them itself.
     """
-    scratch = TraceBuilder()
+    layout: list[Instruction | None] = []
     load_regs: list[int] = []
-    marks = [0]  # record index where each run starts
     for index in range(length):
         if mispredict_every and index % mispredict_every == mispredict_every - 1:
-            scratch.branch(srcs=(_REGS[index % 8],), mispredicted=True)
+            layout.append(_branch_record(_REGS[index % 8], True))
         elif index % load_every == 0:
             load_regs.append(_REGS[index % 8])
-            marks.append(len(scratch))
+            layout.append(None)
         elif index % chain_every == 0:
-            scratch.emit(alu_record(_CHAIN_REG, (_CHAIN_REG,)))
+            layout.append(alu_record(_CHAIN_REG, (_CHAIN_REG,)))
         elif index % 17 == 0:
-            scratch.branch(srcs=(_REGS[index % 8],))
+            layout.append(_branch_record(_REGS[index % 8], False))
         else:
-            scratch.emit(alu_record(_REGS[index % 8]))
-    records = scratch.build().instructions
-    marks.append(len(records))
-    runs = [records[lo:hi] for lo, hi in zip(marks, marks[1:])]
-    return runs[0], tuple(zip(load_regs, runs[1:]))
+            layout.append(alu_record(_REGS[index % 8]))
+    return (*row_template(layout), tuple(load_regs))
+
+
+@lru_cache(maxsize=32)
+def _branch_record(reg: int, mispredicted: bool) -> Instruction:
+    """One shared branch on ``reg``."""
+    return Instruction(OpClass.BRANCH, srcs=(reg,), mispredicted=mispredicted)
 
 
 def _mix_period(spec: SyntheticSpec) -> int:
@@ -160,15 +164,17 @@ def _emit_mixed(builder: TraceBuilder, spec: SyntheticSpec) -> None:
     repeats, tail = divmod(spec.total_instructions, period)
     line = 0
     for length, count in ((period, repeats), (tail, 1 if tail else 0)):
-        head, loads = _mixed_template(
+        records, index, load_regs = _mixed_template(
             spec.load_every, spec.chain_every, spec.mispredict_every, length
         )
         for _ in range(count):
-            builder.extend(head)
-            for reg, run in loads:
-                builder.load(reg, DATA_BASE + (line * 64) % spec.working_set, 8)
+            loads = []
+            for reg in load_regs:
+                loads.append(
+                    load_record(reg, DATA_BASE + (line * 64) % spec.working_set, 8)
+                )
                 line += 1
-                builder.extend(run)
+            builder.extend_rows(records + tuple(loads), index)
 
 
 def _region_offsets(spec: SyntheticSpec, rng: random.Random) -> list[int]:
