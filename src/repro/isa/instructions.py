@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum, unique
+from functools import lru_cache
 
 #: Cache line size used throughout the reproduction (bytes).
 CACHE_LINE_BYTES = 64
@@ -111,6 +112,7 @@ class MemRequest:
         return self.addr < addr + size and addr < self.end
 
 
+@lru_cache(maxsize=4096, typed=True)
 def chunk_memory_range(
     addr: int,
     size: int,
@@ -131,7 +133,9 @@ def chunk_memory_range(
         chunk: maximum bytes per request (and alignment granule).
 
     Returns:
-        Tuple of requests covering exactly ``[addr, addr + size)``.
+        Tuple of requests covering exactly ``[addr, addr + size)``.  The
+        result is cached: equal arguments share one tuple of immutable
+        requests.
     """
     if size < 0:
         raise ValueError(f"size must be non-negative, got {size}")
