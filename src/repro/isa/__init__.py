@@ -21,7 +21,7 @@ from repro.isa.instructions import (
     chunk_memory_range,
 )
 from repro.isa.program import AcceleratableRegion, Program
-from repro.isa.trace import Trace, TraceBuilder, TraceStats
+from repro.isa.trace import Trace, TraceBuilder, TraceRows, TraceStats
 from repro.isa.trace_io import load_trace, save_trace
 
 __all__ = [
@@ -35,6 +35,7 @@ __all__ = [
     "TCADescriptor",
     "Trace",
     "TraceBuilder",
+    "TraceRows",
     "TraceStats",
     "chunk_memory_range",
     "load_trace",
