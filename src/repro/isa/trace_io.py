@@ -13,13 +13,15 @@ from __future__ import annotations
 import json
 from typing import IO, Iterator
 
+import numpy as np
+
 from repro.isa.instructions import (
     Instruction,
     MemRequest,
     OpClass,
     TCADescriptor,
 )
-from repro.isa.trace import Trace
+from repro.isa.trace import Trace, TraceRows
 
 FORMAT_VERSION = 1
 
@@ -138,10 +140,10 @@ def load_trace_stream(handle: IO[str]) -> Trace:
             f"trace declares {expected} instructions but contains "
             f"{len(instructions)}"
         )
-    return Trace(
-        instructions,
-        name=header.get("name", "trace"),
-        metadata=header.get("metadata", {}),
+    # Every record was just built, so each is its own table row.
+    rows = TraceRows(tuple(instructions), np.arange(len(instructions), dtype=np.int32))
+    return Trace.from_rows(
+        rows, name=header.get("name", "trace"), metadata=header.get("metadata", {})
     )
 
 
