@@ -70,6 +70,7 @@ from repro.serve.batch import EvaluationQuery, evaluate_batch
 from repro.serve.cache import MISS, EvaluationCache
 from repro.serve.keys import simulation_key
 from repro.sim import simulator as _simulator
+from repro.sim.simulator import ModeComparison, SimulationResult
 from repro.sim.compile import CompiledTrace
 from repro.sim.compile import compile_trace as _compile_trace
 from repro.sim.config import SimConfig
@@ -93,6 +94,10 @@ __all__ = [
     "simulate",
     "sweep",
 ]
+
+#: :func:`compare`'s result: the simulator's own comparison type under
+#: its façade name.
+ComparisonResult = ModeComparison
 
 #: Sweep kinds :func:`sweep` accepts.
 SWEEP_KINDS = ("granularity", "fraction", "frequency")
@@ -440,124 +445,6 @@ def pareto_sweep(
     )
 
 
-@dataclass(frozen=True)
-class SimulationResult:
-    """Outcome of one cycle-level simulation.
-
-    Attribute-compatible with :class:`repro.sim.simulator.SimulationResult`
-    (``trace_name``/``config_name``/``mode``/``stats``/``cycles``/``ipc``)
-    plus serialization and cache provenance.
-
-    Attributes:
-        trace_name: name of the executed trace.
-        config_name: name of the core configuration.
-        mode: TCA integration mode in effect.
-        stats: full simulation statistics.
-        cached: whether the result was served from the content-addressed
-            cache rather than simulated.
-        sampling: sampling report when interval sampling was requested
-            (``{"mode": "sampled", ...}`` or ``{"mode": "exact",
-            "forced_exact": reason, ...}``); ``None`` for a plain exact
-            run.
-    """
-
-    trace_name: str
-    config_name: str
-    mode: TCAMode
-    stats: SimStats
-    cached: bool = False
-    sampling: dict | None = None
-
-    @property
-    def cycles(self) -> int:
-        """Total execution cycles."""
-        return self.stats.cycles
-
-    @property
-    def ipc(self) -> float:
-        """Committed instructions per cycle."""
-        return self.stats.ipc
-
-    @property
-    def sim_mode(self) -> str:
-        """``"sampled"`` when stats were extrapolated, else ``"exact"``."""
-        if self.sampling is not None and self.sampling.get("mode") == "sampled":
-            return "sampled"
-        return "exact"
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe dump (stats via :meth:`SimStats.to_dict`)."""
-        payload: dict[str, Any] = {
-            "trace_name": self.trace_name,
-            "config_name": self.config_name,
-            "mode": self.mode.value,
-            "sim_mode": self.sim_mode,
-            "stats": self.stats.to_dict(),
-            "cached": self.cached,
-        }
-        if self.sampling is not None:
-            payload["sampling"] = self.sampling
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SimulationResult":
-        """Rebuild from a :meth:`to_dict` payload."""
-        sampling = payload.get("sampling")
-        return cls(
-            trace_name=str(payload["trace_name"]),
-            config_name=str(payload["config_name"]),
-            mode=TCAMode(payload["mode"]),
-            stats=SimStats.from_dict(payload["stats"]),
-            cached=bool(payload.get("cached", False)),
-            sampling=dict(sampling) if sampling is not None else None,
-        )
-
-
-@dataclass(frozen=True)
-class ComparisonResult:
-    """Baseline-vs-accelerated simulation across integration modes.
-
-    Attributes:
-        baseline: result of the software-only trace.
-        per_mode: accelerated-trace result per simulated mode.
-    """
-
-    baseline: SimulationResult
-    per_mode: Mapping[TCAMode, SimulationResult]
-
-    def speedup(self, mode: TCAMode) -> float:
-        """Program speedup of ``mode`` over the software baseline."""
-        accel = self.per_mode[mode]
-        if accel.cycles == 0:
-            return float("inf")
-        return self.baseline.cycles / accel.cycles
-
-    def speedups(self) -> dict[TCAMode, float]:
-        """Speedups for every simulated mode."""
-        return {mode: self.speedup(mode) for mode in self.per_mode}
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe dump (modes keyed by their string values)."""
-        return {
-            "baseline": self.baseline.to_dict(),
-            "per_mode": {
-                m.value: result.to_dict() for m, result in self.per_mode.items()
-            },
-            "speedups": {m.value: self.speedup(m) for m in self.per_mode},
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "ComparisonResult":
-        """Rebuild from a :meth:`to_dict` payload."""
-        return cls(
-            baseline=SimulationResult.from_dict(payload["baseline"]),
-            per_mode={
-                TCAMode(mode): SimulationResult.from_dict(result)
-                for mode, result in payload["per_mode"].items()
-            },
-        )
-
-
 def _resolve_modes(
     modes: TCAMode | Iterable[TCAMode] | None,
 ) -> tuple[TCAMode, ...]:
@@ -704,34 +591,26 @@ def simulate(
         key = simulation_key(config, trace, warm_ranges, sampling=effective)
         value = cache.get(key)
         if value is not MISS:
-            cached_sampling = value.get("sampling")
             return SimulationResult(
                 trace_name=trace.name,
                 config_name=config.name,
                 mode=config.tca_mode,
                 stats=SimStats.from_dict(value["stats"]),
                 cached=True,
-                sampling=cached_sampling,
+                sampling=value.get("sampling"),
             )
-    raw = _simulator.simulate(
+    result = _simulator.simulate(
         trace,
         config,
         warm_ranges=warm_ranges,
         tracer=tracer,
         sampling=effective,
     )
-    if cache is not None and key is not None:
+    if key is not None:
         cache.put(
-            key, {"stats": raw.stats.to_dict(), "sampling": raw.sampling}
+            key, {"stats": result.stats.to_dict(), "sampling": result.sampling}
         )
-    return SimulationResult(
-        trace_name=raw.trace_name,
-        config_name=raw.config_name,
-        mode=raw.mode,
-        stats=raw.stats,
-        cached=False,
-        sampling=raw.sampling,
-    )
+    return result
 
 
 def compare(

@@ -8,9 +8,9 @@ heavy traffic:
   canonical-JSON serializations of the parameter dataclasses (never
   Python ``hash()``, so keys survive process restarts and
   ``PYTHONHASHSEED``), versioned by package version + model schema tag;
-- :mod:`repro.serve.cache` — a thread-safe, size/TTL-bounded in-memory
-  LRU plus an optional on-disk store under ``~/.cache/repro/``, with
-  hit/miss/eviction counters in the :class:`~repro.obs.metrics.MetricsRegistry`;
+- :mod:`repro.serve.cache` — a thread-safe, size-bounded in-memory LRU
+  result cache with hit/miss/eviction counters in the
+  :class:`~repro.obs.metrics.MetricsRegistry`;
 - :mod:`repro.serve.batch` — a batch evaluation engine that evaluates
   a batch's cache misses in one vectorized
   :func:`~repro.core.model.speedup_rows` pass per mode, each row with
@@ -30,7 +30,6 @@ See ``docs/SERVING.md`` for endpoint schemas and cache semantics.
 from repro.serve.batch import BatchEntry, EvaluationQuery, evaluate_batch
 from repro.serve.cache import (
     DEFAULT_MAX_ENTRIES,
-    DiskCache,
     EvaluationCache,
     LRUCache,
     MISS,
@@ -39,7 +38,6 @@ from repro.serve.keys import (
     canonical_json,
     evaluation_group_key,
     evaluation_key,
-    key_filename,
     schema_tag,
     sha256_key,
     simulation_key,
@@ -48,7 +46,6 @@ from repro.serve.keys import (
 __all__ = [
     "DEFAULT_MAX_ENTRIES",
     "BatchEntry",
-    "DiskCache",
     "EvaluationCache",
     "EvaluationQuery",
     "LRUCache",
@@ -59,7 +56,6 @@ __all__ = [
     "evaluate_batch",
     "evaluation_group_key",
     "evaluation_key",
-    "key_filename",
     "schema_tag",
     "serve_main",
     "sha256_key",

@@ -18,9 +18,7 @@ the three per-query workload numbers, carried as a plain tuple
 parameter objects per query — costs a handful of sha256/canonical-JSON
 passes instead of 10k, which is what makes the batched path faster
 than the scalar model rather than slower.  Tuples of floats hash and
-compare exactly (no ``repr`` round-trip in the hot path);
-:func:`key_filename` renders any key into the deterministic string form
-the disk store needs.
+compare exactly (no ``repr`` round-trip in the hot path).
 
 Simulation keys stay single sha256 hex strings: one key per run, never
 constructed by the thousand.
@@ -111,10 +109,6 @@ def drain_config(estimator: DrainEstimator | None) -> dict[str, Any]:
 #: float equality here is bitwise, which is precisely what
 #: content-addressing wants.
 EvaluationKey = tuple[str, float, float, Union[float, None]]
-
-#: Any key the caches accept: an evaluation tuple or a plain digest
-#: string (simulation keys, ad-hoc callers).
-CacheKey = Union[str, EvaluationKey]
 
 
 #: Distinct group values whose digests :func:`evaluation_group_key`
@@ -236,19 +230,6 @@ def evaluation_key(
         float(workload.invocation_frequency),
         None if workload.drain_time is None else float(workload.drain_time),
     )
-
-
-def key_filename(key: CacheKey) -> str:
-    """Deterministic, filesystem-safe string form of a cache key.
-
-    String keys (sha256 hex) pass through; evaluation tuples render
-    their floats via ``repr``, which is exact for Python floats — equal
-    keys always map to the same name, across processes and hash seeds.
-    """
-    if isinstance(key, str):
-        return key
-    digest, a, v, drain = key
-    return f"{digest}-a{a!r}-v{v!r}-d{drain!r}"
 
 
 def simulation_key(

@@ -19,11 +19,9 @@ pre-fork supervisor (nginx/gunicorn shape, stdlib only):
   non-blocking, so a worker that loses the accept race simply returns
   to its poll loop.
 
-With ``--disk-cache``, results additionally persist through the
-multi-process on-disk store (:class:`~repro.serve.cache.DiskCache` —
-atomic write-to-temp + ``os.replace`` entries, safe for concurrent
-writers), which every worker shares by path; per-process in-memory LRUs
-remain the innermost tier.
+Workers share no results: each answers from its own in-memory
+:class:`~repro.serve.cache.EvaluationCache`, and a result another worker
+holds is recomputed — microseconds for the closed-form model.
 
 Cross-process observability runs over a small state directory of
 atomically-replaced JSON files: the supervisor maintains ``pool.json``
@@ -88,7 +86,6 @@ def report_interval_s() -> float:
 
 #: Cache counters summed across workers for the merged /healthz view.
 _MERGED_MEMORY_FIELDS = ("hits", "misses", "evictions", "entries")
-_MERGED_DISK_FIELDS = ("hits", "misses", "writes", "errors", "evictions")
 
 
 def _write_json_atomic(path: str, payload: dict[str, Any]) -> None:
@@ -193,9 +190,7 @@ class PoolMember:
         pids: dict[str, int] = pool.get("pids", {})
         workers = []
         merged_memory = dict.fromkeys(_MERGED_MEMORY_FIELDS, 0)
-        merged_disk = dict.fromkeys(_MERGED_DISK_FIELDS, 0)
         merged_requests = 0
-        disk_seen = False
         for slot_name in sorted(pids, key=int):
             slot = int(slot_name)
             state = _read_json(self._state_path(slot)) or {}
@@ -220,11 +215,6 @@ class PoolMember:
             memory = cache.get("memory") or {}
             for field in _MERGED_MEMORY_FIELDS:
                 merged_memory[field] += int(memory.get(field, 0))
-            disk = cache.get("disk")
-            if disk:
-                disk_seen = True
-                for field in _MERGED_DISK_FIELDS:
-                    merged_disk[field] += int(disk.get(field, 0))
         return {
             "size": pool.get("workers", len(pids)),
             "supervisor_pid": pool.get("supervisor_pid"),
@@ -232,10 +222,7 @@ class PoolMember:
             "restarts": pool.get("restarts", {}),
             "workers": workers,
             "requests": merged_requests,
-            "cache_merged": {
-                "memory": merged_memory,
-                "disk": merged_disk if disk_seen else None,
-            },
+            "cache_merged": {"memory": merged_memory},
         }
 
     # -- metrics -------------------------------------------------------
@@ -279,7 +266,7 @@ class WorkerPool:
         workers: number of worker processes (>= 1).
         app_factory: builds the worker's :class:`ServeApp`; called *in
             the child* after fork so every worker owns fresh caches and
-            metrics (shared disk stores are shared by path, not fd).
+            metrics.
         max_request_bytes: per-request body bound, as in ``make_server``.
         state_dir: directory for pool/worker state files (default: a
             fresh ``repro-serve-pool-*`` temp dir).

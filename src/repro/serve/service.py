@@ -74,7 +74,6 @@ from repro.serve.batch import EvaluationQuery, evaluate_batch
 from repro.serve.cache import (
     DEFAULT_MAX_ENTRIES,
     MISS,
-    DiskCache,
     EvaluationCache,
     LRUCache,
 )
@@ -102,6 +101,7 @@ from repro.serve.stream import (
 )
 from repro.sim.compile import compile_trace
 from repro.sim.core import CycleLimitError
+from repro.sim.simulator import SimulationResult
 from repro.sim.stats import SimStats
 
 _log = get_logger("serve.service")
@@ -209,6 +209,25 @@ def _simulate_run(item: tuple[Any, Any, Any, Any]) -> dict[str, Any]:
     return {"stats": result.stats.to_dict(), "sampling": result.sampling}
 
 
+def _run_result(
+    trace: Any, config: Any, run: Mapping[str, Any], cached: bool
+) -> dict[str, Any]:
+    """One ``/simulate`` run's response dict from its cached-form ``run``.
+
+    ``run`` is what the result cache stores — ``{"stats": <stats dict>,
+    "sampling": <report or None>}`` — so cache hits and fresh runs go out
+    in one wire form.
+    """
+    return SimulationResult(
+        trace_name=trace.name,
+        config_name=config.name,
+        mode=config.tca_mode,
+        stats=SimStats.from_dict(run["stats"]),
+        cached=cached,
+        sampling=run.get("sampling"),
+    ).to_dict()
+
+
 class ServeApp:
     """The service's request handlers, independent of the HTTP plumbing.
 
@@ -218,7 +237,8 @@ class ServeApp:
     the application logic directly testable without sockets.
 
     Args:
-        cache: the memoization layer (default: in-memory only).
+        cache: the memoization layer (default: a fresh
+            :class:`~repro.serve.cache.EvaluationCache`).
         jobs: worker processes for multi-run ``/simulate`` requests.
         compiled_traces: bound on the ``/simulate`` compiled-trace LRU
             (keyed by :meth:`~repro.isa.trace.Trace.fingerprint`); repeat
@@ -457,14 +477,7 @@ class ServeApp:
                 key = simulation_key(config, trace, warm, sampling=sampling)
                 value = self.cache.get(key)
                 if value is not MISS:
-                    results[i] = api.SimulationResult(
-                        trace_name=trace.name,
-                        config_name=config.name,
-                        mode=config.tca_mode,
-                        stats=SimStats.from_dict(value["stats"]),
-                        cached=True,
-                        sampling=value.get("sampling"),
-                    ).to_dict()
+                    results[i] = _run_result(trace, config, value, cached=True)
                 else:
                     fresh.append((i, (trace, config, warm, sampling), key))
         if fresh:
@@ -482,17 +495,8 @@ class ServeApp:
                         run["cycle_limit"],
                         field=_field("runs", runs[i][0], "config.max_cycles"),
                     )
-                self.cache.put(
-                    key, {"stats": run["stats"], "sampling": run["sampling"]}
-                )
-                results[i] = api.SimulationResult(
-                    trace_name=trace.name,
-                    config_name=config.name,
-                    mode=config.tca_mode,
-                    stats=SimStats.from_dict(run["stats"]),
-                    cached=False,
-                    sampling=run["sampling"],
-                ).to_dict()
+                self.cache.put(key, run)
+                results[i] = _run_result(trace, config, run, cached=False)
         for result in results:
             mode = result.get("sim_mode", "exact") if result else "exact"
             registry.counter(f"serve.simulate.{mode}_runs").inc()
@@ -838,20 +842,6 @@ def main(argv: list[str] | None = None) -> int:
         help="in-memory cache bound (default: %(default)s)",
     )
     parser.add_argument(
-        "--disk-cache",
-        action="store_true",
-        help="also persist results under ~/.cache/repro/ "
-        "(or $REPRO_CACHE_DIR), versioned by schema tag",
-    )
-    parser.add_argument(
-        "--disk-cache-bytes",
-        type=int,
-        default=None,
-        metavar="BYTES",
-        help="LRU-evict disk-cache entries beyond this total size "
-        "(0 = unbounded; default: $REPRO_DISK_CACHE_BYTES or 1073741824)",
-    )
-    parser.add_argument(
         "--max-request-bytes",
         type=int,
         default=DEFAULT_MAX_REQUEST_BYTES,
@@ -872,16 +862,9 @@ def main(argv: list[str] | None = None) -> int:
 
     def app_factory() -> ServeApp:
         # Called in each worker process (after fork) so every worker
-        # owns fresh in-memory caches; with --disk-cache, workers share
-        # the on-disk store (shared by path, with atomic per-entry
-        # writes).
+        # owns fresh in-memory caches.
         return ServeApp(
-            cache=EvaluationCache(
-                max_entries=args.cache_entries,
-                disk=DiskCache(max_bytes=args.disk_cache_bytes)
-                if args.disk_cache
-                else None,
-            ),
+            cache=EvaluationCache(max_entries=args.cache_entries),
             jobs=args.jobs,
         )
 

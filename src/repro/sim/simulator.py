@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
+from typing import Any, Mapping
 
 from repro.core.modes import TCAMode
 from repro.isa.trace import Trace
@@ -34,22 +35,31 @@ _log = get_logger(__name__)
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Outcome of one :func:`simulate` call.
+    """Outcome of one cycle-level simulation.
+
+    :func:`simulate` returns it, and so does :func:`repro.api.simulate`,
+    which adds cache provenance; :meth:`to_dict` is the wire form of a
+    ``/simulate`` run.
 
     Attributes:
         trace_name: name of the executed trace.
         config_name: name of the core configuration.
         mode: TCA integration mode in effect.
         stats: full simulation statistics.
-        sampling: sampling report when interval sampling ran (see
-            :func:`repro.sim.sample.simulate_sampled`); ``None`` for an
-            exact run with no sampling requested.
+        cached: whether the result was served from the content-addressed
+            cache rather than simulated.
+        sampling: sampling report when interval sampling was requested
+            (``{"mode": "sampled", ...}`` or ``{"mode": "exact",
+            "forced_exact": reason, ...}``; see
+            :func:`repro.sim.sample.simulate_sampled`); ``None`` for a
+            plain exact run.
     """
 
     trace_name: str
     config_name: str
     mode: TCAMode
     stats: SimStats
+    cached: bool = False
     sampling: dict | None = None
 
     @property
@@ -68,6 +78,33 @@ class SimulationResult:
         if self.sampling is not None and self.sampling.get("mode") == "sampled":
             return "sampled"
         return "exact"
+
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-safe dump (stats via :meth:`SimStats.to_dict`)."""
+        payload: dict[str, Any] = {
+            "trace_name": self.trace_name,
+            "config_name": self.config_name,
+            "mode": self.mode.value,
+            "sim_mode": self.sim_mode,
+            "stats": self.stats.to_dict(),
+            "cached": self.cached,
+        }
+        if self.sampling is not None:
+            payload["sampling"] = self.sampling
+        return payload
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, Any]) -> "SimulationResult":
+        """Rebuild from a :meth:`to_dict` payload."""
+        sampling = payload.get("sampling")
+        return cls(
+            trace_name=str(payload["trace_name"]),
+            config_name=str(payload["config_name"]),
+            mode=TCAMode(payload["mode"]),
+            stats=SimStats.from_dict(payload["stats"]),
+            cached=bool(payload.get("cached", False)),
+            sampling=dict(sampling) if sampling is not None else None,
+        )
 
 
 def simulate(
@@ -204,6 +241,9 @@ def _record_run(
 class ModeComparison:
     """Baseline-vs-accelerated comparison across the four TCA modes.
 
+    :func:`simulate_modes` returns it, and :func:`repro.api.compare`
+    under the name ``ComparisonResult``.
+
     Attributes:
         baseline: result of the software-only trace.
         per_mode: accelerated-trace result for each TCA mode.
@@ -222,6 +262,27 @@ class ModeComparison:
     def speedups(self) -> dict[TCAMode, float]:
         """Speedups for every simulated mode."""
         return {mode: self.speedup(mode) for mode in self.per_mode}
+
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-safe dump (modes keyed by their string values)."""
+        return {
+            "baseline": self.baseline.to_dict(),
+            "per_mode": {
+                m.value: result.to_dict() for m, result in self.per_mode.items()
+            },
+            "speedups": {m.value: self.speedup(m) for m in self.per_mode},
+        }
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, Any]) -> "ModeComparison":
+        """Rebuild from a :meth:`to_dict` payload."""
+        return cls(
+            baseline=SimulationResult.from_dict(payload["baseline"]),
+            per_mode={
+                TCAMode(mode): SimulationResult.from_dict(result)
+                for mode, result in payload["per_mode"].items()
+            },
+        )
 
 
 def simulate_modes(

@@ -171,6 +171,18 @@ class TestSimulateAndCompare:
         assert back.stats == first.stats
         assert back.mode == first.mode
 
+    def test_facade_and_engine_share_result_types(self):
+        import repro.sim
+        from repro.sim.simulator import ModeComparison
+
+        assert api.SimulationResult is repro.sim.SimulationResult
+        assert api.ComparisonResult is ModeComparison
+        baseline, _ = _traces()
+        result = api.simulate(baseline, ARM_A72_SIM)
+        assert type(result) is repro.sim.SimulationResult
+        assert result.cached is False
+        assert result.to_dict()["cached"] is False
+
     def test_compare_matches_simulate_modes(self):
         baseline, accelerated = _traces()
         from repro.sim.simulator import simulate_modes

@@ -335,7 +335,7 @@ class TestBuilderRecords:
 
 
 #: Trace.fingerprint() of each generator's default program.  These key
-#: the serve disk cache and compiled-trace LRU, so a change to the
+#: the serve result cache and compiled-trace LRU, so a change to the
 #: instruction records or the generators must not move them.
 GOLDEN_FINGERPRINTS = {
     "heap": (

@@ -1,9 +1,8 @@
-"""Tests of the memoization layer: keys, LRU semantics, disk store.
+"""Tests of the memoization layer: keys and LRU semantics.
 
 The cache is only safe to rely on if its keys are *reproducible* (across
 processes, hash seeds, restarts) and its bounds actually bound — these
-tests pin both, plus thread safety under concurrent hammering and
-schema-tag invalidation of the disk layer.
+tests pin both, plus thread safety under concurrent hammering.
 """
 
 import json
@@ -11,7 +10,6 @@ import os
 import subprocess
 import sys
 import textwrap
-import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -29,7 +27,6 @@ from repro.core.parameters import (
 from repro.serve import keys
 from repro.serve.cache import (
     MISS,
-    DiskCache,
     EvaluationCache,
     LRUCache,
 )
@@ -38,7 +35,6 @@ from repro.serve.keys import (
     drain_config,
     evaluation_group_key,
     evaluation_key,
-    key_filename,
     schema_tag,
     sha256_key,
 )
@@ -72,15 +68,6 @@ class TestKeys:
         key2 = evaluation_key(ARM_A72, ACCEL, other, TCAMode.L_T)
         assert key1[0] == key2[0]
         assert key1 != key2
-
-    def test_key_filename_is_deterministic_and_fs_safe(self):
-        key = evaluation_key(ARM_A72, ACCEL, WORKLOAD, TCAMode.L_T)
-        name = key_filename(key)
-        assert name == key_filename(key)
-        assert "/" not in name and " " not in name
-        assert name.startswith(key[0])
-        # hex simulation-style keys pass through unchanged
-        assert key_filename("ab" * 32) == "ab" * 32
 
     def test_key_depends_on_every_input(self):
         base = evaluation_key(ARM_A72, ACCEL, WORKLOAD, TCAMode.L_T)
@@ -237,8 +224,8 @@ class TestKeys:
             from repro.core.parameters import (
                 ARM_A72, AcceleratorParameters, WorkloadParameters,
             )
-            from repro.serve.keys import evaluation_key, key_filename
-            print(key_filename(evaluation_key(
+            from repro.serve.keys import evaluation_key
+            print(repr(evaluation_key(
                 ARM_A72,
                 AcceleratorParameters(name="t", acceleration=3.0),
                 WorkloadParameters.from_granularity(53, acceleratable_fraction=0.3),
@@ -257,7 +244,7 @@ class TestKeys:
             )
             assert proc.returncode == 0, proc.stderr
             keys.add(proc.stdout.strip())
-        keys.add(key_filename(evaluation_key(ARM_A72, ACCEL, WORKLOAD, TCAMode.L_T)))
+        keys.add(repr(evaluation_key(ARM_A72, ACCEL, WORKLOAD, TCAMode.L_T)))
         assert len(keys) == 1, f"keys differ across processes: {keys}"
 
 
@@ -367,192 +354,7 @@ class TestLRUCache:
             assert cache.get(key) == key
 
 
-class TestDiskCache:
-    def test_round_trip_and_stats(self, tmp_path):
-        cache = DiskCache(root=str(tmp_path))
-        assert cache.get("aa" * 32) is MISS
-        cache.put("aa" * 32, {"x": [1.0, 2.0]})
-        assert cache.get("aa" * 32) == {"x": [1.0, 2.0]}
-        stats = cache.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-        assert stats["writes"] == 1
-
-    def test_schema_tag_partitions_entries(self, tmp_path):
-        """A schema bump must invalidate everything previously cached."""
-        old = DiskCache(root=str(tmp_path), tag="1.0.0+tca-eqs1-9.v1")
-        old.put("bb" * 32, 2.5)
-        new = DiskCache(root=str(tmp_path), tag="1.1.0+tca-eqs1-9.v2")
-        assert new.get("bb" * 32) is MISS
-        assert old.get("bb" * 32) == 2.5
-
-    def test_default_tag_is_current_schema(self, tmp_path):
-        assert DiskCache(root=str(tmp_path)).tag == schema_tag()
-
-    def test_corrupt_entry_degrades_to_miss(self, tmp_path):
-        cache = DiskCache(root=str(tmp_path))
-        cache.put("cc" * 32, 1.0)
-        path = cache._path("cc" * 32)
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write("{not json")
-        assert cache.get("cc" * 32) is MISS
-        assert cache.stats()["errors"] == 1
-
-    def test_clear_removes_entries(self, tmp_path):
-        cache = DiskCache(root=str(tmp_path))
-        cache.put("dd" * 32, 1.0)
-        cache.put("ee" * 32, 2.0)
-        assert cache.clear() == 2
-        assert cache.get("dd" * 32) is MISS
-
-    def test_tuple_keys_round_trip(self, tmp_path):
-        cache = DiskCache(root=str(tmp_path))
-        key = evaluation_key(ARM_A72, ACCEL, WORKLOAD, TCAMode.L_T)
-        cache.put(key, 2.25)
-        assert cache.get(key) == 2.25
-        # the entry lands under the deterministic key_filename
-        assert cache._path(key).endswith(key_filename(key) + ".json")
-
-    def test_put_leaves_no_temp_files(self, tmp_path):
-        cache = DiskCache(root=str(tmp_path))
-        cache.put("aa" * 32, [1.0] * 100)
-        leftovers = [
-            name
-            for _, _, names in os.walk(tmp_path)
-            for name in names
-            if not name.endswith(".json")
-        ]
-        assert leftovers == []
-
-    def test_concurrent_writers_never_expose_partial_json(self, tmp_path):
-        """Regression: entry files are written atomically (temp+rename).
-
-        Several writer *processes* rewrite the same keys with large
-        values while this process reads them in a tight loop.  A
-        non-atomic writer makes reads observe truncated JSON, which
-        :meth:`DiskCache.get` would count in ``errors`` — so the test
-        asserts every read is a miss or a complete value and the error
-        counter stays 0.
-        """
-        root = str(tmp_path)
-        keys = ["ab" * 32, "cd" * 32, "ef" * 32]
-        writer = textwrap.dedent(
-            """
-            import sys
-            from repro.serve.cache import DiskCache
-            root, tag_suffix = sys.argv[1], sys.argv[2]
-            cache = DiskCache(root=root, tag="atomicity-test", fsync=False)
-            keys = ["ab" * 32, "cd" * 32, "ef" * 32]
-            # large enough that a non-atomic write is observable mid-way
-            for round in range(40):
-                for key in keys:
-                    cache.put(key, {"fill": [float(round)] * 2000})
-            """
-        )
-        writers = [
-            subprocess.Popen(
-                [sys.executable, "-c", writer, root, str(i)],
-                env={**os.environ, "PYTHONPATH": "src"},
-            )
-            for i in range(3)
-        ]
-        reader = DiskCache(root=root, tag="atomicity-test", fsync=False)
-        reads = 0
-        try:
-            while any(proc.poll() is None for proc in writers):
-                for key in keys:
-                    value = reader.get(key)
-                    if value is not MISS:
-                        fill = value["fill"]
-                        assert len(fill) == 2000
-                        assert fill == [fill[0]] * 2000  # one write, whole
-                        reads += 1
-        finally:
-            for proc in writers:
-                proc.wait(timeout=120)
-        assert all(proc.returncode == 0 for proc in writers)
-        assert reader.stats()["errors"] == 0
-        assert reads > 0  # the loop actually observed concurrent state
-
-
-class TestDiskCacheSizeBound:
-    """Regression: ``--disk-cache`` used to grow without bound."""
-
-    def _entry_size(self, tmp_path):
-        probe = DiskCache(root=str(tmp_path / "probe"), fsync=False, max_bytes=0)
-        probe.put("aa" * 32, {"v": 1.0})
-        (_, _, names), *_ = [
-            (d, s, [os.path.join(d, n) for n in f])
-            for d, s, f in os.walk(probe.root)
-            if f
-        ]
-        return os.path.getsize(names[0])
-
-    def test_put_beyond_bound_evicts_lru(self, tmp_path):
-        size = self._entry_size(tmp_path)
-        cache = DiskCache(root=str(tmp_path), fsync=False, max_bytes=size * 4)
-        for i in range(8):
-            cache.put(f"{i:02d}" * 32, {"v": 1.0})
-        stats = cache.stats()
-        assert stats["evictions"] > 0
-        assert stats["evicted_bytes"] >= stats["evictions"] * size
-        assert stats["total_bytes"] <= size * 4
-        # newest entries survive, oldest were the ones evicted
-        assert cache.get("07" * 32) is not MISS
-        assert cache.get("00" * 32) is MISS
-
-    def test_get_refreshes_recency(self, tmp_path):
-        size = self._entry_size(tmp_path)
-        cache = DiskCache(root=str(tmp_path), fsync=False, max_bytes=size * 10)
-        for i in range(10):
-            cache.put(f"{i:02d}" * 32, {"v": 1.0})
-            time.sleep(0.01)  # distinct mtimes
-        assert cache.get("00" * 32) is not MISS  # touch: 00 is now newest
-        time.sleep(0.01)
-        cache.put("aa" * 32, {"v": 2.0})  # crosses the bound -> evicts
-        assert cache.stats()["evictions"] > 0
-        # the touched entry outlived the untouched older ones
-        assert cache.get("00" * 32) is not MISS
-        assert cache.get("01" * 32) is MISS
-
-    def test_bound_counts_preexisting_entries(self, tmp_path):
-        size = self._entry_size(tmp_path)
-        unbounded = DiskCache(root=str(tmp_path), fsync=False, max_bytes=0)
-        for i in range(8):
-            unbounded.put(f"{i:02d}" * 32, {"v": 1.0})
-        assert unbounded.stats()["evictions"] == 0
-        bounded = DiskCache(root=str(tmp_path), fsync=False, max_bytes=size * 4)
-        bounded.put("ff" * 32, {"v": 2.0})  # first write walks, then evicts
-        stats = bounded.stats()
-        assert stats["evictions"] >= 4
-        assert stats["total_bytes"] <= size * 4
-
-    def test_zero_disables_the_bound(self, tmp_path):
-        cache = DiskCache(root=str(tmp_path), fsync=False, max_bytes=0)
-        assert cache.max_bytes is None
-        for i in range(16):
-            cache.put(f"{i:02d}" * 32, {"v": 1.0})
-        assert cache.stats()["evictions"] == 0
-        assert cache.stats()["max_bytes"] is None
-
-    def test_env_default_applies(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_DISK_CACHE_BYTES", "12345")
-        assert DiskCache(root=str(tmp_path)).max_bytes == 12345
-        monkeypatch.setenv("REPRO_DISK_CACHE_BYTES", "0")
-        assert DiskCache(root=str(tmp_path)).max_bytes is None
-        monkeypatch.delenv("REPRO_DISK_CACHE_BYTES")
-        assert DiskCache(root=str(tmp_path)).max_bytes == 1024 * 1024 * 1024
-
-
 class TestEvaluationCache:
-    def test_disk_hits_promote_to_memory(self, tmp_path):
-        disk = DiskCache(root=str(tmp_path))
-        disk.put("ff" * 32, 4.5)
-        cache = EvaluationCache(disk=disk)
-        assert cache.get("ff" * 32) == 4.5  # from disk
-        assert len(cache.memory) == 1
-        assert cache.get("ff" * 32) == 4.5  # now from memory
-        assert cache.memory.hits == 1
-
     def test_registry_counters_track_accesses(self):
         registry = repro.get_registry()
         before = registry.counter("serve.cache.hits").value
@@ -562,44 +364,25 @@ class TestEvaluationCache:
         cache.get("nope")
         assert registry.counter("serve.cache.hits").value == before + 1
 
-    def test_values_survive_restart_via_disk(self, tmp_path):
-        """Same key, new process-level cache object, same answer."""
-        key = evaluation_key(ARM_A72, ACCEL, WORKLOAD, TCAMode.L_T)
-        expected = TCAModel(ARM_A72, ACCEL, WORKLOAD).speedup(TCAMode.L_T)
-        first = EvaluationCache(disk=DiskCache(root=str(tmp_path)))
-        first.put(key, expected)
-        # a fresh instance (as after a restart) sees only the disk layer
-        second = EvaluationCache(disk=DiskCache(root=str(tmp_path)))
-        assert second.get(key) == pytest.approx(expected, abs=0)
-
-    def test_stats_shape_matches_manifest_contract(self, tmp_path):
-        cache = EvaluationCache(disk=DiskCache(root=str(tmp_path)))
-        stats = cache.stats()
-        assert set(stats) == {"memory", "disk"}
+    def test_stats_shape_matches_manifest_contract(self):
+        stats = EvaluationCache().stats()
+        assert set(stats) == {"memory"}
         json.dumps(stats)  # must be JSON-safe for manifests
 
-    def test_get_many_promotes_disk_hits(self, tmp_path):
-        disk = DiskCache(root=str(tmp_path))
-        disk.put("aa" * 32, 1.5)
-        disk.put("bb" * 32, 2.5)
-        cache = EvaluationCache(disk=disk)
-        values = cache.get_many(["aa" * 32, "nope", "bb" * 32])
-        assert values == [1.5, MISS, 2.5]
-        # promoted: a second bulk probe is answered from memory
-        assert cache.get_many(["aa" * 32, "bb" * 32]) == [1.5, 2.5]
-        assert cache.memory.hits == 2
-
-    def test_put_many_reaches_both_layers(self, tmp_path):
+    def test_bulk_ops_round_trip_exact_values(self):
+        """put_many/get_many return stored values bit-exact, in order."""
         registry = repro.get_registry()
-        writes = registry.counter("serve.cache.disk_writes").value
-        hits = registry.counter("serve.cache.disk_hits").value
-        disk = DiskCache(root=str(tmp_path))
-        cache = EvaluationCache(disk=disk)
-        cache.put_many([("aa" * 32, 1.0), ("bb" * 32, 2.0)])
-        assert registry.counter("serve.cache.disk_writes").value == writes + 2
-        fresh = EvaluationCache(disk=DiskCache(root=str(tmp_path)))
-        assert fresh.get_many(["aa" * 32, "bb" * 32]) == [1.0, 2.0]
-        assert registry.counter("serve.cache.disk_hits").value == hits + 2
+        hits = registry.counter("serve.cache.hits").value
+        misses = registry.counter("serve.cache.misses").value
+        key = evaluation_key(ARM_A72, ACCEL, WORKLOAD, TCAMode.L_T)
+        expected = TCAModel(ARM_A72, ACCEL, WORKLOAD).speedup(TCAMode.L_T)
+        cache = EvaluationCache()
+        cache.put_many([(key, expected), ("bb" * 32, 2.5)])
+        values = cache.get_many([key, "nope", "bb" * 32])
+        assert values == [pytest.approx(expected, abs=0), MISS, 2.5]
+        assert registry.counter("serve.cache.hits").value == hits + 2
+        assert registry.counter("serve.cache.misses").value == misses + 1
+        assert cache.stats()["memory"]["entries"] == 2
 
     def test_bulk_ops_match_scalar_ops_under_threads(self, tmp_path):
         """8 threads mixing bulk and scalar ops: values stay coherent."""

@@ -222,7 +222,6 @@ def test_pool_member_merges_worker_states(tmp_path):
                     "evictions": 0,
                     "entries": 2,
                 },
-                "disk": None,
             }
 
     class FakeApp:
@@ -246,7 +245,7 @@ def test_pool_member_merges_worker_states(tmp_path):
     assert health["size"] == 2
     assert health["requests"] == 12
     assert health["cache_merged"]["memory"]["hits"] == 6
-    assert health["cache_merged"]["disk"] is None
+    assert set(health["cache_merged"]) == {"memory"}
     assert [w["alive"] for w in health["workers"]] == [True, True]
     # per-worker runtime vitals ride along in each worker entry
     slot1 = next(w for w in health["workers"] if w["slot"] == 1)
@@ -261,8 +260,7 @@ def test_pool_member_state_file_carries_metrics_and_vitals(tmp_path):
     class FakeCache:
         def stats(self):
             return {"memory": {"hits": 0, "misses": 0, "evictions": 0,
-                               "entries": 0},
-                    "disk": None}
+                               "entries": 0}}
 
     class FakeApp:
         cache = FakeCache()
@@ -284,8 +282,7 @@ def test_pool_member_merged_metrics_sums_worker_snapshots(tmp_path):
     class FakeCache:
         def stats(self):
             return {"memory": {"hits": 0, "misses": 0, "evictions": 0,
-                               "entries": 0},
-                    "disk": None}
+                               "entries": 0}}
 
     class FakeApp:
         cache = FakeCache()

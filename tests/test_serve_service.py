@@ -84,7 +84,7 @@ class TestHealthz:
         assert status == 200
         assert body["status"] == "ok"
         assert "+" in body["schema"]
-        assert set(body["cache"]) == {"memory", "disk"}
+        assert set(body["cache"]) == {"memory"}
         assert body["manifest"]["package_version"]
         assert body["manifest"]["cache"]["memory"]["max_entries"] >= 1
 
