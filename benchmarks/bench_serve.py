@@ -267,7 +267,8 @@ def run_http_load(
     """Fire all payloads at the server from a thread pool.
 
     Threads share a queue of request indices and keep one persistent
-    connection each.  Returns (wall seconds, the ``results`` field of
+    connection each: the server speaks HTTP/1.1 keep-alive, so every
+    thread's requests reuse one socket.  Returns (wall seconds, the ``results`` field of
     every response as canonical bytes, in request order) — the caller
     compares those bytes across worker counts.
     """

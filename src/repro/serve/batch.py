@@ -91,6 +91,25 @@ class BatchEntry(NamedTuple):
     key: EvaluationKey | None
 
 
+def preset_key(query: EvaluationQuery, digest: str) -> EvaluationKey:
+    """Store ``query``'s cache key, built from its group ``digest``.
+
+    The key is the digest of :func:`~repro.serve.keys.evaluation_group_key`
+    for the query's core, accelerator, mode and drain estimator, plus its
+    workload's three numbers.  :func:`evaluate_batch` uses a preset key
+    as is, so a caller that already holds the digest skips the lookup.
+    """
+    workload = query.workload
+    key = (
+        digest,
+        workload.acceleratable_fraction,
+        workload.invocation_frequency,
+        workload.drain_time,
+    )
+    object.__setattr__(query, "_key", key)
+    return key
+
+
 def evaluate_batch(
     queries: Sequence[EvaluationQuery],
     cache: EvaluationCache | None = None,
@@ -145,14 +164,7 @@ def evaluate_batch(
                             )
                         # Stored on the query, so a query object that is
                         # evaluated again skips the digest lookup.
-                        workload = query.workload
-                        key = (
-                            digest,
-                            workload.acceleratable_fraction,
-                            workload.invocation_frequency,
-                            workload.drain_time,
-                        )
-                        object.__setattr__(query, "_key", key)
+                        key = preset_key(query, digest)
                     keys[index] = key
                 for index, value in enumerate(cache.get_many(keys)):
                     if value is not MISS:

@@ -118,7 +118,7 @@ GROUP_KEY_MEMO_SIZE = 4096
 
 _group_digests: dict[tuple[Any, ...], str] = {}
 
-#: The value types :func:`_exact_key` accepts: exact under equality
+#: The value types :func:`exact_key` accepts: exact under equality
 #: once each value's type is part of the key (and no value is zero).
 _EXACT_TYPES = frozenset((str, int, float, bool, type(None)))
 
@@ -141,7 +141,7 @@ def evaluation_group_key(
     Digests are memoized by value (up to :data:`GROUP_KEY_MEMO_SIZE`),
     so equal parameters built as new objects — one set per parsed
     request query — pay for the sha256/canonical-JSON pass once.  The
-    memo never changes a digest: see :func:`_exact_key`.
+    memo never changes a digest: see :func:`exact_key`.
     """
     schema = schema_tag()
     core_part = core.to_canonical_dict()
@@ -149,7 +149,7 @@ def evaluation_group_key(
     drain_part = (
         None if drain_estimator is None else drain_config(drain_estimator)
     )
-    memo_key = _exact_key(
+    memo_key = exact_key(
         schema, mode.value, core_part, accelerator_part, drain_part
     )
     digest = None if memo_key is None else _group_digests.get(memo_key)
@@ -173,39 +173,32 @@ def evaluation_group_key(
     return digest
 
 
-def _exact_key(
-    schema: str,
-    mode: str,
-    core: dict[str, Any],
-    accelerator: dict[str, Any],
-    drain: dict[str, Any] | None,
-) -> tuple[Any, ...] | None:
-    """The memo key of a group payload, or ``None`` to skip the memo.
+def exact_key(*parts: Any) -> tuple[Any, ...] | None:
+    """A memo key for JSON-like ``parts``, or ``None`` to skip the memo.
 
-    Two payloads share a key only if their canonical JSON is the same.
-    Python equality is coarser than that: ``3``, ``3.0`` and ``True``
-    are equal, and so are ``0.0`` and ``-0.0``.  So the key carries
-    every value's type, and a payload holding a zero, or a value of any
-    type outside :data:`_EXACT_TYPES` (a nested list, a NumPy scalar),
-    is not memoized.  ``drain`` is ``None`` for the default estimator,
-    whose config is fixed.
+    Each part is a scalar, or a dict or list of scalars.  Two argument
+    lists share a key only if they are the same JSON, which Python
+    equality alone does not show: ``3``, ``3.0`` and ``True`` are equal,
+    and so are ``0.0`` and ``-0.0``.  So the key carries every value's
+    type, and parts holding a zero, or a value of any type outside
+    :data:`_EXACT_TYPES` (a nested list, a NumPy scalar), get no key.
+    Each part is flattened behind a tag and, for a dict or list, its
+    length, so the flat key still tells the parts apart.
     """
-    values = (
-        schema,
-        mode,
-        len(core),
-        *core,
-        *core.values(),
-        len(accelerator),
-        *accelerator,
-        *accelerator.values(),
-    )
-    if drain is not None:
-        values += (len(drain), *drain, *drain.values())
+    values: list[Any] = []
+    for part in parts:
+        kind = type(part)
+        if kind is dict:
+            values += ("{", len(part), *part, *part.values())
+        elif kind is list:
+            values += ("[", len(part), *part)
+        else:
+            values += (".", part)
     types = tuple(map(type, values))
-    if 0 in values or not _EXACT_TYPES.issuperset(types):
+    # Types first: comparing a foreign value with 0 may raise.
+    if not _EXACT_TYPES.issuperset(types) or 0 in values:
         return None
-    return values + types
+    return (*values, *types)
 
 
 def evaluation_key(

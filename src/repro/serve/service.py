@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import signal
 import socket
@@ -54,8 +55,8 @@ import sys
 import threading
 from collections.abc import Callable, Mapping
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from time import monotonic, perf_counter
-from typing import Any
+from time import monotonic, perf_counter, thread_time
+from typing import Any, NamedTuple
 from urllib.parse import parse_qs
 
 from repro import api
@@ -64,20 +65,33 @@ from repro.cli_common import (
     configure_from_args,
     maybe_print_profile,
 )
+from repro.core.drain import DrainEstimator
+from repro.core.modes import TCAMode
+from repro.core.parameters import (
+    AcceleratorParameters,
+    CoreParameters,
+    WorkloadParameters,
+)
 from repro.core.parallel import parallel_map
 from repro.obs.log import get_logger
 from repro.obs.manifest import build_manifest
 from repro.obs.metrics import get_registry
 from repro.obs.prometheus import render_prometheus
 from repro.obs.span import new_request_id, request_scope, span
-from repro.serve.batch import EvaluationQuery, evaluate_batch
+from repro.serve.batch import EvaluationQuery, evaluate_batch, preset_key
 from repro.serve.cache import (
     DEFAULT_MAX_ENTRIES,
     MISS,
     EvaluationCache,
     LRUCache,
 )
-from repro.serve.keys import schema_tag, simulation_key
+from repro.serve.keys import (
+    GROUP_KEY_MEMO_SIZE,
+    evaluation_group_key,
+    exact_key,
+    schema_tag,
+    simulation_key,
+)
 from repro.serve.params import (
     RequestError,
     finite_number,
@@ -228,6 +242,65 @@ def _run_result(
     ).to_dict()
 
 
+#: Distinct ``/evaluate`` query templates a :class:`ServeApp` keeps
+#: parsed; the memo is emptied when it fills, like the group-digest memo
+#: of :mod:`repro.serve.keys`.
+TEMPLATE_MEMO_SIZE = GROUP_KEY_MEMO_SIZE
+
+
+class _Template(NamedTuple):
+    """An ``/evaluate`` query minus its workload, parsed and keyed once.
+
+    ``core``, ``accelerator``, ``modes`` and ``drain`` hold what the
+    request's parsers returned, ``digests`` each mode's group digest
+    (:func:`~repro.serve.keys.evaluation_group_key`), and the two dicts
+    are the response's ``core`` and ``accelerator`` entries.
+    """
+
+    core: CoreParameters
+    accelerator: AcceleratorParameters
+    modes: tuple[TCAMode, ...]
+    drain: DrainEstimator | None
+    mode_values: tuple[str, ...]
+    digests: tuple[str, ...]
+    core_dict: dict[str, Any]
+    accelerator_dict: dict[str, Any]
+
+    @classmethod
+    def build(
+        cls,
+        core: CoreParameters,
+        accelerator: AcceleratorParameters,
+        modes: tuple[TCAMode, ...],
+        drain: DrainEstimator | None,
+    ) -> "_Template":
+        """The template of parsed parameters, with its digests and dicts."""
+        return cls(
+            core,
+            accelerator,
+            modes,
+            drain,
+            tuple(mode.value for mode in modes),
+            tuple(
+                evaluation_group_key(core, accelerator, mode, drain)
+                for mode in modes
+            ),
+            {"name": core.name, **core.to_canonical_dict()},
+            {"name": accelerator.name, **accelerator.to_canonical_dict()},
+        )
+
+    def queries(self, workload: WorkloadParameters) -> list[EvaluationQuery]:
+        """One keyed :class:`EvaluationQuery` per mode for ``workload``."""
+        queries = []
+        for mode, digest in zip(self.modes, self.digests):
+            query = EvaluationQuery(
+                self.core, self.accelerator, workload, mode, self.drain
+            )
+            preset_key(query, digest)
+            queries.append(query)
+        return queries
+
+
 class ServeApp:
     """The service's request handlers, independent of the HTTP plumbing.
 
@@ -265,6 +338,10 @@ class ServeApp:
         #: (``/metrics`` renders the process-wide registry directly).
         self.pool_metrics: Callable[[], Any] | None = None
         self._compiled = LRUCache(max_entries=max(1, compiled_traces))
+        #: ``/evaluate`` templates by :func:`~repro.serve.keys.exact_key`
+        #: of their raw JSON (bounded by :data:`TEMPLATE_MEMO_SIZE`).
+        self._templates: dict[tuple[Any, ...], _Template] = {}
+        self._templates_lock = threading.Lock()  # taken to store, not to look up
         self._compile_counts_lock = threading.Lock()
         self._compiles = 0
 
@@ -323,50 +400,79 @@ class ServeApp:
         Every (query, mode) pair in the request becomes one
         :class:`~repro.serve.batch.EvaluationQuery`; the batch engine
         evaluates them across queries, so a 10k-query request costs at
-        most one vectorized pass per mode.
+        most one vectorized pass per mode.  A query's template — all of
+        it but the workload — is parsed, keyed and rendered once per
+        distinct value (see :class:`_Template`); only the workload is
+        parsed per query.
         """
-        specs = []
+        specs: list[tuple[_Template, WorkloadParameters]] = []
         queries: list[EvaluationQuery] = []
-        slices: list[tuple[int, int]] = []  # queries[i] -> slice of `queries`
+        templates = self._templates
         with span("serve.evaluate.parse"):
             for index, spec in iter_queries(payload):
+                raw = (
+                    spec.get("core"),
+                    spec.get("accelerator"),
+                    spec.get("modes", spec.get("mode")),
+                    spec.get("drain"),
+                )
+                key = exact_key(*raw)
+                template = None if key is None else templates.get(key)
                 try:
-                    core = parse_core(spec.get("core"))
-                    accelerator = parse_accelerator(spec.get("accelerator"))
-                    workload = parse_workload(spec.get("workload"))
-                    modes = parse_modes(spec.get("modes", spec.get("mode")))
-                    drain = parse_drain(spec.get("drain"))
+                    if template is None:
+                        # The parsers run in their usual order, so a query
+                        # with several bad fields names the same one.
+                        core = parse_core(raw[0])
+                        accelerator = parse_accelerator(raw[1])
+                        workload = parse_workload(spec.get("workload"))
+                        template = _Template.build(
+                            core, accelerator, parse_modes(raw[2]),
+                            parse_drain(raw[3]),
+                        )
+                        if key is not None:
+                            with self._templates_lock:
+                                if len(templates) >= TEMPLATE_MEMO_SIZE:
+                                    templates.clear()
+                                templates[key] = template
+                    else:
+                        workload = parse_workload(spec.get("workload"))
                 except RequestError as exc:
                     # Each parser's default field is the query's key, so
                     # only a batched query's path needs its prefix.
                     if index is not None and exc.field is not None:
                         exc.field = f"queries[{index}].{exc.field}"
                     raise
-                start = len(queries)
-                queries.extend(
-                    EvaluationQuery(core, accelerator, workload, mode, drain)
-                    for mode in modes
-                )
-                slices.append((start, len(queries)))
-                specs.append((core, accelerator, workload, modes))
+                queries.extend(template.queries(workload))
+                specs.append((template, workload))
         entries = evaluate_batch(queries, cache=self.cache)
         results = []
+        start = 0
         with span("serve.evaluate.assemble"):
-            for (core, accelerator, workload, modes), (start, stop) in zip(
-                specs, slices
-            ):
+            for template, workload in specs:
+                stop = start + len(template.modes)
                 chunk = entries[start:stop]
-                result = api.EvaluationResult(
-                    core=core,
-                    accelerator=accelerator,
-                    workload=workload,
-                    speedups={
-                        mode: entry.speedup
-                        for mode, entry in zip(modes, chunk)
-                    },
-                    cached=all(entry.cached for entry in chunk),
+                start = stop
+                speedups = {
+                    mode: entry.speedup
+                    for mode, entry in zip(template.mode_values, chunk)
+                }
+                if len(speedups) == 1:
+                    best_mode = template.mode_values[0]
+                else:  # EvaluationResult.best_mode: L_T wins ties
+                    best_mode = max(
+                        speedups,
+                        key=lambda mode: (speedups[mode], mode == "L_T"),
+                    )
+                results.append(
+                    {  # copied dicts: a caller may edit its results
+                        "core": dict(template.core_dict),
+                        "accelerator": dict(template.accelerator_dict),
+                        "workload": workload.to_canonical_dict(),
+                        "speedups": speedups,
+                        "best_mode": best_mode,
+                        "cached": all(entry.cached for entry in chunk),
+                    }
                 )
-                results.append(result.to_dict())
         return {"results": results, "cache": self.cache.stats()}
 
     def handle_sweep(self, payload: Any) -> "dict[str, Any] | NDJSONStream":
@@ -542,9 +648,18 @@ class ServeApp:
 
 
 class _Handler(BaseHTTPRequestHandler):
-    """HTTP plumbing: routing, size bounds, JSON codec, error mapping."""
+    """HTTP plumbing: routing, size bounds, JSON codec, error mapping.
+
+    Connections are persistent (HTTP/1.1): one connection serves
+    requests until the client closes it or a reply closes it.  A reply
+    closes the connection when it leaves the request body unread (a
+    404, a 413, a missing or bad ``Content-Length``), when it is an
+    NDJSON stream (delimited by the close), and once the server is
+    shutting down.
+    """
 
     server: "ServeServer"
+    protocol_version = "HTTP/1.1"
     #: Route table: (method, path) -> app handler name.
     ROUTES = {
         ("POST", "/evaluate"): "handle_evaluate",
@@ -552,9 +667,33 @@ class _Handler(BaseHTTPRequestHandler):
         ("POST", "/simulate"): "handle_simulate",
     }
 
+    def handle(self) -> None:
+        """Serve this connection's requests until it closes.
+
+        Between requests the handler is parked with the server, which
+        closes parked connections when it shuts down; ``thread_time``
+        before each request starts the ``serve.cpu.<endpoint>`` sample
+        (a thread blocked on its socket spends no CPU).
+        """
+        self.close_connection = False
+        while not self.close_connection and self.server.park(self):
+            self._cpu_started = thread_time()
+            self.handle_one_request()
+
+    def parse_request(self) -> bool:
+        """Unpark (a request line has arrived), then parse the request."""
+        self.server.unpark(self)
+        return super().parse_request()
+
+    def finish(self) -> None:
+        """Unpark for good, then flush and close the connection's files."""
+        self.server.unpark(self)
+        super().finish()
+
     def log_message(self, format: str, *args: Any) -> None:
         """Route http.server's chatter into the package logger."""
-        _log.info("%s %s", self.address_string(), format % args)
+        if _log.isEnabledFor(logging.INFO):
+            _log.info("%s %s", self.address_string(), format % args)
 
     def _send_json(
         self,
@@ -573,29 +712,42 @@ class _Handler(BaseHTTPRequestHandler):
         content_type: str,
         request_id: str | None = None,
     ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
+        """Send one response: status line, headers and body in one write.
+
+        One write, not two, so a kept-alive socket never holds the body
+        back behind Nagle's algorithm and the client's delayed ACK.
+        """
+        if self.server.closing:
+            self.close_connection = True
+        self.log_request(status, len(body))
+        head = [
+            f"{self.protocol_version} {status} {self.responses[status][0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {content_type}",
+        ]
         if request_id is not None:
-            self.send_header("X-Request-Id", request_id)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
+            head.append(f"X-Request-Id: {request_id}")
+        head.append(f"Content-Length: {len(body)}")
+        if self.close_connection:
+            head.append("Connection: close")
+        data = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+        with get_registry().timer("serve.write").time():
+            self.wfile.write(data)
 
     def _send_ndjson(self, stream: NDJSONStream, request_id: str) -> None:
         """Stream an NDJSON response, one flushed JSON line per record.
 
-        The default HTTP/1.0 protocol version delimits the body by
-        connection close, so no Content-Length is needed — records go
-        out as they are produced.  Mid-stream failures (after headers
-        are committed) emit a final ``{"error": ...}`` line rather than
-        a status change; a vanished client just ends the stream.
+        The body is delimited by connection close, so no Content-Length
+        is needed — records go out as they are produced.  Mid-stream
+        failures (after headers are committed) emit a final
+        ``{"error": ...}`` line rather than a status change; a vanished
+        client just ends the stream.
         """
-        # The body is delimited by connection close; make sure no
-        # keep-alive path ever leaves the client waiting for EOF.
-        self.close_connection = True
         self.send_response(200)
         self.send_header("Content-Type", stream.content_type)
         self.send_header("X-Request-Id", request_id)
+        self.send_header("Connection", "close")
         self.end_headers()
         registry = get_registry()
         try:
@@ -619,12 +771,16 @@ class _Handler(BaseHTTPRequestHandler):
                 pass
 
     def _read_body(self) -> Any:
-        length_header = self.headers.get("Content-Length")
+        """The request's JSON body; a body left unread closes the connection."""
         try:
-            length = int(length_header or "")
+            length = int(self.headers.get("Content-Length") or "")
         except ValueError:
-            raise RequestError("Content-Length header required") from None
+            length = -1
+        if length < 0:
+            self.close_connection = True
+            raise RequestError("Content-Length header required")
         if length > self.server.max_request_bytes:
+            self.close_connection = True
             raise _TooLarge(length)
         raw = self.rfile.read(length)
         try:
@@ -644,8 +800,10 @@ class _Handler(BaseHTTPRequestHandler):
         slow-request log, and — when the client asked with
         ``?debug=trace`` — the ``trace`` block, appended to the encoded
         body after the scope closes.  Once the last byte is written the
-        server's ``after_response`` hook, if set, receives the request
-        ID and the wall seconds since this method began.
+        request's thread CPU seconds become a ``serve.cpu.<endpoint>``
+        sample, and the server's ``after_response`` hook, if set,
+        receives the request ID and the wall seconds since this method
+        began.
         """
         started = perf_counter()
         registry = get_registry()
@@ -717,9 +875,17 @@ class _Handler(BaseHTTPRequestHandler):
             if want_trace:
                 response = _with_field(response, "trace", trace.to_dict())
             self._send_bytes(status, response, "application/json", request_id)
+        registry.timer(f"serve.cpu.{name}").record(
+            thread_time() - self._cpu_started
+        )
         done = self.server.after_response
         if done is not None:
             done(request_id, perf_counter() - started)
+
+    def _not_found(self) -> None:
+        """A 404, closing the connection: any request body stays unread."""
+        self.close_connection = True
+        self._send_json(404, {"error": f"no such endpoint {self.path!r}"})
 
     def do_GET(self) -> None:
         """Serve ``GET /healthz`` and ``GET /metrics`` (else a 404)."""
@@ -727,14 +893,14 @@ class _Handler(BaseHTTPRequestHandler):
         if path in ("/healthz", "/metrics"):
             self._dispatch(path, None, query)
         else:
-            self._send_json(404, {"error": f"no such endpoint {self.path!r}"})
+            self._not_found()
 
     def do_POST(self) -> None:
         """Serve the evaluation endpoints (anything else is a 404)."""
         path, _, query = self.path.partition("?")
         handler_name = self.ROUTES.get(("POST", path))
         if handler_name is None:
-            self._send_json(404, {"error": f"no such endpoint {self.path!r}"})
+            self._not_found()
             return
         self._dispatch(path, handler_name, query)
 
@@ -753,7 +919,11 @@ class ServeServer(ThreadingHTTPServer):
     Handler threads are non-daemonic and ``block_on_close`` is left on,
     so ``shutdown()`` + ``server_close()`` drain in-flight requests
     before returning — the graceful-termination half of the SIGTERM
-    story.
+    story.  A kept-alive connection waiting for its next request would
+    hold that drain forever, so each handler parks with the server while
+    it waits, and ``server_close()`` closes the read side of every
+    parked connection; a handler busy with a request finishes it and
+    closes its connection after the reply.
     """
 
     daemon_threads = False
@@ -791,6 +961,38 @@ class ServeServer(ThreadingHTTPServer):
         #: Optional hook called after a response's last byte is written,
         #: with the request ID and the handler's wall seconds up to then.
         self.after_response: Callable[[str, float], None] | None = None
+        #: Set once ``server_close()`` begins: no connection is kept.
+        self.closing = False
+        self._parked: set[_Handler] = set()
+        self._parked_lock = threading.Lock()
+
+    def park(self, handler: _Handler) -> bool:
+        """Note that ``handler`` waits for its next request.
+
+        Returns ``False`` instead once the server is closing, so the
+        handler closes its connection.
+        """
+        with self._parked_lock:
+            if self.closing:
+                return False
+            self._parked.add(handler)
+        return True
+
+    def unpark(self, handler: _Handler) -> None:
+        """Note that ``handler`` is serving a request, or done."""
+        with self._parked_lock:
+            self._parked.discard(handler)
+
+    def server_close(self) -> None:
+        """Close parked connections, then the listener, then drain."""
+        with self._parked_lock:
+            self.closing = True
+            for handler in self._parked:
+                try:
+                    handler.connection.shutdown(socket.SHUT_RD)
+                except OSError:  # the client closed it already
+                    pass
+        super().server_close()
 
     def get_request(self) -> tuple[socket.socket, Any]:
         """Accept one connection, re-blocking it for the handler.

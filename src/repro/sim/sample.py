@@ -449,7 +449,8 @@ def simulate_sampled(
     tail = length - head
     estimates: dict[str, int] = {}
     confidence: dict[str, dict[str, float]] = {}
-    for name in set(rates) | set(head_values):
+    # Sorted, so the report's key order does not follow the hash seed.
+    for name in sorted(set(rates) | set(head_values)):
         rate_list = rates.get(name, [])
         # Backfill zero rates for windows where the field never appeared
         # (e.g. a stall reason observed in only some windows) so the

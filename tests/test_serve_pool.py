@@ -17,6 +17,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
 
 import pytest
 
@@ -197,6 +198,31 @@ def test_sigterm_drains_in_flight_requests():
     ]
     assert len(drained) + len(pre_accept) == 4, outcomes
     assert len(drained) >= 3, outcomes
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sigterm_closes_idle_kept_alive_connections(workers):
+    """An idle persistent connection must not hold the drain open."""
+    proc, port = _spawn_pool(workers=workers)
+    conn = HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        for _ in range(2):
+            conn.request(
+                "POST", "/evaluate", body=EVALUATE_PAYLOAD,
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            assert response.status == 200
+            response.read()
+        assert not response.will_close  # the connection stays open, idle
+        started = time.monotonic()
+        assert _terminate(proc, timeout=5) == 0
+        assert time.monotonic() - started < 5
+    finally:
+        conn.close()
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
 
 
 def test_single_worker_flag_stays_single_process():

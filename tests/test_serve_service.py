@@ -7,20 +7,33 @@ encoding are all exercised exactly as a client would see them.
 
 import io
 import json
+import socket
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
+from http.client import HTTPConnection
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import api
 from repro.isa.instructions import TCADescriptor
 from repro.isa.trace import TraceBuilder
 from repro.isa.trace_io import dump_trace
-from repro.serve.params import RequestError
-from repro.serve.service import ServeApp, make_server
+from repro.obs.metrics import get_registry
+from repro.serve import service
+from repro.serve.params import (
+    RequestError,
+    parse_accelerator,
+    parse_core,
+    parse_drain,
+    parse_modes,
+    parse_workload,
+)
+from repro.serve.service import ServeApp, _encode_json, make_server
 from repro.workloads.heap import HeapWorkloadSpec, generate_heap_program
 
 
@@ -164,6 +177,254 @@ class TestEvaluate:
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(req, timeout=30)
         assert err.value.code == 400
+
+
+def _expected_result(query):
+    """``api.evaluate`` on parameter objects parsed afresh from ``query``."""
+    return api.evaluate(
+        parse_core(query.get("core")),
+        parse_accelerator(query.get("accelerator")),
+        parse_workload(query.get("workload")),
+        parse_modes(query.get("modes", query.get("mode"))),
+        parse_drain(query.get("drain")),
+    ).to_dict()
+
+
+class TestTemplates:
+    """Each distinct query template is parsed and keyed once; values
+    Python deems equal but JSON does not must never share a template."""
+
+    # 3 / 3.0 / True, and 0.0 / -0.0, in every template position.
+    VARIANTS = [
+        {"accelerator": {"acceleration": 3}},
+        {"accelerator": {"acceleration": 3.0}},
+        {"accelerator": {"name": 1, "acceleration": 3.0}},
+        {"accelerator": {"name": 1.0, "acceleration": 3.0}},
+        {"accelerator": {"name": True, "acceleration": 3.0}},
+        {"accelerator": {"latency": 0.0}},
+        {"accelerator": {"latency": -0.0}},
+        {"core": {"ipc": 3, "rob_size": 128, "issue_width": 3,
+                  "commit_stall": 0.0}},
+        {"core": {"ipc": 3.0, "rob_size": 128, "issue_width": 3,
+                  "commit_stall": -0.0}},
+        {"core": {"ipc": 3.0, "rob_size": 128, "issue_width": 3,
+                  "commit_stall": 0.0, "name": True}},
+        {"core": {"ipc": 3.0, "rob_size": 128, "issue_width": 3,
+                  "commit_stall": 0.0, "name": 1}},
+        {"drain": {"kind": "explicit", "cycles": 3}},
+        {"drain": {"kind": "explicit", "cycles": 3.0}},
+        {"drain": {"kind": "explicit", "cycles": 0.0}},
+        {"drain": {"kind": "explicit", "cycles": -0.0}},
+        {"modes": ["L_T", "NL_T"]},
+        {"modes": ["L_T", "L_T"]},
+        {"mode": "NL_NT"},
+        {"modes": None, "mode": "NL_NT"},
+    ]
+
+    def _queries(self):
+        return [
+            dict(
+                EVALUATE_QUERY,
+                workload={"granularity": 10.0 + i, "acceleratable_fraction": 0.3},
+                **variant,
+            )
+            for i, variant in enumerate(self.VARIANTS)
+        ]
+
+    def test_body_matches_api_evaluate_on_fresh_objects(self):
+        app = ServeApp()
+        queries = self._queries()
+        expected = [_expected_result(query) for query in queries]
+        for _ in range(2):  # the second pass answers every template from the memo
+            for query, want in zip(queries, expected):
+                got = app.handle_evaluate(json.loads(json.dumps(query)))
+                got = got["results"][0]
+                assert _encode_json({**got, "cached": False}) == _encode_json(
+                    want
+                ), query
+            batch = app.handle_evaluate({"queries": queries})["results"]
+            assert [
+                _encode_json({**result, "cached": False}) for result in batch
+            ] == [_encode_json(want) for want in expected]
+
+    def test_only_successful_parses_are_memoized(self):
+        app = ServeApp()
+        bad = dict(EVALUATE_QUERY, accelerator={"acceleration": -1.0})
+        for _ in range(2):
+            with pytest.raises(RequestError) as info:
+                app.handle_evaluate(bad)
+            assert info.value.field == "accelerator"
+        assert not app._templates
+        # A known template still reports a bad workload under its path.
+        app.handle_evaluate(EVALUATE_QUERY)
+        with pytest.raises(RequestError) as info:
+            app.handle_evaluate(
+                {"queries": [dict(EVALUATE_QUERY, workload={"granularity": -5})]}
+            )
+        assert info.value.field.startswith("queries[0].workload")
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(service, "TEMPLATE_MEMO_SIZE", 8)
+        app = ServeApp()
+        for i in range(20):
+            query = dict(EVALUATE_QUERY, accelerator={"acceleration": 1.0 + i})
+            assert app.handle_evaluate(query)["results"][0] == dict(
+                _expected_result(query), cached=False
+            )
+        assert 0 < len(app._templates) <= 8
+
+
+    def test_memo_under_racing_threads(self, monkeypatch):
+        monkeypatch.setattr(service, "TEMPLATE_MEMO_SIZE", 4)
+        app = ServeApp()
+        queries = [
+            dict(EVALUATE_QUERY, accelerator={"acceleration": 1.0 + i % 12})
+            for i in range(48)
+        ]
+        expected = [
+            _encode_json(_expected_result(query)) for query in queries
+        ]
+        failures = []
+
+        def hammer(offset):
+            for i in range(len(queries)):
+                j = (i + offset) % len(queries)
+                got = app.handle_evaluate(queries[j])["results"][0]
+                if _encode_json({**got, "cached": False}) != expected[j]:
+                    failures.append(queries[j])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=hammer, args=(k * 7,)) for k in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
+        assert 0 < len(app._templates) <= 4
+
+
+def _raw_exchange(port, data):
+    """Everything the server sends on one connection for ``data``, up to
+    its close (a server that keeps the connection open times out)."""
+    chunks = []
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(data)
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:  # closed with our bytes unread
+            pass
+    return b"".join(chunks)
+
+
+#: A request hidden in a body the server must not read as one.
+_SMUGGLED = b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n"
+
+
+class TestConnections:
+    def test_two_requests_reuse_one_socket(self, server_port):
+        conn = HTTPConnection("127.0.0.1", server_port, timeout=30)
+        try:
+            bodies = []
+            for _ in range(2):
+                conn.request(
+                    "POST", "/evaluate", body=json.dumps(EVALUATE_QUERY),
+                    headers={"Content-Type": "application/json"},
+                )
+                response = conn.getresponse()
+                assert response.status == 200
+                bodies.append(json.loads(response.read()))
+                if len(bodies) == 1:
+                    sock = conn.sock
+            assert conn.sock is sock is not None
+            assert bodies[1]["results"][0]["cached"]
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize(
+        "head, status",
+        [
+            (b"POST /nope HTTP/1.1\r\nContent-Length: %d\r\n\r\n", 404),
+            (b"POST /evaluate HTTP/1.1\r\nContent-Length: x%d\r\n\r\n", 400),
+            (b"POST /evaluate HTTP/1.1\r\nContent-Length: -%d\r\n\r\n", 400),
+            (b"POST /evaluate HTTP/1.1\r\n\r\n%d", 400),
+        ],
+    )
+    def test_reply_leaving_the_body_unread_closes(self, server_port, head, status):
+        raw = _raw_exchange(server_port, head % len(_SMUGGLED) + _SMUGGLED)
+        assert raw.startswith(b"HTTP/1.1 %d " % status), raw[:80]
+        assert raw.count(b"HTTP/1.1 ") == 1, raw  # the body was not served
+        head = raw.split(b"\r\n\r\n")[0].split(b"\r\n")
+        assert b"Connection: close" in head
+        assert _request(server_port, "/healthz")[0] == 200
+
+    def test_oversize_body_closes(self):
+        server = make_server(port=0, max_request_bytes=16)
+        port = server.server_address[1]
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            body = _SMUGGLED + b" " * 8
+            raw = _raw_exchange(
+                port,
+                b"POST /evaluate HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+                % len(body) + body,
+            )
+            assert raw.startswith(b"HTTP/1.1 413 "), raw[:80]
+            assert raw.count(b"HTTP/1.1 ") == 1, raw
+            assert _request(port, "/healthz")[0] == 200
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
+
+    def test_ndjson_ends_at_close(self, server_port):
+        conn = HTTPConnection("127.0.0.1", server_port, timeout=60)
+        try:
+            conn.request(
+                "POST", "/sweep", body=json.dumps(_pareto_payload()),
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            assert response.getheader("Connection") == "close"
+            assert response.getheader("Content-Length") is None
+            lines = response.read().splitlines()
+            assert "summary" in json.loads(lines[-1])
+            assert conn.sock is None  # http.client saw the close
+        finally:
+            conn.close()
+
+
+class TestRequestTimers:
+    def test_cpu_and_write_timers_count_every_request(self, server_port):
+        registry = get_registry()
+        names = ("serve.cpu.evaluate", "serve.cpu.healthz", "serve.write")
+
+        def counts():
+            return [registry.timer(name).count for name in names]
+
+        before = counts()
+        for _ in range(3):
+            assert _request(server_port, "/evaluate", EVALUATE_QUERY)[0] == 200
+        for _ in range(2):
+            assert _request(server_port, "/healthz")[0] == 200
+        want = [before[0] + 3, before[1] + 2, before[2] + 5]
+        deadline = time.monotonic() + 5  # recorded just after the reply
+        while counts() != want and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert counts() == want
+        page = urllib.request.urlopen(
+            f"http://127.0.0.1:{server_port}/metrics", timeout=30
+        ).read().decode()
+        assert "repro_serve_cpu_evaluate_seconds_count" in page
+        assert "repro_serve_write_seconds_count" in page
 
 
 _WORKLOAD = '"workload": {"granularity": 53, "acceleratable_fraction": 0.3}'

@@ -8,6 +8,10 @@ requires the sampled estimate to land within a 2% mean-error budget.
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -210,6 +214,39 @@ class TestSimulateSampled:
         # The estimate must be a plausible cycle count: IPC of an OoO
         # core lies strictly between 0 and the dispatch width.
         assert 0 < stats.instructions / stats.cycles <= 8
+
+    def test_report_bytes_do_not_follow_the_hash_seed(self):
+        """Two server processes must encode one sampled run identically."""
+        program = textwrap.dedent(
+            """
+            import json
+            import repro.workloads as workloads
+            from repro.sim.config import ARM_A72_SIM
+            from repro.sim.sample import SamplingConfig, simulate_sampled
+            trace = workloads.generate_heap_program(
+                workloads.HeapWorkloadSpec(slots=100, seed=7)
+            ).baseline
+            config = SamplingConfig(
+                interval=200, period=4, warmup=100, head=400,
+                min_instructions=1000,
+            )
+            _, report = simulate_sampled(trace, ARM_A72_SIM, config)
+            print(json.dumps(report))
+            """
+        )
+        reports = []
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-c", program],
+                capture_output=True,
+                text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": "src"},
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            reports.append(proc.stdout)
+        assert len(json.loads(reports[0])["confidence"]) > 2
+        assert reports[0] == reports[1]
 
     def test_rob_samples_matches_cycles_invariant(self):
         # Every main-loop iteration adds equally to both; the estimator
