@@ -98,17 +98,19 @@ def parallel_imap(
 
     Args:
         fn: picklable function of one item.
-        items: the work; consumed eagerly to preserve ordering.
+        items: the work; consumed one item at a time with ``jobs <= 1``,
+            else all up front to chunk it.
         jobs: worker process count (capped at the number of items).
         chunk_size: items per dispatched chunk; defaults to spreading
             items over ``jobs × 4`` chunks.
     """
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    if jobs > 1:
+        items = list(items)
+        jobs = min(jobs, len(items))
+    if jobs <= 1:
         for item in items:
             yield fn(item)
         return
-    jobs = min(jobs, len(items))
     if chunk_size is None:
         chunk_size = max(1, math.ceil(len(items) / (jobs * _CHUNKS_PER_WORKER)))
     chunks = chunked(items, chunk_size)

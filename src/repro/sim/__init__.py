@@ -33,13 +33,10 @@ from repro.sim.config import (
 )
 from repro.sim.sample import (
     SamplingConfig,
-    SimCheckpoint,
-    advance_checkpoint,
-    begin_checkpoint,
     merge_stats,
     sampling_scope,
     simulate_sampled,
-    simulate_sharded,
+    simulate_segments,
 )
 from repro.sim.simulator import SimulationResult, simulate, simulate_modes
 from repro.sim.stats import SimStats, StallReason
@@ -54,18 +51,15 @@ __all__ = [
     "CompiledTrace",
     "FunctionalUnitConfig",
     "SamplingConfig",
-    "SimCheckpoint",
     "SimConfig",
     "SimStats",
     "SimulationResult",
     "StallReason",
-    "advance_checkpoint",
-    "begin_checkpoint",
     "compile_trace",
     "merge_stats",
     "sampling_scope",
     "simulate",
     "simulate_modes",
     "simulate_sampled",
-    "simulate_sharded",
+    "simulate_segments",
 ]

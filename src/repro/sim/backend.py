@@ -17,8 +17,8 @@ Both engines produce byte-identical ``SimStats.to_dict()`` payloads
 (enforced by ``tests/test_sim_equivalence.py`` / ``test_sim_backends.py``)
 and leave the run's :class:`~repro.sim.cache.CacheHierarchy` in the
 same state (``export_state()`` and every hit/miss counter, also checked
-there), so interval sampling's cache-residency checkpoints
-(:mod:`repro.sim.sample`) work unchanged on native runs.
+there), so the cache snapshots segment runs start from
+(:func:`repro.sim.sample.simulate_segments`) work unchanged on native runs.
 
 A warm native run pays for the kernel and little else:
 

@@ -376,11 +376,10 @@ class CacheHierarchy:
         self.l2.flush()
 
     def export_state(self) -> dict[str, dict[int, list[int]]]:
-        """Snapshot of both levels' residency (the checkpoint payload).
+        """Snapshot of both levels' residency (a segment run's start state).
 
-        The snapshot is a plain nested dict of ints — picklable for
-        ``parallel_map`` shards and JSON-safe (via string set indices)
-        for serialized :class:`~repro.sim.sample.SimCheckpoint` forms.
+        The snapshot is a plain nested dict of ints, picklable for
+        :func:`~repro.sim.sample.simulate_segments` pool workers.
         Hit/miss counters are not part of the snapshot.
         """
         return {"l1": self.l1.export_state(), "l2": self.l2.export_state()}

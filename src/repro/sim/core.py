@@ -110,8 +110,8 @@ class CoreSim:
     and runs until every instruction below ``stop`` has committed.  A
     full run (``start=0``, ``stop=None``) takes exactly the historical
     code path and stays byte-identical to the reference engine; segment
-    runs are the substrate of :mod:`repro.sim.sample`'s interval
-    sampling and resumable checkpoints.
+    runs are the substrate of :func:`repro.sim.sample.simulate_segments`,
+    which interval sampling and sharded runs go through.
 
     ``run()`` executes once; construct a fresh ``CoreSim`` per run (the
     compiled trace is shared, so repeat construction is cheap).

@@ -1,11 +1,24 @@
-"""Interval-sampled simulation and resumable mid-trace checkpoints.
+"""Interval-sampled simulation and segment runs with carried cache state.
 
 The cycle-level engine executes every dynamic instruction, which caps
 practical trace length at a few tens of thousands of instructions per
-request.  This module adds the two standard escape hatches from precise
-simulation cost, both layered on :class:`~repro.sim.compile.CompiledTrace`
-segment runs (``CoreSim(start=, stop=, cache_state=)``) and both leaving
-the exact engine untouched as the correctness oracle:
+request.  This module runs parts of a trace instead, through one
+primitive that leaves the exact engine untouched as the correctness
+oracle:
+
+**Segment runs** (:func:`simulate_segments`) execute half-open windows
+``[start, stop)`` of one trace as
+:class:`~repro.sim.compile.CompiledTrace` segment runs
+(``CoreSim(start=, stop=, cache_state=)``).  One cheap sequential
+functional-warming pass replays the memory-line footprint and hands
+each window the cache residency it leaves at the window's start; the
+windows run in the same pass, so a sequential run holds one snapshot at
+a time.  With ``jobs > 1`` the windows fan out across
+:func:`~repro.core.parallel.parallel_imap` workers, each receiving only
+its slice of the instruction stream.  A partition of the trace combined
+with :func:`merge_stats` is a sharded run: counts merge exactly (every
+instruction is simulated exactly once); timing is subject only to
+pipeline-boundary effects at the seams.
 
 **Interval sampling** (:func:`simulate_sampled`) executes only systematic
 windows of the trace — every ``period``-th interval of ``interval``
@@ -22,21 +35,6 @@ on them.  Only timing statistics (cycles, stall breakdown, TCA wait/exec
 cycles, ROB occupancy) are extrapolated, each with a 95% confidence
 interval from the between-window variance of per-instruction rates.
 
-**Checkpoints** (:class:`SimCheckpoint`, :func:`begin_checkpoint`,
-:func:`advance_checkpoint`) make one long exact simulation resumable:
-a checkpoint carries the committed position, the merged-so-far stats,
-and a JSON-safe snapshot of cache residency
-(:meth:`~repro.sim.cache.CacheHierarchy.export_state`), so simulation can
-stop after any segment and continue later — in another process if the
-checkpoint is serialized.  :func:`simulate_sharded` builds on the same
-snapshot format to fan one trace out across
-:func:`~repro.core.parallel.parallel_map` workers: a cheap sequential
-functional-warming pass replays the memory-line footprint to capture the
-cache state at each shard boundary, then every shard simulates its slice
-in parallel and :func:`merge_stats` combines the results.  Counts merge
-exactly (every instruction is simulated exactly once); timing is subject
-only to pipeline-boundary effects at shard seams.
-
 Exact mode is forced (and reported) whenever sampling cannot help:
 ``mode="exact"`` requested, trace shorter than ``min_instructions``, or
 fewer than ``min_windows`` windows would be measured.
@@ -44,7 +42,6 @@ fewer than ``min_windows`` windows would be measured.
 
 from __future__ import annotations
 
-import hashlib
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -52,7 +49,7 @@ from typing import Any, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from repro.core.parallel import parallel_map
+from repro.core.parallel import parallel_imap
 from repro.isa.trace import Trace
 from repro.obs.metrics import get_registry
 from repro.sim import backend
@@ -147,7 +144,12 @@ class SamplingConfig:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "SamplingConfig":
-        """Build from a mapping; unknown keys are an error."""
+        """Build from a mapping; unknown keys are an error.
+
+        Numeric fields take an ``int`` (not a ``bool``) or a decimal
+        string (what :func:`parse_sampling_spec` passes in); anything
+        else, a float included, is a ``ValueError``.
+        """
         known = {
             "mode",
             "interval",
@@ -166,7 +168,14 @@ class SamplingConfig:
         for key in known:
             if key in payload:
                 value = payload[key]
-                kwargs[key] = str(value) if key == "mode" else int(value)
+                if key == "mode":
+                    kwargs[key] = str(value)
+                elif isinstance(value, str):
+                    kwargs[key] = int(value)
+                elif isinstance(value, int) and not isinstance(value, bool):
+                    kwargs[key] = value
+                else:
+                    raise ValueError(f"{key} must be an integer, got {value!r}")
         return cls(**kwargs)
 
 
@@ -326,25 +335,6 @@ def static_counts(compiled: CompiledTrace) -> dict[str, int]:
 # ------------------------------------------------------------- sampling
 
 
-def _segment_stats(
-    config: SimConfig,
-    compiled: CompiledTrace,
-    start: int,
-    stop: int,
-    warm_ranges: list[tuple[int, int]] | None = None,
-    cache_state: dict[str, Any] | None = None,
-) -> SimStats:
-    sim = CoreSim(
-        config,
-        compiled,
-        warm_ranges=warm_ranges,
-        start=start,
-        stop=stop,
-        cache_state=cache_state,
-    )
-    return sim.run()
-
-
 def _timing_values(stats: SimStats) -> dict[str, int]:
     values = {name: getattr(stats, name) for name in _TIMING_FIELDS}
     for reason, count in stats.stall_cycles.items():
@@ -391,7 +381,7 @@ def simulate_sampled(
     length = compiled.length
     reason = forced_exact_reason(length, sampling)
     if reason is not None:
-        stats = _segment_stats(config, compiled, 0, length, warm_ranges)
+        stats = CoreSim(config, compiled, warm_ranges=warm_ranges).run()
         report = {
             "mode": "exact",
             "forced_exact": reason,
@@ -400,38 +390,35 @@ def simulate_sampled(
         return stats, report
 
     head = min(sampling.head, length)
-    head_stats = SimStats()
-    if head:
-        head_stats = _segment_stats(config, compiled, 0, head, warm_ranges)
-    head_values = _timing_values(head_stats)
-
     windows = plan_windows(length, sampling)
     # Functional cache warming (the SMARTS ingredient that makes short
-    # windows representative): one cheap sequential pass replays the
-    # whole trace's memory-line footprint, snapshotting cache residency
-    # where each window's warmup prefix begins.  Without it every window
-    # would start cold and measure miss latency the full run never pays.
-    prefix_starts = [max(0, s - min(sampling.warmup, s)) for s, _ in windows]
-    snapshots = _boundary_cache_states(
-        compiled, config, prefix_starts, warm_ranges
+    # windows representative): each segment starts from the residency a
+    # replay of the memory-line footprint before it leaves behind.
+    # Without it every window would start cold and measure miss latency
+    # the full run never pays.  No empty segments: each would cost a
+    # snapshot of its own.
+    segments = [(0, head)] if head else []
+    for s, e in windows:
+        w = min(sampling.warmup, s)
+        segments.append((s - w, e))
+        if w:
+            segments.append((s - w, s))
+    runs = iter(
+        simulate_segments(compiled, config, segments, warm_ranges=warm_ranges)
     )
+    head_stats = next(runs) if head else SimStats()
+    head_values = _timing_values(head_stats)
+
     # Per-window per-instruction rates for every timing field seen.
     rates: dict[str, list[float]] = {}
     totals: dict[str, int] = {}
     sampled_instructions = 0
     detailed_instructions = head
     max_rob = head_stats.max_rob_occupancy
-    for (s, e), cache_state in zip(windows, snapshots):
+    for s, e in windows:
         w = min(sampling.warmup, s)
-        window_stats = _segment_stats(
-            config, compiled, s - w, e, cache_state=cache_state
-        )
-        warm_values: dict[str, int] = {}
-        if w:
-            warm_stats = _segment_stats(
-                config, compiled, s - w, s, cache_state=cache_state
-            )
-            warm_values = _timing_values(warm_stats)
+        window_stats = next(runs)
+        warm_values = _timing_values(next(runs)) if w else {}
         window_values = _timing_values(window_stats)
         n = e - s
         sampled_instructions += n
@@ -557,128 +544,7 @@ def merge_stats(parts: Iterable[SimStats]) -> SimStats:
     return merged
 
 
-# --------------------------------------------------------- checkpoints
-
-
-def _config_key(config: SimConfig) -> str:
-    """Short stable fingerprint of a core config (checkpoint guard)."""
-    return hashlib.sha256(repr(config).encode("utf-8")).hexdigest()[:16]
-
-
-@dataclass
-class SimCheckpoint:
-    """Resumable position inside one long exact simulation.
-
-    Attributes:
-        trace_fingerprint: :meth:`Trace.fingerprint` of the full trace —
-            resuming against a different trace is an error, not silence.
-        config_key: fingerprint of the :class:`SimConfig` in effect.
-        position: instructions committed so far (next segment's start).
-        length: full trace length (``position == length`` means done).
-        stats: merged stats of every segment executed so far.
-        cache_state: cache residency left by the last segment
-            (:meth:`CacheHierarchy.export_state` snapshot).
-    """
-
-    trace_fingerprint: str
-    config_key: str
-    position: int
-    length: int
-    stats: SimStats
-    cache_state: dict[str, Any]
-
-    @property
-    def done(self) -> bool:
-        """Whether the whole trace has been simulated."""
-        return self.position >= self.length
-
-    def to_dict(self) -> dict[str, Any]:
-        """JSON-safe form; round-trips through :meth:`from_dict`."""
-        return {
-            "trace_fingerprint": self.trace_fingerprint,
-            "config_key": self.config_key,
-            "position": self.position,
-            "length": self.length,
-            "stats": self.stats.to_dict(),
-            "cache_state": self.cache_state,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: Mapping[str, Any]) -> "SimCheckpoint":
-        """Rebuild from :meth:`to_dict` output (including after JSON,
-        whose object keys stringify the cache-set indices —
-        :meth:`CacheHierarchy.load_state` accepts both forms)."""
-        return cls(
-            trace_fingerprint=str(payload["trace_fingerprint"]),
-            config_key=str(payload["config_key"]),
-            position=int(payload["position"]),
-            length=int(payload["length"]),
-            stats=SimStats.from_dict(payload["stats"]),
-            cache_state=dict(payload["cache_state"]),
-        )
-
-
-def begin_checkpoint(
-    config: SimConfig,
-    trace: "Trace | CompiledTrace",
-    warm_ranges: list[tuple[int, int]] | None = None,
-) -> SimCheckpoint:
-    """A fresh checkpoint at position 0 (warm ranges applied, nothing run)."""
-    compiled = compile_trace(trace)
-    sim = CoreSim(config, compiled, warm_ranges=warm_ranges, stop=0)
-    return SimCheckpoint(
-        trace_fingerprint=compiled.fingerprint(),
-        config_key=_config_key(config),
-        position=0,
-        length=compiled.length,
-        stats=SimStats(),
-        cache_state=sim.cache.export_state(),
-    )
-
-
-def advance_checkpoint(
-    checkpoint: SimCheckpoint,
-    config: SimConfig,
-    trace: "Trace | CompiledTrace",
-    count: int,
-) -> SimCheckpoint:
-    """Simulate the next ``count`` instructions and return the successor.
-
-    The input checkpoint is not mutated.  Advancing to the end in any
-    number of steps yields exactly the same count statistics as one
-    uninterrupted run (each instruction is simulated once); cycle counts
-    differ only by the per-segment pipeline fill/drain at the seams.
-    """
-    compiled = compile_trace(trace)
-    if compiled.fingerprint() != checkpoint.trace_fingerprint:
-        raise ValueError("checkpoint does not belong to this trace")
-    if _config_key(config) != checkpoint.config_key:
-        raise ValueError("checkpoint does not belong to this config")
-    if checkpoint.done:
-        raise ValueError("checkpoint already at end of trace")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    start = checkpoint.position
-    stop = min(start + count, compiled.length)
-    sim = CoreSim(
-        config,
-        compiled,
-        start=start,
-        stop=stop,
-        cache_state=checkpoint.cache_state,
-    )
-    segment = sim.run()
-    return SimCheckpoint(
-        trace_fingerprint=checkpoint.trace_fingerprint,
-        config_key=checkpoint.config_key,
-        position=stop,
-        length=checkpoint.length,
-        stats=merge_stats([checkpoint.stats, segment]),
-        cache_state=sim.cache.export_state(),
-    )
-
-
-# ------------------------------------------------------------ sharding
+# ------------------------------------------------------------ segments
 
 
 def _program_order_lines(compiled: CompiledTrace) -> tuple[np.ndarray, np.ndarray]:
@@ -713,84 +579,97 @@ def _boundary_cache_states(
     config: SimConfig,
     starts: list[int],
     warm_ranges: list[tuple[int, int]] | None,
-) -> list[dict[str, Any]]:
-    """Cache snapshots at each shard start via functional warming.
+) -> Iterator[dict[str, Any]]:
+    """Cache snapshots at each (ascending) start via functional warming.
 
     One sequential pass replays the program-order memory-line footprint
     (load lines, TCA read lines, store/TCA commit-write lines) into a
-    hierarchy built from ``config``, snapshotting residency as each
-    (ascending) boundary is crossed.  Each slice between two boundaries
-    is one warm call, in the kernel when it builds — no pipeline
-    modelling, so it stays negligible next to the detailed shard runs it
-    enables.  Residency approximates the detailed engine's (which touches
-    lines in issue/commit order, with prefetch), affecting shard timing
-    only, never counts.
+    hierarchy built from ``config``, yielding residency as each boundary
+    is crossed; the next slice is warmed only when the next snapshot is
+    asked for.  Each slice between two boundaries is one warm call, in
+    the kernel when it builds — no pipeline modelling, so it stays
+    negligible next to the detailed segment runs it enables.  Residency
+    approximates the detailed engine's (which touches lines in
+    issue/commit order, with prefetch), affecting segment timing only,
+    never counts.
     """
     sim = CoreSim(config, compiled, warm_ranges=warm_ranges, stop=0)
     cache = sim.cache
     lines, line_starts = _program_order_lines(compiled)
-    snapshots: list[dict[str, Any]] = []
     done = 0
     for boundary in starts:
         backend.warm(cache, lines[line_starts[done] : line_starts[boundary]])
-        snapshots.append(cache.export_state())
+        yield cache.export_state()
         done = max(done, boundary)
-    return snapshots
 
 
-def _shard_worker(
-    item: tuple[Trace, SimConfig, dict[str, Any]]
-) -> dict[str, Any]:
-    """Simulate one shard slice (module-level: pickled into pool workers)."""
-    shard_trace, config, cache_state = item
-    sim = CoreSim(config, shard_trace, cache_state=cache_state)
-    return sim.run().to_dict()
+def _run_segment(
+    item: tuple["Trace | CompiledTrace", SimConfig, int, int, dict[str, Any]]
+) -> SimStats:
+    """One segment run (module-level: pickled into pool workers)."""
+    trace, config, start, stop, cache_state = item
+    return CoreSim(
+        config, trace, start=start, stop=stop, cache_state=cache_state
+    ).run()
 
 
-def simulate_sharded(
+def simulate_segments(
     trace: "Trace | CompiledTrace",
     config: SimConfig,
-    shards: int,
+    segments: Iterable[tuple[int, int]],
+    *,
     jobs: int = 1,
     warm_ranges: list[tuple[int, int]] | None = None,
-) -> tuple[SimStats, dict[str, Any]]:
-    """Split one trace into ``shards`` slices and simulate them in parallel.
+) -> list[SimStats]:
+    """Run half-open windows ``[start, stop)`` of one trace; stats in order.
 
-    Each worker receives only its slice of the instruction stream (a
-    fresh :class:`Trace`, compiled in the worker) plus the boundary cache
-    snapshot — never the parent's full ``CompiledTrace``, keeping the
-    pickled payload proportional to the slice.  Compiling a slice and
-    running it is equivalent to a segment run over the full compiled
-    trace: a register producer before the slice is dropped by the slice
-    compile and treated as architecturally complete by the segment run,
-    and memory disambiguation state is run-local in both.
+    Each window is a segment run (``CoreSim(start=, stop=,
+    cache_state=)``) from the cache snapshot that one functional-warming
+    pass (:func:`_boundary_cache_states`, seeded with ``warm_ranges``)
+    leaves at its start.  Windows run in the same pass as the warming,
+    grouped by start in ascending order, so a sequential run
+    (``jobs <= 1``) holds one snapshot at a time, never one per window.
+    With ``jobs > 1`` each worker receives only its window of the
+    instruction stream, as a fresh :class:`Trace`, plus its snapshot —
+    never the full ``CompiledTrace``.  Compiling a window and running it
+    equals a segment run over the full compiled trace: a register
+    producer before the window is dropped by the window compile and
+    treated as architecturally complete by the segment run, and memory
+    disambiguation state is run-local in both; so results do not depend
+    on ``jobs``.
 
-    Returns ``(stats, report)`` where stats are the :func:`merge_stats`
-    of the shard runs (count fields exact) and the report records the
-    shard boundaries.
+    A partition of the trace run this way and combined with
+    :func:`merge_stats` is a sharded run: count fields are exact, and
+    timing differs from one uninterrupted run only by each segment's
+    pipeline fill and drain.  A single ``[0, n)`` segment is a plain run.
     """
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
     compiled = compile_trace(trace)
-    length = compiled.length
-    shards = min(shards, length) if length else 1
-    bounds = [length * i // shards for i in range(shards)] + [length]
-    starts = bounds[:-1]
-    snapshots = _boundary_cache_states(compiled, config, starts, warm_ranges)
-    items = []
-    for i in range(shards):
-        a, b = bounds[i], bounds[i + 1]
-        shard_trace = Trace.from_rows(
-            compiled.rows.window(a, b), name=f"{compiled.name}[{a}:{b}]"
-        )
-        items.append((shard_trace, config, snapshots[i]))
-    results = parallel_map(_shard_worker, items, jobs=jobs)
-    stats = merge_stats(SimStats.from_dict(r) for r in results)
-    report = {
-        "mode": "sharded",
-        "shards": shards,
-        "jobs": jobs,
-        "boundaries": bounds,
-        "total_instructions": length,
-    }
-    return stats, report
+    segments = list(segments)
+    by_start: dict[int, list[int]] = {}
+    for i, (start, stop) in enumerate(segments):
+        if not 0 <= start <= stop <= compiled.length:
+            raise ValueError(
+                f"invalid segment [{start}, {stop}) for a "
+                f"{compiled.length}-instruction trace"
+            )
+        by_start.setdefault(start, []).append(i)
+    starts = sorted(by_start)
+
+    def items() -> Iterator[tuple]:
+        snapshots = _boundary_cache_states(compiled, config, starts, warm_ranges)
+        for start, snapshot in zip(starts, snapshots):
+            for i in by_start[start]:
+                stop = segments[i][1]
+                if jobs <= 1:
+                    yield compiled, config, start, stop, snapshot
+                else:
+                    window = Trace.from_rows(
+                        compiled.rows.window(start, stop),
+                        name=f"{compiled.name}[{start}:{stop}]",
+                    )
+                    yield window, config, 0, stop - start, snapshot
+
+    order = [i for start in starts for i in by_start[start]]
+    runs = parallel_imap(_run_segment, items(), jobs=jobs)
+    results = {i: stats for stats, i in zip(runs, order)}
+    return [results[i] for i in range(len(segments))]

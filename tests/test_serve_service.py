@@ -1107,17 +1107,15 @@ class TestSimulateSampling:
         assert body["result"]["cached"]  # exact mode keys like no sampling
 
     def test_bad_sampling_spec_is_structured_400(self, server_port):
-        status, body = _request(
-            server_port,
-            "/simulate",
-            {
-                "trace": _trace_text(),
-                "config": "a72",
-                "sampling": {"interval": 0},
-            },
+        # JSON text spliced in raw: 1e400 decodes to inf, which json.dumps
+        # would send as the non-standard token Infinity instead.
+        template = json.dumps(
+            {"trace": _trace_text(), "config": "a72", "sampling": {"interval": 0}}
         )
-        assert status == 400
-        assert body["field"] == "sampling"
+        for interval in ("0", "1e400", "1.9", "true"):
+            raw = template.replace('"interval": 0', f'"interval": {interval}')
+            status, body = _request(server_port, "/simulate", raw.encode("utf-8"))
+            assert (status, body["field"]) == (400, "sampling"), interval
 
     def test_mode_counters_reach_metrics(self, server_port):
         text = _trace_text("metrics-mode")

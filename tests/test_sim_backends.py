@@ -358,8 +358,10 @@ def test_boundary_snapshots_match_on_both_engines(case):
     snapshots = {}
     for engine in ("python", "c"):
         with backend.use_backend(engine):
-            snapshots[engine] = sample._boundary_cache_states(
-                compiled, LOW_PERF_SIM, boundaries, warm_ranges
+            snapshots[engine] = list(
+                sample._boundary_cache_states(
+                    compiled, LOW_PERF_SIM, boundaries, warm_ranges
+                )
             )
     assert len(snapshots["c"]) == len(boundaries)
     assert snapshots["c"] == snapshots["python"]

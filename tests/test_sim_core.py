@@ -225,7 +225,7 @@ class TestConfigConstruction:
         expected = replace(config, tca_mode=mode)
         copy = config.with_mode(mode)
         assert copy == expected
-        assert repr(copy) == repr(expected)  # checkpoint config keys
+        assert repr(copy) == repr(expected)  # the same printed form too
         assert type(copy) is SimConfig and copy is not config
         assert config.tca_mode is TCAMode.L_T  # the source is untouched
 

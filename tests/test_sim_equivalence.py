@@ -201,7 +201,7 @@ def _residency(sim: CoreSim) -> tuple:
 @pytest.mark.skipif(ENGINES == ["python"], reason="the C kernel does not build here")
 class TestCrossEngineResidency:
     """Both engines leave the same cache behind, not only the same stats:
-    sampled checkpoints resume from the residency a native run exports."""
+    a segment run may start from a snapshot either engine exported."""
 
     @pytest.mark.parametrize("config_name", ["high", "low"])
     @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])

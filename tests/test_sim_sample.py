@@ -1,4 +1,4 @@
-"""Tests for sampled, checkpointed, and sharded simulation.
+"""Tests for sampled simulation and segment runs.
 
 The exact engine (:class:`~repro.sim.core.CoreSim`) stays the oracle
 throughout: every estimator here is judged against a full exact run of
@@ -17,15 +17,14 @@ import pytest
 
 import repro.workloads as workloads
 from repro.isa.trace import Trace
+from repro.sim import backend
+from repro.sim.cache import CacheHierarchy
 from repro.sim.compile import compile_trace
 from repro.sim.config import ARM_A72_SIM
 from repro.sim.core import CoreSim
 from repro.sim.sample import (
     SamplingConfig,
-    SimCheckpoint,
-    advance_checkpoint,
     ambient_sampling,
-    begin_checkpoint,
     canonical_sampling,
     coerce_sampling,
     forced_exact_reason,
@@ -34,7 +33,7 @@ from repro.sim.sample import (
     plan_windows,
     sampling_scope,
     simulate_sampled,
-    simulate_sharded,
+    simulate_segments,
     static_counts,
 )
 from repro.sim.simulator import simulate
@@ -88,6 +87,12 @@ class TestSamplingConfig:
     def test_round_trips_through_dict(self):
         config = SamplingConfig(interval=500, period=7, warmup=100, head=900)
         assert SamplingConfig.from_dict(config.to_canonical_dict()) == config
+
+    @pytest.mark.parametrize("value", [1.9, float("inf"), True, None, [3]])
+    def test_from_dict_takes_only_integers(self, value):
+        with pytest.raises(ValueError, match="interval must be an integer"):
+            SamplingConfig.from_dict({"interval": value})
+        assert SamplingConfig.from_dict({"interval": "7"}).interval == 7
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValueError, match="unknown sampling keys"):
@@ -338,67 +343,13 @@ class TestMergeStats:
         assert merge_stats([]).to_dict() == SimStats().to_dict()
 
 
-# ---------------------------------------------------------- checkpoints
-
-
-class TestCheckpoints:
-    def test_chain_counts_exact_and_cycles_close(self):
-        trace = _long_trace(10)
-        exact = CoreSim(ARM_A72_SIM, compile_trace(trace)).run()
-        checkpoint = begin_checkpoint(ARM_A72_SIM, trace)
-        steps = 0
-        while not checkpoint.done:
-            checkpoint = advance_checkpoint(
-                checkpoint, ARM_A72_SIM, trace, 7_000
-            )
-            steps += 1
-        assert steps > 1  # the chain genuinely resumed mid-trace
-        stats = checkpoint.stats
-        for name in static_counts(compile_trace(trace)):
-            assert getattr(stats, name) == getattr(exact, name)
-        # Per-segment pipeline fill/drain at the seams bounds the drift.
-        assert _rel_err(stats.cycles, exact.cycles) < 0.02
-
-    def test_round_trip_and_resume_determinism(self):
-        trace = _long_trace(10)
-        checkpoint = advance_checkpoint(
-            begin_checkpoint(ARM_A72_SIM, trace), ARM_A72_SIM, trace, 9_000
-        )
-        wire = json.loads(json.dumps(checkpoint.to_dict()))
-        restored = SimCheckpoint.from_dict(wire)
-        assert restored.position == checkpoint.position
-        a = advance_checkpoint(checkpoint, ARM_A72_SIM, trace, 9_000)
-        b = advance_checkpoint(restored, ARM_A72_SIM, trace, 9_000)
-        assert a.stats.to_dict() == b.stats.to_dict()
-        assert a.cache_state == b.cache_state
-
-    def test_rejects_wrong_trace_config_and_done(self):
-        trace = _long_trace(2)
-        other = _heap_trace(seed=11)
-        checkpoint = begin_checkpoint(ARM_A72_SIM, trace)
-        with pytest.raises(ValueError, match="trace"):
-            advance_checkpoint(checkpoint, ARM_A72_SIM, other, 100)
-        from repro.sim.config import HIGH_PERF_SIM
-
-        with pytest.raises(ValueError, match="config"):
-            advance_checkpoint(checkpoint, HIGH_PERF_SIM, trace, 100)
-        with pytest.raises(ValueError, match="count"):
-            advance_checkpoint(checkpoint, ARM_A72_SIM, trace, 0)
-        done = advance_checkpoint(
-            checkpoint, ARM_A72_SIM, trace, len(trace)
-        )
-        assert done.done
-        with pytest.raises(ValueError, match="end of trace"):
-            advance_checkpoint(done, ARM_A72_SIM, trace, 100)
-
-
-# ------------------------------------------------------------- sharding
+# ------------------------------------------------------------ segments
 
 
 class TestSharding:
     def test_slice_compile_equals_segment_run(self):
-        # The sharding correctness keystone: compiling a slice as a fresh
-        # trace and running it equals a segment run over the full
+        # The parallel-segment correctness keystone: compiling a slice as
+        # a fresh trace and running it equals a segment run over the full
         # compiled trace (both drop cross-boundary register deps and
         # keep disambiguation run-local).
         trace = _long_trace(4)
@@ -414,22 +365,82 @@ class TestSharding:
     def test_sharded_counts_exact_and_jobs_invariant(self):
         trace = _long_trace(10)
         exact = CoreSim(ARM_A72_SIM, compile_trace(trace)).run()
-        stats1, report = simulate_sharded(trace, ARM_A72_SIM, shards=4)
-        stats4, _ = simulate_sharded(trace, ARM_A72_SIM, shards=4, jobs=4)
-        assert stats1.to_dict() == stats4.to_dict()
+        n = len(trace)
+        shards = [(n * i // 4, n * (i + 1) // 4) for i in range(4)]
+        parts1 = simulate_segments(trace, ARM_A72_SIM, shards)
+        parts4 = simulate_segments(trace, ARM_A72_SIM, shards, jobs=4)
+        assert [p.to_dict() for p in parts1] == [p.to_dict() for p in parts4]
+        stats = merge_stats(parts1)
         for name in static_counts(compile_trace(trace)):
-            assert getattr(stats1, name) == getattr(exact, name)
-        assert _rel_err(stats1.cycles, exact.cycles) < 0.02
-        assert report["shards"] == 4
-        assert report["boundaries"][0] == 0
-        assert report["boundaries"][-1] == len(trace)
+            assert getattr(stats, name) == getattr(exact, name)
+        assert _rel_err(stats.cycles, exact.cycles) < 0.02
 
     def test_single_shard_matches_full_run(self):
         trace = _heap_trace()
         exact = CoreSim(ARM_A72_SIM, compile_trace(trace)).run()
-        stats, _ = simulate_sharded(trace, ARM_A72_SIM, shards=1)
+        (stats,) = simulate_segments(trace, ARM_A72_SIM, [(0, len(trace))])
         assert stats.to_dict() == exact.to_dict()
 
-    def test_rejects_bad_shard_count(self):
-        with pytest.raises(ValueError):
-            simulate_sharded(_heap_trace(), ARM_A72_SIM, shards=0)
+
+class TestSegments:
+    def test_sequential_partition_counts_exact_and_cycles_close(self):
+        trace = _long_trace(10)
+        exact = CoreSim(ARM_A72_SIM, compile_trace(trace)).run()
+        n = len(trace)
+        bounds = list(range(0, n, 7_000)) + [n]
+        assert len(bounds) > 3  # the partition genuinely cuts mid-trace
+        stats = merge_stats(
+            simulate_segments(trace, ARM_A72_SIM, zip(bounds, bounds[1:]))
+        )
+        for name in static_counts(compile_trace(trace)):
+            assert getattr(stats, name) == getattr(exact, name)
+        # Per-segment pipeline fill/drain at the seams bounds the drift.
+        assert _rel_err(stats.cycles, exact.cycles) < 0.02
+
+    @pytest.mark.parametrize("engine", ["python", "c"])
+    def test_segment_at_zero_with_warm_ranges_equals_warm_run(self, engine):
+        # The sampler's head segment relies on this: the warming pass's
+        # snapshot at 0 is exactly the residency warm_ranges install.
+        if engine == "c" and backend.effective_backend() != "c":
+            pytest.skip("the C kernel does not build here")
+        trace = _heap_trace()
+        warm = trace.metadata["warm_ranges"]
+        n = len(trace)
+        with backend.use_backend(engine):
+            full, head = simulate_segments(
+                trace, ARM_A72_SIM, [(0, n), (0, n // 2)], warm_ranges=warm
+            )
+            plain = CoreSim(ARM_A72_SIM, trace, warm_ranges=warm).run()
+            plain_head = CoreSim(
+                ARM_A72_SIM, trace, warm_ranges=warm, stop=n // 2
+            ).run()
+        assert full.to_dict() == plain.to_dict()
+        assert head.to_dict() == plain_head.to_dict()
+
+    def test_exports_and_segment_runs_interleave(self, monkeypatch):
+        # A sequential run holds one snapshot at a time: each start's
+        # snapshot is exported only after the previous start's segments
+        # have run.  Results still come back in the order asked for.
+        calls = []
+        export, run = CacheHierarchy.export_state, CoreSim.run
+
+        def logged_export(self):
+            calls.append("export")
+            return export(self)
+
+        def logged_run(self):
+            calls.append(f"run@{self._start}")
+            return run(self)
+
+        monkeypatch.setattr(CacheHierarchy, "export_state", logged_export)
+        monkeypatch.setattr(CoreSim, "run", logged_run)
+        parts = simulate_segments(
+            _heap_trace(), ARM_A72_SIM, [(100, 300), (0, 100), (100, 150)]
+        )
+        assert calls == ["export", "run@0", "export", "run@100", "run@100"]
+        assert [p.instructions for p in parts] == [200, 100, 50]
+
+    def test_rejects_bad_segment(self):
+        for segment in [(-1, 5), (5, 3), (0, 10**6)]:
+            with pytest.raises(ValueError, match="invalid segment"):
+                simulate_segments(_heap_trace(), ARM_A72_SIM, [segment])
