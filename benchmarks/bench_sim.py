@@ -16,7 +16,12 @@ throughputs to ``BENCH_sim.json``:
   engine is available;
 - **native_cold** — the first-ever simulation of a trace on that
   kernel: a fresh trace's compile, packing and the kernel run all
-  inside the timed region (what a new program costs by default).
+  inside the timed region (what a new program costs by default).  The
+  entry also records the best time of each layer — building the trace
+  with its generator, compiling, packing and the kernel run
+  (``build_ms``, ``compile_ms``, ``pack_ms``, ``kernel_ms``) — and
+  ``kernel_bytes_per_inst``, the packed trace columns' bytes over the
+  instruction count.
 
 The cold/precompiled sections are pinned to the pure-Python hot loop
 (``use_backend("python")``) so their meaning is stable across hosts;
@@ -39,6 +44,7 @@ import argparse
 import json
 import sys
 from time import perf_counter
+from typing import Callable
 
 from repro.core.modes import TCAMode
 from repro.isa.trace import Trace, TraceBuilder
@@ -70,17 +76,22 @@ _SCALES = {
 }
 
 
-def _workloads(scale: str) -> list[tuple[str, Trace, object, list | None]]:
-    """(label, trace, config, warm_ranges) single-run measurement cases."""
+def _workloads(scale: str) -> list[tuple[str, Callable[[], Trace], object, list | None]]:
+    """(label, build, config, warm_ranges) single-run measurement cases;
+    ``build()`` makes a fresh trace each call."""
     knobs = _SCALES[scale]
-    builder = TraceBuilder("alu-heavy")
-    builder.independent_block(knobs["alu"], list(range(8)))
-    alu = builder.build()
-    program = generate_heap_program(
-        HeapWorkloadSpec(slots=knobs["heap_slots"], call_probability=0.3)
-    )
-    heap = program.accelerated()
-    heap_warm = program.baseline.metadata["warm_ranges"]
+
+    def alu() -> Trace:
+        builder = TraceBuilder("alu-heavy")
+        builder.independent_block(knobs["alu"], list(range(8)))
+        return builder.build()
+
+    spec = HeapWorkloadSpec(slots=knobs["heap_slots"], call_probability=0.3)
+
+    def heap() -> Trace:
+        return generate_heap_program(spec).accelerated()
+
+    heap_warm = heap().metadata["warm_ranges"]
     return [
         ("alu", alu, HIGH_PERF_SIM, None),
         ("heap-tca", heap, HIGH_PERF_SIM.with_mode(TCAMode.NL_NT), heap_warm),
@@ -102,7 +113,8 @@ def _best_of(fn, repeats: int = REPEATS) -> tuple[float, object]:
     return best, result
 
 
-def _bench_single(trace, config, warm) -> dict:
+def _bench_single(build, config, warm) -> dict:
+    trace = build()
     compiled = compile_trace(trace, cache=False)
     with sim_backend.use_backend("python"):
         cold_s, cold_stats = _best_of(
@@ -146,17 +158,34 @@ def _bench_single(trace, config, warm) -> dict:
                 )
             return stats
 
-        def native_cold_run():
-            fresh = compile_trace(_fresh(trace), cache=False)
+        def native_cold_run() -> tuple[float, ...]:
+            """Build, compile, pack and run a fresh trace; seconds per layer."""
+            started = perf_counter()
+            fresh_trace = build()
+            built_at = perf_counter()
+            fresh = compile_trace(fresh_trace, cache=False)
+            compiled_at = perf_counter()
+            sim_backend.get_packed(fresh)
+            packed_at = perf_counter()
             stats = CoreSim(config, fresh, warm_ranges=warm).run()
+            ran_at = perf_counter()
             if json.dumps(stats.to_dict()) != expected:
                 raise AssertionError(
                     f"native_cold ({backend_name}): stats diverge from the cold run"
                 )
-            return stats
+            return (
+                built_at - started,
+                compiled_at - built_at,
+                packed_at - compiled_at,
+                ran_at - packed_at,
+            )
 
         native_s, _ = _best_of(native_run)
-        native_cold_s, _ = _best_of(native_cold_run)
+        splits = [native_cold_run() for _ in range(REPEATS)]
+        native_cold_s = min(sum(split[1:]) for split in splits)
+        layers = [min(times) for times in zip(*splits)]  # best of each layer
+        packed = sim_backend.get_packed(compiled)
+        columns_bytes = sum(column.nbytes for column in packed.columns)
         row["native"] = dict(
             entry(native_s),
             backend=backend_name,
@@ -168,6 +197,11 @@ def _bench_single(trace, config, warm) -> dict:
             entry(native_cold_s),
             backend=backend_name,
             speedup_vs_cold=cold_s / native_cold_s if native_cold_s > 0 else float("inf"),
+            **{
+                f"{layer}_ms": 1e3 * seconds
+                for layer, seconds in zip(("build", "compile", "pack", "kernel"), layers)
+            },
+            kernel_bytes_per_inst=columns_bytes / instructions,
         )
     return row
 
@@ -258,8 +292,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     workloads = {}
-    for label, trace, config, warm in _workloads(args.scale):
-        workloads[label] = _bench_single(trace, config, warm)
+    for label, build, config, warm in _workloads(args.scale):
+        workloads[label] = _bench_single(build, config, warm)
     sampled = _bench_sampled(args.scale)
 
     payload = {
@@ -292,7 +326,12 @@ def main(argv: list[str] | None = None) -> int:
                     f"{entry['speedup_vs_precompiled']:.2f}x vs precompiled]"
                 )
             elif approach == "native_cold":
-                suffix = f"  [{entry['backend']}, {entry['speedup_vs_cold']:.2f}x vs cold]"
+                suffix = (
+                    f"  [{entry['backend']}, {entry['speedup_vs_cold']:.2f}x vs cold; "
+                    f"build {entry['build_ms']:.2f} compile {entry['compile_ms']:.2f} "
+                    f"pack {entry['pack_ms']:.2f} kernel {entry['kernel_ms']:.2f} ms; "
+                    f"{entry['kernel_bytes_per_inst']:.1f} B/inst]"
+                )
             print(
                 f"    {approach:<12} {entry['seconds']:>9.4f}s  "
                 f"{entry['instructions_per_sec']:>12.0f} inst/s{suffix}"

@@ -12,6 +12,7 @@ workload parameters (``a`` and ``v``) that describe it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,6 +55,12 @@ class AcceleratableRegion:
         return self.start < other.end and other.start < self.end
 
 
+#: A region as plain values: ``(start, length, descriptor, srcs, dsts)``.
+Span = tuple[int, int, TCADescriptor, tuple[int, ...], tuple[int, ...]]
+_START = itemgetter(0)
+_LENGTH = itemgetter(1)
+
+
 class Program:
     """A baseline trace plus its acceleratable regions.
 
@@ -64,6 +71,11 @@ class Program:
 
     Raises:
         ValueError: if regions overlap or fall outside the baseline.
+
+    Generators that emit hundreds of regions per program build it with
+    :meth:`from_spans` instead, from plain ``(start, length, descriptor,
+    srcs, dsts)`` tuples; :attr:`regions` then builds the
+    :class:`AcceleratableRegion` objects only when asked for.
     """
 
     def __init__(
@@ -72,35 +84,67 @@ class Program:
         regions: Sequence[AcceleratableRegion],
         name: str | None = None,
     ) -> None:
+        ordered = tuple(sorted(regions, key=lambda r: r.start))
+        spans = [(r.start, r.length, r.descriptor, r.srcs, r.dsts) for r in ordered]
+        self._init(baseline, spans, name)
+        self._regions: tuple[AcceleratableRegion, ...] | None = ordered
+
+    @classmethod
+    def from_spans(
+        cls, baseline: Trace, spans: Sequence[Span], name: str | None = None
+    ) -> "Program":
+        """A program from regions given as ``(start, length, descriptor,
+        srcs, dsts)`` tuples, checked as :class:`AcceleratableRegion`
+        checks them."""
+        spans = sorted(spans, key=_START)
+        for start, length, *_ in spans:
+            if start < 0 or length <= 0:
+                AcceleratableRegion(start, length, None)  # raises its ValueError
+        program = cls.__new__(cls)
+        program._init(baseline, spans, name)
+        program._regions = None
+        return program
+
+    def _init(self, baseline: Trace, spans: list[Span], name: str | None) -> None:
         self.baseline = baseline
-        self.regions = tuple(sorted(regions, key=lambda r: r.start))
+        self._spans = spans
         self.name = name or baseline.name
         self._check_regions()
+
+    @property
+    def regions(self) -> tuple[AcceleratableRegion, ...]:
+        """The regions, ordered by start (built on first use)."""
+        regions = self._regions
+        if regions is None:
+            regions = self._regions = tuple(
+                AcceleratableRegion(*span) for span in self._spans
+            )
+        return regions
 
     def _check_regions(self) -> None:
         n = len(self.baseline)
         prev_end = 0
-        for region in self.regions:
-            if region.end > n:
+        for start, length, *_ in self._spans:
+            end = start + length
+            if end > n:
                 raise ValueError(
-                    f"region [{region.start}, {region.end}) exceeds baseline "
-                    f"length {n}"
+                    f"region [{start}, {end}) exceeds baseline length {n}"
                 )
-            if region.start < prev_end:
+            if start < prev_end:
                 raise ValueError(
-                    f"region starting at {region.start} overlaps previous region"
+                    f"region starting at {start} overlaps previous region"
                 )
-            prev_end = region.end
+            prev_end = end
 
     @property
     def num_invocations(self) -> int:
         """Number of TCA invocations after acceleration."""
-        return len(self.regions)
+        return len(self._spans)
 
     @property
     def acceleratable_instructions(self) -> int:
         """Total baseline instructions inside regions."""
-        return sum(r.length for r in self.regions)
+        return sum(map(_LENGTH, self._spans))
 
     @property
     def acceleratable_fraction(self) -> float:
@@ -119,34 +163,43 @@ class Program:
     @property
     def mean_granularity(self) -> float:
         """Average baseline instructions replaced per invocation."""
-        if not self.regions:
+        if not self._spans:
             return 0.0
-        return self.acceleratable_instructions / len(self.regions)
+        return self.acceleratable_instructions / len(self._spans)
 
     def accelerated(self, name: str | None = None) -> Trace:
         """Emit the TCA-ified trace: each region collapses to one TCA.
 
         The emitted TCA instruction carries the region's descriptor with
         ``replaced_instructions`` forced to the region length so trace
-        statistics reconstruct the baseline exactly.
+        statistics reconstruct the baseline exactly.  Regions that share
+        a descriptor object, length and registers share one TCA record,
+        so they take one table row.
         """
-        records = []
+        records: list[Instruction] = []
+        row_of: dict[tuple, int] = {}
+        tca_rows = []
         starts = []
         lengths = []
-        for region in self.regions:
-            descriptor = region.descriptor
-            if descriptor.replaced_instructions != region.length:
-                descriptor = TCADescriptor(
-                    name=descriptor.name,
-                    compute_latency=descriptor.compute_latency,
-                    reads=descriptor.reads,
-                    writes=descriptor.writes,
-                    replaced_instructions=region.length,
-                    replaced_cycles=descriptor.replaced_cycles,
-                )
-            records.append(tca_record(descriptor, region.srcs, region.dsts))
-            starts.append(region.start)
-            lengths.append(region.length)
+        base = len(self.baseline.rows.table)
+        for start, length, descriptor, srcs, dsts in self._spans:
+            key = (id(descriptor), length, srcs, dsts)
+            row = row_of.get(key)
+            if row is None:
+                if descriptor.replaced_instructions != length:
+                    descriptor = TCADescriptor(
+                        name=descriptor.name,
+                        compute_latency=descriptor.compute_latency,
+                        reads=descriptor.reads,
+                        writes=descriptor.writes,
+                        replaced_instructions=length,
+                        replaced_cycles=descriptor.replaced_cycles,
+                    )
+                row = row_of[key] = base + len(records)
+                records.append(tca_record(descriptor, srcs, dsts))
+            tca_rows.append(row)
+            starts.append(start)
+            lengths.append(length)
         # Splice the index: drop the positions inside regions, then put
         # each region's TCA row where the region began.
         rows = self.baseline.rows
@@ -154,8 +207,9 @@ class Program:
         length = np.array(lengths, dtype=np.int64)
         before = start - (np.cumsum(length) - length)  # kept positions before
         inside = np.repeat(before, length) + np.arange(length.sum())
-        tca_rows = np.arange(len(rows.table), len(rows.table) + len(records))
-        index = np.insert(np.delete(rows.index, inside), before, tca_rows)
+        index = np.insert(
+            np.delete(rows.index, inside), before, np.array(tca_rows, dtype=np.int64)
+        )
         return Trace.from_rows(
             TraceRows(rows.table + tuple(records), index.astype(np.int32, copy=False)),
             name=name or f"{self.name}-accel",

@@ -262,6 +262,17 @@ def load_record(
     )
 
 
+def store_record(src: int, addr: int, size: int = 8) -> Instruction:
+    """A fresh store record, equal to what ``TraceBuilder.store`` emits.
+
+    Runs only the checks these arguments can fail; an input the full
+    constructor rejects raises its ``ValueError``.
+    """
+    if size <= 0 or addr is None:
+        Instruction(op=_STORE, srcs=(src,), addr=addr, size=size)
+    return _record(Instruction, (_STORE, (src,), (), addr, size, False, False, None, None))
+
+
 def row_template(
     layout: Iterable[Instruction | None],
 ) -> tuple[tuple[Instruction, ...], np.ndarray]:
@@ -271,7 +282,7 @@ def row_template(
     supplies its own record (say, a load with its own address).  Returns
     the distinct records and an int32 index over them in which the
     ``j``-th hole reads ``len(records) + j``; append an occurrence with
-    ``builder.extend_rows(records + fills, index)``.
+    ``builder.extend_rows(records, index, fills)``.
     """
     layout = list(layout)
     number: dict[int, int] = {}  # id -> position in records, which holds it
@@ -519,11 +530,12 @@ class TraceBuilder:
         self.metadata: dict = dict(metadata or {})
         self._table: list[Instruction] = []
         self._index = array("i")
-        # id -> row of each shared record, and id -> (block, row run) of
-        # each block tuple; the table and the entries keep them alive,
-        # so no id is reused while the builder lives.
+        # id -> row of each shared record, and (id, id) -> the records,
+        # index, row run and holes of each block or template tuple; the
+        # table and the entries keep them alive, so no id is reused
+        # while the builder lives.
         self._row_of: dict[int, int] = {}
-        self._runs: dict[int, tuple[tuple[Instruction, ...], array]] = {}
+        self._templates: dict[tuple[int, int], tuple] = {}
 
     def __len__(self) -> int:
         return len(self._index)
@@ -535,30 +547,6 @@ class TraceBuilder:
             row = self._row_of[id(instruction)] = len(self._table)
             self._table.append(instruction)
         return row
-
-    def _run(self, block: Sequence[Instruction]) -> array:
-        """The row run of a block; a tuple's run is built once per builder.
-
-        Python visits each distinct record of the block once; the run
-        itself comes from C-level passes over the block.
-        """
-        cached = type(block) is tuple
-        if cached:
-            entry = self._runs.get(id(block))
-            if entry is not None:
-                return entry[1]
-        else:
-            block = tuple(block)
-        ids = list(map(id, block))
-        row_of = self._row_of
-        for key, record in dict(zip(ids, block)).items():
-            if key not in row_of:
-                row_of[key] = len(self._table)
-                self._table.append(record)
-        run = array("i", map(row_of.__getitem__, ids))
-        if cached:
-            self._runs[id(block)] = (block, run)
-        return run
 
     def _append(self, instruction: Instruction) -> Instruction:
         """Add a per-call record as a new row."""
@@ -579,23 +567,78 @@ class TraceBuilder:
         times in a trace: generators append cached blocks of shared
         records (:func:`alu_block`, :func:`alu_record`) this way.
         """
-        self._index.extend(self._run(instructions))
+        if not isinstance(instructions, (tuple, list)):
+            instructions = list(instructions)
+        self._index.extend(self._template(instructions)[2])
 
-    def extend_rows(self, records: Sequence[Instruction], index: np.ndarray) -> None:
-        """Append ``records[i]`` for each ``i`` in ``index`` (an int array).
+    def extend_rows(
+        self,
+        records: Sequence[Instruction],
+        index: np.ndarray,
+        fills: Sequence[Instruction] = (),
+    ) -> None:
+        """Append ``(*records, *fills)[i]`` for each ``i`` in ``index`` (an int array).
 
         Each distinct record object takes one table row (the row the
         builder already gave it, if any), so a generator can lay out a
-        whole template — shared records plus per-occurrence ones such as
-        loads — as one index array and append it in one step.
+        whole template — shared records plus per-occurrence ``fills``
+        such as loads — as one index array and append it in one step
+        (see :func:`row_template`).  A ``records`` tuple's row run is
+        built once per builder with its index, so each later occurrence
+        of a template copies the run and writes only its fills' rows.
         """
-        rows = np.fromiter(map(self._row, records), np.int32, len(records))
-        self._index.frombytes(rows[index].tobytes())
+        run, holes = self._template(records, index)[2:]
+        out = self._index
+        start = len(out)
+        out.extend(run)
+        if holes:
+            fill_rows = list(map(self._row, fills))
+            for at, fill in holes:
+                out[start + at] = fill_rows[fill]
+
+    def _template(
+        self, records: Sequence[Instruction], index: np.ndarray | None = None
+    ) -> tuple:
+        """``(records, index, run, holes)``: ``run`` holds the row of each
+        position of ``index`` (of each record, when ``index`` is
+        ``None``), with 0 where a fill goes, and ``holes`` pairs each such
+        position with its fill's number.  Built once per builder for a
+        ``records`` tuple (with an index array, or none)."""
+        key = (id(records), id(index))
+        entry = self._templates.get(key)
+        if entry is not None:
+            return entry
+        # Python visits each distinct record once; the rows come from
+        # C-level passes over the records.
+        m = len(records)
+        ids = list(map(id, records))
+        row_of = self._row_of
+        for ident, record in dict(zip(ids, records)).items():
+            if ident not in row_of:
+                row_of[ident] = len(self._table)
+                self._table.append(record)
+        rows = np.fromiter(map(row_of.__getitem__, ids), np.int32, m)
+        holes: tuple[tuple[int, int], ...] = ()
+        if index is not None:
+            at = np.asarray(index)
+            where = np.flatnonzero(at >= m)
+            if where.size:
+                holes = tuple(zip(where.tolist(), (at[where] - m).tolist()))
+                rows = np.append(rows, np.zeros(int(at.max()) + 1 - m, dtype=np.int32))
+            rows = rows[at]
+        run = array("i")
+        run.frombytes(rows.tobytes())
+        entry = (records, index, run, holes)
+        if type(records) is tuple and (index is None or type(index) is np.ndarray):
+            self._templates[key] = entry
+        return entry
 
     def repeat(self, block: Sequence[Instruction], times: int) -> None:
         """Append ``block`` ``times`` times over (nothing when ``times <= 0``)."""
         if times > 0:
-            self._index.extend(self._run(block) * times)
+            if not isinstance(block, (tuple, list)):
+                block = list(block)
+            self._index.extend(self._template(block)[2] * times)
 
     def alu(
         self,
@@ -623,11 +666,7 @@ class TraceBuilder:
 
     def store(self, src: int, addr: int, size: int = 8) -> Instruction:
         """Emit a store of ``size`` bytes from ``src`` to ``addr``."""
-        if size <= 0 or addr is None:
-            Instruction(op=_STORE, srcs=(src,), addr=addr, size=size)
-        return self._append(
-            _record(Instruction, (_STORE, (src,), (), addr, size, False, False, None, None))
-        )
+        return self._append(store_record(src, addr, size))
 
     def branch(
         self,

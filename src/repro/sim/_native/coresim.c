@@ -3,9 +3,17 @@
  *
  * Contract: repro_coresim_run takes the exact argument tuple that
  * repro.sim.backend.try_run_native assembles (same order, int64 arrays
- * except the five uint8 arrays), performs the same event loop as
- * CoreSim._run over the packed arrays, and returns the RC_* codes
- * below.  The cache arrays are the (tags, cnt) pairs each
+ * except the int32 row index and the five uint8 arrays), performs the
+ * same event loop as CoreSim._run over the packed arrays, and returns
+ * the RC_* codes below.
+ *
+ * Trace columns come in two granularities.  Facts of an instruction's
+ * record (kind, FU class, latency override, branch flags, memory and
+ * TCA request tables) are held once per row of the compacted trace
+ * table and read through the row index: instruction k's kind is
+ * kind[row[k]].  The register-edge CSR (re_start, edge_prod,
+ * edge_cons) and mem_edge_base depend on an instruction's place in the
+ * trace and are indexed by k directly, as is every per-run array.  The cache arrays are the (tags, cnt) pairs each
  * repro.sim.cache._CacheLevel owns; the kernel updates them in place,
  * and repro_cache_warm warms them the way CacheHierarchy.warm_lines
  * does.  The cfg/stats/cstats slot enums mirror the CFG_*, ST_* and
@@ -21,6 +29,7 @@
 #include <stdint.h>
 
 typedef int64_t i64;
+typedef int32_t i32;
 typedef uint8_t u8;
 
 /* cfg[] slots — keep in sync with CFG_* in backend.py */
@@ -182,6 +191,7 @@ i64 repro_coresim_run(
     const i64 *cfg,
     const i64 *fu_used, const i64 *fu_ports, const i64 *fu_latency,
     const i64 *fu_pipelined, i64 *fu_left, const i64 *busy_start, i64 *fu_busy,
+    const i32 *row,
     const u8 *kind, const i64 *fu_cls, const i64 *lat_over,
     const u8 *mispred, const u8 *lowconf_flag,
     const i64 *mem_addr, const i64 *mem_size,
@@ -189,12 +199,12 @@ i64 repro_coresim_run(
     const i64 *cw_start, const i64 *cw_lines,
     const i64 *wr_start, const i64 *wr_addr, const i64 *wr_size,
     const i64 *writer_lo, const i64 *writer_hi,
-    const i64 *re_start, const i64 *edge_prod, const i64 *edge_cons,
-    const i64 *mem_edge_base,
     const i64 *tr_start, const i64 *tr_addr, const i64 *tr_size,
     const i64 *trl_start, const i64 *trl_lines,
     const i64 *tca_read_count, const i64 *tca_write_count,
     const i64 *tca_comp_lat,
+    const i64 *re_start, const i64 *edge_prod, const i64 *edge_cons,
+    const i64 *mem_edge_base,
     u8 *completed, u8 *forwarded, i64 *complete_cycle, i64 *deps,
     i64 *first_ready, i64 *tca_read_index, i64 *tca_reads_left,
     i64 *tca_start_cycle, i64 *dep_head, i64 *edge_next,
@@ -292,7 +302,7 @@ i64 repro_coresim_run(
                     e = edge_next[e];
                 }
                 dep_head[s] = -1;
-                if (kind[s] == 2) { /* TCA */
+                if (kind[row[s]] == 2) { /* TCA */
                     for (i64 i = 0; i < tca_n; i++) {
                         if (tca_active[i] == s) {
                             for (i64 m = i; m < tca_n - 1; m++)
@@ -306,12 +316,13 @@ i64 repro_coresim_run(
             } else if (ekind == 1) { /* EV_TCA_READ */
                 i64 r = tca_reads_left[s] - 1;
                 tca_reads_left[s] = r;
-                if (r == 0 && tca_read_index[s] >= tca_read_count[s]) {
+                i64 rs = row[s];
+                if (r == 0 && tca_read_index[s] >= tca_read_count[rs]) {
                     if (events_n >= events_cap)
                         OVERFLOW(CAP_EVENTS);
                     events_n = heap_push(
                         events, events_n,
-                        ((cycle + tca_comp_lat[s]) << EV_SHIFT) | (s << 2));
+                        ((cycle + tca_comp_lat[rs]) << EV_SHIFT) | (s << 2));
                 }
             } else { /* EV_MSHR */
                 mshr_out -= 1;
@@ -325,24 +336,25 @@ i64 repro_coresim_run(
             if (completed[h] == 0 ||
                 cycle < complete_cycle[h] + commit_latency)
                 break;
-            i64 hk = kind[h];
+            i64 hr = row[h];
+            i64 hk = kind[hr];
             if (hk == 0) { /* LOAD */
                 lq_count -= 1;
                 s_loads += 1;
             } else if (hk == 1) { /* STORE */
                 sq_count -= 1;
-                for (i64 li = cw_start[h]; li < cw_start[h + 1]; li++)
+                for (i64 li = cw_start[hr]; li < cw_start[hr + 1]; li++)
                     access_line(&cc, cw_lines[li]);
                 s_stores += 1;
             } else if (hk == 3) { /* BRANCH */
                 s_branches += 1;
-                if (mispred[h] != 0)
+                if (mispred[hr] != 0)
                     s_mispredicts += 1;
             } else if (hk == 2) { /* TCA */
-                if (tca_write_count[h] > 0) {
-                    for (i64 li = cw_start[h]; li < cw_start[h + 1]; li++)
+                if (tca_write_count[hr] > 0) {
+                    for (i64 li = cw_start[hr]; li < cw_start[hr + 1]; li++)
                         access_line(&cc, cw_lines[li]);
-                    s_tca_writes += tca_write_count[h];
+                    s_tca_writes += tca_write_count[hr];
                 }
                 s_tca_inv += 1;
             }
@@ -381,7 +393,7 @@ i64 repro_coresim_run(
                 if (tca_reads_allowed && tca_n > 0) {
                     for (i64 i = 0; i < tca_n; i++) {
                         i64 t = tca_active[i];
-                        if (tca_read_index[t] < tca_read_count[t]) {
+                        if (tca_read_index[t] < tca_read_count[row[t]]) {
                             atca = t;
                             break;
                         }
@@ -395,7 +407,7 @@ i64 repro_coresim_run(
                     int did_read = 0;
                     if (lports > 0) {
                         i64 idx = tca_read_index[atca];
-                        i64 g = tr_start[atca] + idx;
+                        i64 g = tr_start[row[atca]] + idx;
                         int blocked = 0;
                         if (mshr_out >= mshr_limit) {
                             for (i64 li = trl_start[g]; li < trl_start[g + 1];
@@ -431,7 +443,7 @@ i64 repro_coresim_run(
                             }
                             tca_read_index[atca] = idx + 1;
                             tca_reads_left[atca] += 1;
-                            if (idx + 1 == tca_read_count[atca])
+                            if (idx + 1 == tca_read_count[row[atca]])
                                 tca_pending -= 1;
                             i64 ev =
                                 ((cycle + worst) << EV_SHIFT) | (atca << 2);
@@ -459,7 +471,8 @@ i64 repro_coresim_run(
                     break;
                 ready_n = heap_pop(ready, ready_n);
                 i64 k = cand;
-                i64 kk = kind[k];
+                i64 rk = row[k];
+                i64 kk = kind[rk];
                 if (kk == 2) { /* TCA start */
                     int ok = 1;
                     if (mode_leading == 0) {
@@ -505,12 +518,12 @@ i64 repro_coresim_run(
                         tca_start_cycle[k] = cycle;
                         s_tca_wait += cycle - first_ready[k];
                         iq_occ -= 1;
-                        if (tca_read_count[k] == 0) {
+                        if (tca_read_count[rk] == 0) {
                             if (events_n >= events_cap)
                                 OVERFLOW(CAP_EVENTS);
                             events_n = heap_push(
                                 events, events_n,
-                                ((cycle + tca_comp_lat[k]) << EV_SHIFT) |
+                                ((cycle + tca_comp_lat[rk]) << EV_SHIFT) |
                                     (k << 2));
                         } else {
                             tca_pending += 1;
@@ -533,7 +546,7 @@ i64 repro_coresim_run(
                     } else {
                         if (mshr_out >= mshr_limit) {
                             int wm = 0;
-                            for (i64 li = ml_start[k]; li < ml_start[k + 1];
+                            for (i64 li = ml_start[rk]; li < ml_start[rk + 1];
                                  li++) {
                                 i64 tag = ml_lines[li] >> shift;
                                 if (!level_contains(l1_tags, l1_cnt, l1_sets,
@@ -549,7 +562,7 @@ i64 repro_coresim_run(
                         }
                         i64 worst = 0;
                         int missed = 0;
-                        for (i64 li = ml_start[k]; li < ml_start[k + 1];
+                        for (i64 li = ml_start[rk]; li < ml_start[rk + 1];
                              li++) {
                             i64 la = ml_lines[li];
                             i64 alat = access_line(&cc, la);
@@ -604,13 +617,13 @@ i64 repro_coresim_run(
                     continue;
                 }
                 /* Functional-unit op. */
-                i64 cls = fu_cls[k];
+                i64 cls = fu_cls[rk];
                 if (fu_left[cls] <= 0) {
                     deferred[deferred_n++] = k;
                     continue;
                 }
                 fu_left[cls] -= 1;
-                i64 lat = lat_over[k];
+                i64 lat = lat_over[rk];
                 if (lat < 0)
                     lat = fu_latency[cls];
                 if (fu_pipelined[cls] == 0) {
@@ -670,7 +683,8 @@ i64 repro_coresim_run(
                 break;
             }
             i64 k = pc;
-            i64 kk = kind[k];
+            i64 rk = row[k];
+            i64 kk = kind[rk];
             if (iq_occ >= iq_size) {
                 last_stall = S_IQ_FULL;
                 break;
@@ -695,8 +709,8 @@ i64 repro_coresim_run(
                 dep_head[p] = e;
             }
             if (kk == 0) { /* LOAD: disambiguation + forwarding */
-                i64 addr = mem_addr[k];
-                i64 end = addr + mem_size[k];
+                i64 addr = mem_addr[rk];
+                i64 end = addr + mem_size[rk];
                 while (writers_start < writers_n &&
                        writers[writers_start] < committed)
                     writers_start += 1;
@@ -705,8 +719,9 @@ i64 repro_coresim_run(
                     i64 ws = writers[i];
                     if (completed[ws] != 0)
                         continue;
-                    if (writer_lo[ws] < end && addr < writer_hi[ws]) {
-                        for (i64 ri = wr_start[ws]; ri < wr_start[ws + 1];
+                    i64 wrow = row[ws];
+                    if (writer_lo[wrow] < end && addr < writer_hi[wrow]) {
+                        for (i64 ri = wr_start[wrow]; ri < wr_start[wrow + 1];
                              ri++) {
                             i64 wa = wr_addr[ri];
                             if (wa < end && addr < wa + wr_size[ri]) {
@@ -745,13 +760,13 @@ i64 repro_coresim_run(
             } else if (kk == 2) { /* TCA */
                 tca_read_index[k] = 0;
                 tca_reads_left[k] = 0;
-                if (tr_start[k + 1] > tr_start[k]) {
+                if (tr_start[rk + 1] > tr_start[rk]) {
                     while (writers_start < writers_n &&
                            writers[writers_start] < committed)
                         writers_start += 1;
                     i64 mem_e = mem_edge_base[k];
                     i64 n_attached = 0;
-                    for (i64 gi = tr_start[k]; gi < tr_start[k + 1]; gi++) {
+                    for (i64 gi = tr_start[rk]; gi < tr_start[rk + 1]; gi++) {
                         i64 ra = tr_addr[gi];
                         i64 rend = ra + tr_size[gi];
                         i64 w = -1;
@@ -759,9 +774,10 @@ i64 repro_coresim_run(
                             i64 ws = writers[i];
                             if (completed[ws] != 0)
                                 continue;
-                            if (writer_lo[ws] < rend && ra < writer_hi[ws]) {
-                                for (i64 ri = wr_start[ws];
-                                     ri < wr_start[ws + 1]; ri++) {
+                            i64 wrow = row[ws];
+                            if (writer_lo[wrow] < rend && ra < writer_hi[wrow]) {
+                                for (i64 ri = wr_start[wrow];
+                                     ri < wr_start[wrow + 1]; ri++) {
                                     i64 wa = wr_addr[ri];
                                     if (wa < rend && ra < wa + wr_size[ri]) {
                                         w = ws;
@@ -800,13 +816,13 @@ i64 repro_coresim_run(
                         }
                     }
                 }
-                if (wr_start[k + 1] > wr_start[k]) {
+                if (wr_start[rk + 1] > wr_start[rk]) {
                     if (writers_n >= writers_cap)
                         OVERFLOW(CAP_WRITERS);
                     writers[writers_n++] = k;
                 }
             }
-            if (lowconf_flag[k] != 0) {
+            if (lowconf_flag[rk] != 0) {
                 if (lowconf_n >= lowconf_cap)
                     OVERFLOW(CAP_LOWCONF);
                 lowconf[lowconf_n++] = k;
@@ -827,7 +843,7 @@ i64 repro_coresim_run(
                 barrier = k;
                 break;
             }
-            if (mispred[k] != 0) {
+            if (mispred[rk] != 0) {
                 redirect_seq = k;
                 break;
             }

@@ -71,15 +71,18 @@ _STALL_REASONS = tuple(StallReason)
 #: Native-state pool bound per PackedTrace (mirrors compile._POOL_MAX).
 _POOL_MAX = 8
 
-#: The CompiledTrace columns the kernel reads, in its argument order.
+#: The CompiledTrace columns the kernel reads, in its argument order:
+#: the int32 row index, the per-row tables it indexes, then the
+#: per-instruction register-edge CSR and memory-edge slots.
 _TRACE_COLUMNS = (
+    "row",
     "kind", "fu_cls", "lat_over", "mispred", "lowconf_flag",
     "mem_addr", "mem_size", "ml_start", "ml_lines",
     "cw_start", "cw_lines",
     "wr_start", "wr_addr", "wr_size", "writer_lo", "writer_hi",
-    "re_start", "edge_prod", "edge_cons", "mem_edge_base",
     "tr_start", "tr_addr", "tr_size", "trl_start", "trl_lines",
     "tca_read_count", "tca_write_count", "tca_comp_lat",
+    "re_start", "edge_prod", "edge_cons", "mem_edge_base",
 )
 
 # Kernel array slot layouts — mirror the enums in _native/coresim.c.
@@ -173,12 +176,14 @@ class PackedTrace:
     """The C kernel's view of a :class:`CompiledTrace`.
 
     The compiled trace already holds every trace column as the flat
-    int64/uint8 array the kernel reads (CSR tables included), so packing
-    only takes their addresses in the kernel's argument order, derives
-    the few whole-trace bounds that size the kernel's scratch arrays,
-    and owns the pool of per-run native state blocks.  Built once per
-    compiled trace (memoized on ``CompiledTrace._packed``) and shared
-    read-only across runs and threads.
+    int32/int64/uint8 array the kernel reads (CSR tables included), so
+    packing only takes their addresses in the kernel's argument order,
+    derives the few whole-trace bounds that size the kernel's scratch
+    arrays, and owns the pool of per-run native state blocks.  The
+    bounds count instructions, so row facts are weighted by
+    ``row_count``.  Built once per compiled trace (memoized on
+    ``CompiledTrace._packed``) and shared read-only across runs and
+    threads.
     """
 
     __slots__ = (
@@ -193,11 +198,12 @@ class PackedTrace:
         self.columns = tuple(getattr(ct, name) for name in _TRACE_COLUMNS)
         self.fu_used = np.asarray(ct.fu_used, dtype=_I64)
         self.fu_classes = tuple(ct.fu_used)
-        #: ``fu_used`` then the columns: the kernel's arguments 2 and 9-36.
+        #: ``fu_used`` then the columns: the kernel's arguments 2 and 9-38.
         self.pointers = tuple(_address(a) for a in (self.fu_used, *self.columns))
         self.max_tca_reads = int(ct.tca_read_count.max()) if n else 0
-        self.writers_cap = int(np.count_nonzero(np.diff(ct.wr_start)))
-        self.lowconf_cap = int(np.count_nonzero(ct.lowconf_flag))
+        uses = ct.row_count
+        self.writers_cap = int(uses[np.diff(ct.wr_start) != 0].sum())
+        self.lowconf_cap = int(uses[ct.lowconf_flag != 0].sum())
         self._pool: list[NativeRunState] = []
 
     def acquire_state(self) -> NativeRunState:

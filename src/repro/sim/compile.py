@@ -4,8 +4,11 @@
 :class:`~repro.isa.trace.Trace` that precomputes everything *trace-static*
 the pipeline would otherwise re-derive on every run, with no Python code
 run per instruction: every fact is computed once per row of the trace's
-:class:`~repro.isa.trace.TraceRows` table (C-level ``map`` passes plus
-NumPy) and gathered into per-instruction columns by the row index:
+compacted :class:`~repro.isa.trace.TraceRows` table (C-level ``map``
+passes plus NumPy) and kept per row; the kernel reads a row fact of
+instruction ``k`` through the int32 row index, ``column[row[k]]``.  Only
+facts that depend on an instruction's place in the trace are laid out
+per instruction:
 
 - the register dependency graph, resolved to each source's youngest
   earlier writer by one search over the sorted write keys, and stored as flat
@@ -13,15 +16,19 @@ NumPy) and gathered into per-instruction columns by the row index:
   — at run time an edge is *live* only if its producer is still
   incomplete, which is exactly the semantics of the rename table's
   lazily-cleared producer lookup;
-- per-instruction op-kind / functional-unit-class / latency-override
-  tables, branch annotations, and cache-line spans for every memory access
-  (loads, store commits, and each pre-chunked TCA read/write request);
-- per-writer byte ranges and bounding boxes for the LSQ's conservative
+- one memory-dependence edge slot per load and per TCA read.
+
+Per row:
+
+- op-kind / functional-unit-class / latency-override tables, branch
+  annotations, and cache-line spans for every memory access (loads,
+  store commits, and each pre-chunked TCA read/write request);
+- writer byte ranges and bounding boxes for the LSQ's conservative
   memory disambiguation.
 
 Every table is held once, as the flat NumPy array the C kernel reads;
 the pure-Python engine's per-instruction tuple forms
-(:class:`OracleTables`) are derived from those arrays on first use.
+(:class:`OracleTables`) are gathered from those arrays on first use.
 
 A :class:`CompiledTrace` is immutable, config-independent (it can back
 runs under any :class:`~repro.sim.config.SimConfig` and TCA mode), safe to
@@ -386,29 +393,38 @@ class CompiledTrace:
     Build via :func:`compile_trace`.  C-level passes over the table's
     records read the few row columns (op codes, latencies, register
     lists); Python visits only the sparse rows, and vectorized NumPy
-    steps lay the facts out per row and then gather them, by the row
-    index, into the flat int64/uint8 columns the C kernel reads (CSR =
-    one start-offset array plus one flat value array):
+    steps lay the facts out as the flat int64/uint8 columns the C kernel
+    reads (CSR = one start-offset array plus one flat value array).
+
+    Every fact that depends only on an instruction's record is held once
+    per row of the compacted table, and instruction ``k`` reads it
+    through ``row[k]`` (an int32 column):
 
     - ``kind``/``op_code``/``fu_cls``/``lat_over``/``mispred``/
-      ``lowconf_flag`` — per-instruction op tables (``lat_over`` is -1
-      when the functional-unit default applies);
+      ``lowconf_flag`` — op tables (``lat_over`` is -1 when the
+      functional-unit default applies);
     - ``mem_addr``/``mem_size`` and ``ml_start``/``ml_lines`` — load
       byte ranges and cache-line spans;
     - ``cw_start``/``cw_lines`` — commit-time write lines (stores + TCA);
     - ``wr_start``/``wr_addr``/``wr_size`` plus ``writer_lo``/
       ``writer_hi`` — writer byte ranges and their bounding boxes;
+    - ``tr_start``/``tr_addr``/``tr_size`` — TCA read requests, and
+      ``trl_start``/``trl_lines`` — per-request line spans (indexed by
+      request id ``tr_start[row] + read_index``);
+    - ``tca_read_count``/``tca_write_count``/``tca_comp_lat``;
+    - ``row_count`` — how many instructions use each row.
+
+    Facts that depend on an instruction's place in the trace are held
+    per instruction:
+
     - ``re_start``/``edge_prod`` — register edges (edge id = array
       index), one per distinct register producer of an instruction;
     - ``edge_cons``/``mem_edge_base`` — edge consumers, register edges
-      first, then one memory-dependence slot per load and per TCA read;
-    - ``tr_start``/``tr_addr``/``tr_size`` — TCA read requests, and
-      ``trl_start``/``trl_lines`` — per-request line spans (indexed by
-      global request id ``tr_start[k] + read_index``);
-    - ``tca_read_count``/``tca_write_count``/``tca_comp_lat``.
+      first, then one memory-dependence slot per load and per TCA read.
 
-    The pure-Python engine reads Python-object forms of these tables
-    (:attr:`oracle`), derived on first use and never pickled.
+    The pure-Python engine reads per-instruction Python-object forms of
+    these tables (:attr:`oracle`), gathered through ``row`` on first use
+    and never pickled.
 
     Duck-types the pieces of :class:`~repro.isa.trace.Trace` the layers
     above the core need — ``name``, ``len()``, ``fingerprint()``,
@@ -426,6 +442,8 @@ class CompiledTrace:
         "length",
         "n_edges",
         "fu_used",
+        "row",
+        "row_count",
         "kind",
         "op_code",
         "fu_cls",
@@ -443,10 +461,6 @@ class CompiledTrace:
         "wr_size",
         "writer_lo",
         "writer_hi",
-        "re_start",
-        "edge_prod",
-        "edge_cons",
-        "mem_edge_base",
         "tr_start",
         "tr_addr",
         "tr_size",
@@ -455,6 +469,10 @@ class CompiledTrace:
         "tca_read_count",
         "tca_write_count",
         "tca_comp_lat",
+        "re_start",
+        "edge_prod",
+        "edge_cons",
+        "mem_edge_base",
         "_pool",
         "_packed",
         "_oracle",
@@ -479,15 +497,17 @@ class CompiledTrace:
         # read the rows' op codes, latencies and register lists, Python
         # visits only the sparse rows (loads, stores, TCAs, branches and
         # latency overrides), and NumPy lays each fact out as a row
-        # column of length m.  The instruction columns are then gathers
-        # by the row index: dense ones over every instruction, sparse
-        # ones over the positions of one op kind.
+        # column of length m, which the kernel reads through ``row``.
         compact = rows.compact()
-        table, index = compact.table, compact.index.astype(np.intp)
+        table = compact.table
+        self.row = compact.index
+        index = compact.index.astype(np.intp)
         m = len(table)
+        self.row_count = np.bincount(index, minlength=m)
         codes = bytes(map(_CODE_OF, map(_OP, table)))
-        row_code = np.frombuffer(codes, dtype=_U8)
-        row_kind = _KIND_BY_CODE[row_code]
+        self.op_code = np.frombuffer(codes, dtype=_U8)
+        self.kind = row_kind = _KIND_BY_CODE[self.op_code]
+        self.fu_cls = _FU_BY_CODE[self.op_code]
         reg_prod, reg_cons = _register_edges(table, index)
         row = table.__getitem__
         loads, stores, tcas, branches = (
@@ -526,128 +546,72 @@ class CompiledTrace:
 
         # Ranges: loads, then writes (stores and TCA writes by row; a
         # stable sort keeps each TCA's writes in descriptor order), then
-        # TCA reads.  Each range's cache lines are one run of ``lines``.
+        # TCA reads.  Each range's cache lines are one run of ``lines``,
+        # so each kind's CSR table is a slice of it.
         owners = np.concatenate((stores, np.repeat(tcas, write_counts)))
         order = np.argsort(owners, kind="stable")
-        writers = owners[order]
         at = np.concatenate((np.arange(n_load), order + n_load, np.arange(write_end, ranges)))
         addr = values[at]
         size = values[ranges + at]
         line_counts, lines = _line_spans(addr, size)
         line_start = _offsets(line_counts)
+        load_lines, write_lines = line_start[n_load], line_start[write_end]
 
-        # Row columns.
-        mem_addr = np.zeros(m, dtype=_I64)
-        mem_size = np.zeros(m, dtype=_I64)
-        mem_addr[loads] = addr[:n_load]
-        mem_size[loads] = size[:n_load]
-        ml_first = np.zeros(m, dtype=_I64)
-        ml_count = np.zeros(m, dtype=_I64)
-        ml_first[loads] = line_start[:n_load]
-        ml_count[loads] = line_counts[:n_load]
-        wr_addr = addr[n_load:write_end]
-        wr_size = size[n_load:write_end]
-        wr_count = np.bincount(writers, minlength=m)
-        wr_first = _offsets(wr_count)
-        cw_first = line_start[n_load + wr_first[:-1]]
-        cw_count = line_start[n_load + wr_first[1:]] - cw_first
-        writer_lo = np.zeros(m, dtype=_I64)
-        writer_hi = np.zeros(m, dtype=_I64)
-        if writers.size:
-            rows_written = np.flatnonzero(wr_count)
-            first = wr_first[rows_written]
-            writer_lo[rows_written] = np.minimum.reduceat(wr_addr, first)
-            writer_hi[rows_written] = np.maximum.reduceat(wr_addr + wr_size, first)
-        tr_count = np.zeros(m, dtype=_I64)
-        tr_count[tcas] = read_counts
-        tr_first = _offsets(tr_count)
-        tca_write_count = np.zeros(m, dtype=_I64)
-        tca_write_count[tcas] = write_counts
-        tca_comp_lat = np.zeros(m, dtype=_I64)
-        lat_end = 2 * ranges + tcas.size
-        tca_comp_lat[tcas] = np.maximum(1, values[2 * ranges : lat_end])
-        lat_over = np.full(m, -1, dtype=_I64)
-        lat_over[timed] = np.maximum(1, values[lat_end:])
-        branch_list = branches.tolist()
-        branch_recs = list(map(row, branch_list))
-        mispred = np.zeros(m, dtype=_U8)
-        mispred[list(compress(branch_list, map(_MISPREDICTED, branch_recs)))] = 1
-        lowconf_flag = np.zeros(m, dtype=_U8)
-        lowconf_flag[list(compress(branch_list, map(_LOW_CONFIDENCE, branch_recs)))] = 1
-
-        # Instruction columns; ``*_rows`` are the table rows of the
-        # instructions at ``at_*``.
-        self.kind = kind = row_kind[index]
-        self.op_code = op_code = row_code[index]
-        self.fu_cls = _FU_BY_CODE[op_code]
-        at_load, at_store, at_tca, at_branch = (
-            np.flatnonzero(kind == k) for k in (K_LOAD, K_STORE, K_TCA, K_BRANCH)
-        )
-        load_rows = index[at_load]
-        tca_rows = index[at_tca]
-        branch_rows = index[at_branch]
-        self.mem_addr = np.zeros(n, dtype=_I64)
-        self.mem_addr[at_load] = mem_addr[load_rows]
-        self.mem_size = np.zeros(n, dtype=_I64)
-        self.mem_size[at_load] = mem_size[load_rows]
-        counts = ml_count[load_rows]
-        self.ml_start = _starts(n, at_load, counts)
-        self.ml_lines = lines[_entries(ml_first[load_rows], counts)]
+        self.mem_addr = np.zeros(m, dtype=_I64)
+        self.mem_size = np.zeros(m, dtype=_I64)
+        self.mem_addr[loads] = addr[:n_load]
+        self.mem_size[loads] = size[:n_load]
+        self.ml_start = _starts(m, loads, line_counts[:n_load])
+        self.ml_lines = lines[:load_lines]
 
         # Writers: stores and TCAs (a TCA without writes owns no entry).
-        at_writer = np.sort(np.concatenate((at_store, at_tca)))
-        writer_rows = index[at_writer]
-        counts = wr_count[writer_rows]
-        self.wr_start = _starts(n, at_writer, counts)
-        entries = _entries(wr_first[writer_rows], counts)
-        self.wr_addr = wr_addr[entries]
-        self.wr_size = wr_size[entries]
-        counts = cw_count[writer_rows]
-        self.cw_start = _starts(n, at_writer, counts)
-        self.cw_lines = lines[_entries(cw_first[writer_rows], counts)]
-        self.writer_lo = np.zeros(n, dtype=_I64)
-        self.writer_lo[at_writer] = writer_lo[writer_rows]
-        self.writer_hi = np.zeros(n, dtype=_I64)
-        self.writer_hi[at_writer] = writer_hi[writer_rows]
+        writers = owners[order]
+        self.wr_addr = wr_addr = addr[n_load:write_end]
+        self.wr_size = wr_size = size[n_load:write_end]
+        self.wr_start = wr_start = _offsets(np.bincount(writers, minlength=m))
+        self.cw_start = line_start[n_load + wr_start] - load_lines
+        self.cw_lines = lines[load_lines:write_lines]
+        self.writer_lo = np.zeros(m, dtype=_I64)
+        self.writer_hi = np.zeros(m, dtype=_I64)
+        if writers.size:
+            rows_written = np.flatnonzero(np.diff(wr_start))
+            first = wr_start[rows_written]
+            self.writer_lo[rows_written] = np.minimum.reduceat(wr_addr, first)
+            self.writer_hi[rows_written] = np.maximum.reduceat(wr_addr + wr_size, first)
 
         # TCA reads, then each read request's lines.
-        read_count = tr_count[tca_rows]
-        self.tr_start = _starts(n, at_tca, read_count)
-        requests = write_end + _entries(tr_first[tca_rows], read_count)
-        self.tr_addr = addr[requests]
-        self.tr_size = size[requests]
-        counts = line_counts[requests]
-        self.trl_start = _offsets(counts)
-        self.trl_lines = lines[_entries(line_start[requests], counts)]
-        self.tca_read_count = np.zeros(n, dtype=_I64)
-        self.tca_read_count[at_tca] = read_count
-        self.tca_write_count = np.zeros(n, dtype=_I64)
-        self.tca_write_count[at_tca] = tca_write_count[tca_rows]
-        self.tca_comp_lat = np.zeros(n, dtype=_I64)
-        self.tca_comp_lat[at_tca] = tca_comp_lat[tca_rows]
+        self.tca_read_count = np.zeros(m, dtype=_I64)
+        self.tca_read_count[tcas] = read_counts
+        self.tr_start = _offsets(self.tca_read_count)
+        self.tr_addr = addr[write_end:]
+        self.tr_size = size[write_end:]
+        self.trl_start = line_start[write_end:] - write_lines
+        self.trl_lines = lines[write_lines:]
+        self.tca_write_count = np.zeros(m, dtype=_I64)
+        self.tca_write_count[tcas] = write_counts
+        self.tca_comp_lat = np.zeros(m, dtype=_I64)
+        lat_end = 2 * ranges + tcas.size
+        self.tca_comp_lat[tcas] = np.maximum(1, values[2 * ranges : lat_end])
+        self.lat_over = np.full(m, -1, dtype=_I64)
+        self.lat_over[timed] = np.maximum(1, values[lat_end:])
+        branch_list = branches.tolist()
+        branch_recs = list(map(row, branch_list))
+        self.mispred = np.zeros(m, dtype=_U8)
+        self.mispred[list(compress(branch_list, map(_MISPREDICTED, branch_recs)))] = 1
+        self.lowconf_flag = np.zeros(m, dtype=_U8)
+        self.lowconf_flag[list(compress(branch_list, map(_LOW_CONFIDENCE, branch_recs)))] = 1
 
-        self.lat_over = np.full(n, -1, dtype=_I64)
-        if timed:
-            has_override = np.zeros(m, dtype=bool)
-            has_override[timed] = True
-            at_timed = np.flatnonzero(has_override[index])
-            self.lat_over[at_timed] = lat_over[index[at_timed]]
-        self.mispred = np.zeros(n, dtype=_U8)
-        self.mispred[at_branch] = mispred[branch_rows]
-        self.lowconf_flag = np.zeros(n, dtype=_U8)
-        self.lowconf_flag[at_branch] = lowconf_flag[branch_rows]
-
-        # Register edges come first; then one memory-dependence edge slot
-        # per load and per TCA read.  A slot has a static consumer but a
-        # producer discovered at dispatch (the LSQ disambiguation scan),
-        # so only edge_cons covers it.
+        # Per instruction: register edges come first; then one
+        # memory-dependence edge slot per load and per TCA read.  A slot
+        # has a static consumer but a producer discovered at dispatch
+        # (the LSQ disambiguation scan), so only edge_cons covers it.
         consumers, edge_counts = np.unique(reg_cons, return_counts=True)
         self.re_start = _starts(n, consumers, edge_counts)
         self.edge_prod = reg_prod
-        slot_owners = np.concatenate((at_load, at_tca))
-        slot_counts = np.concatenate((np.ones(at_load.size, dtype=_I64), read_count))
-        order = np.argsort(slot_owners, kind="stable")
-        slot_owners, slot_counts = slot_owners[order], slot_counts[order]
+        row_slots = np.where(row_kind == K_LOAD, 1, self.tca_read_count)
+        slots = row_slots[index]
+        slot_owners = np.flatnonzero(slots)
+        slot_counts = slots[slot_owners]
         self.edge_cons = np.concatenate((reg_cons, np.repeat(slot_owners, slot_counts)))
         self.mem_edge_base = mem_edge_base = _starts(n, slot_owners, slot_counts)
         mem_edge_base += reg_cons.size
@@ -737,10 +701,12 @@ class OracleTables:
     """Python-object tables the pure-Python engine's hot loop reads.
 
     Derived from a :class:`CompiledTrace`'s flat columns by
-    :attr:`CompiledTrace.oracle`.  Flat columns become lists of Python
-    ints (so the loop's arithmetic stays unbounded); CSR columns become
-    per-instruction tuples, ``None`` where an instruction has no entry
-    (``reg_edges``/``reg_producers`` use ``()``).
+    :attr:`CompiledTrace.oracle`, one entry per instruction: row columns
+    are gathered through ``row``, so the loop indexes every table by
+    sequence number.  Flat columns become lists of Python ints (so the
+    loop's arithmetic stays unbounded); CSR columns become tuples,
+    ``None`` where an instruction has no entry (``reg_edges``/
+    ``reg_producers`` use ``()``).
     """
 
     __slots__ = (
@@ -770,21 +736,23 @@ class OracleTables:
 
     def __init__(self, ct: CompiledTrace) -> None:
         n = ct.length
-        self.kind = bytearray(ct.kind)
-        self.op_value = _OP_VALUE_BY_CODE[ct.op_code].tolist()
-        self.fu_class = ct.fu_cls.tolist()
-        self.lat_override = ct.lat_over.tolist()
-        self.mispredicted = bytearray(ct.mispred)
-        self.low_conf = bytearray(ct.lowconf_flag)
-        self.mem_addr = ct.mem_addr.tolist()
-        self.mem_size = ct.mem_size.tolist()
-        self.writer_lo = ct.writer_lo.tolist()
-        self.writer_hi = ct.writer_hi.tolist()
+        row = ct.row
+        rows = row.tolist()
+        self.kind = bytearray(ct.kind[row])
+        self.op_value = _OP_VALUE_BY_CODE[ct.op_code[row]].tolist()
+        self.fu_class = ct.fu_cls[row].tolist()
+        self.lat_override = ct.lat_over[row].tolist()
+        self.mispredicted = bytearray(ct.mispred[row])
+        self.low_conf = bytearray(ct.lowconf_flag[row])
+        self.mem_addr = ct.mem_addr[row].tolist()
+        self.mem_size = ct.mem_size[row].tolist()
+        self.writer_lo = ct.writer_lo[row].tolist()
+        self.writer_hi = ct.writer_hi[row].tolist()
         self.edge_consumer = ct.edge_cons.tolist()
         self.mem_edge_base = ct.mem_edge_base.tolist()
-        self.tca_read_count = ct.tca_read_count.tolist()
-        self.tca_write_count = ct.tca_write_count.tolist()
-        self.tca_compute_latency = ct.tca_comp_lat.tolist()
+        self.tca_read_count = ct.tca_read_count[row].tolist()
+        self.tca_write_count = ct.tca_write_count[row].tolist()
+        self.tca_compute_latency = ct.tca_comp_lat[row].tolist()
 
         prod = ct.edge_prod.tolist()
         reg_edges: list[tuple[tuple[int, int], ...]] = [()] * n
@@ -795,40 +763,44 @@ class OracleTables:
         self.reg_edges = reg_edges
         self.reg_producers = reg_producers
 
-        self.mem_lines = _tuple_rows(ct.ml_start, ct.ml_lines, n)
-        self.commit_write_lines = _tuple_rows(ct.cw_start, ct.cw_lines, n)
+        self.mem_lines = _gather(_tuple_rows(ct.ml_start, ct.ml_lines), rows)
+        self.commit_write_lines = _gather(_tuple_rows(ct.cw_start, ct.cw_lines), rows)
 
+        m = len(ct.row_count)
         addr = ct.wr_addr.tolist()
         size = ct.wr_size.tolist()
-        writer_ranges: list[tuple[tuple[int, int], ...] | None] = [None] * n
-        for k, lo, hi in _spans(ct.wr_start):
-            writer_ranges[k] = tuple(zip(addr[lo:hi], size[lo:hi]))
-        self.writer_ranges = writer_ranges
+        writer_ranges: list[tuple[tuple[int, int], ...] | None] = [None] * m
+        for r, lo, hi in _spans(ct.wr_start):
+            writer_ranges[r] = tuple(zip(addr[lo:hi], size[lo:hi]))
+        self.writer_ranges = _gather(writer_ranges, rows)
 
         addr = ct.tr_addr.tolist()
         size = ct.tr_size.tolist()
         line_start = ct.trl_start.tolist()
         lines = ct.trl_lines.tolist()
-        tca_reads: list[tuple[tuple[int, int], ...] | None] = [None] * n
-        tca_read_lines: list[tuple[tuple[int, ...], ...] | None] = [None] * n
-        for k, lo, hi in _spans(ct.tr_start):
-            tca_reads[k] = tuple(zip(addr[lo:hi], size[lo:hi]))
-            tca_read_lines[k] = tuple(
-                tuple(lines[line_start[r] : line_start[r + 1]]) for r in range(lo, hi)
+        tca_reads: list[tuple[tuple[int, int], ...] | None] = [None] * m
+        tca_read_lines: list[tuple[tuple[int, ...], ...] | None] = [None] * m
+        for r, lo, hi in _spans(ct.tr_start):
+            tca_reads[r] = tuple(zip(addr[lo:hi], size[lo:hi]))
+            tca_read_lines[r] = tuple(
+                tuple(lines[line_start[q] : line_start[q + 1]]) for q in range(lo, hi)
             )
-        self.tca_reads = tca_reads
-        self.tca_read_lines = tca_read_lines
+        self.tca_reads = _gather(tca_reads, rows)
+        self.tca_read_lines = _gather(tca_read_lines, rows)
 
 
-def _tuple_rows(
-    start: np.ndarray, values: np.ndarray, n: int
-) -> list[tuple[int, ...] | None]:
+def _tuple_rows(start: np.ndarray, values: np.ndarray) -> list[tuple[int, ...] | None]:
     """Per-row tuples of a CSR table, ``None`` for rows without entries."""
-    out: list[tuple[int, ...] | None] = [None] * n
+    out: list[tuple[int, ...] | None] = [None] * (start.size - 1)
     flat = values.tolist()
     for k, lo, hi in _spans(start):
         out[k] = tuple(flat[lo:hi])
     return out
+
+
+def _gather(per_row: list, rows: list[int]) -> list:
+    """Per-row entries laid out per instruction (entries are shared)."""
+    return list(map(per_row.__getitem__, rows))
 
 
 def compile_trace(trace: Trace | CompiledTrace, cache: bool = True) -> CompiledTrace:

@@ -36,8 +36,9 @@ cycles, ROB occupancy) are extrapolated, each with a 95% confidence
 interval from the between-window variance of per-instruction rates.
 
 Exact mode is forced (and reported) whenever sampling cannot help:
-``mode="exact"`` requested, trace shorter than ``min_instructions``, or
-fewer than ``min_windows`` windows would be measured.
+``mode="exact"`` requested, trace shorter than ``min_instructions``,
+fewer than ``min_windows`` windows would be measured, or the plan would
+cost at least as much as the exact run (:func:`plan_cost`).
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ from repro.sim.compile import (
     K_STORE,
     K_TCA,
     CompiledTrace,
+    _entries,
+    _offsets,
     compile_trace,
 )
 from repro.sim.config import SimConfig
@@ -291,11 +294,38 @@ def plan_windows(length: int, config: SamplingConfig) -> list[tuple[int, int]]:
     return windows
 
 
+#: What one segment run counts for in :func:`plan_cost`, in instructions.
+#: A floor, not an estimate: a segment (snapshot, CoreSim, kernel call)
+#: costs 0.07-0.45 ms, thousands of instructions of the warm kernel, so
+#: a plan this counts as cheaper than the exact run may still be slower.
+SEGMENT_COST_INSTRUCTIONS = 100
+
+
+def plan_cost(length: int, config: SamplingConfig) -> int:
+    """A lower bound on a sampled run's cost, in instructions.
+
+    The detailed instructions :func:`simulate_sampled` runs (the head,
+    then each window with its warmup run twice) plus
+    :data:`SEGMENT_COST_INSTRUCTIONS` per segment run.
+    """
+    head = min(config.head, length)
+    detailed = head
+    segments = 1 if head else 0
+    for s, e in plan_windows(length, config):
+        w = min(config.warmup, s)
+        detailed += e - s + 2 * w
+        segments += 2 if w else 1
+    return detailed + segments * SEGMENT_COST_INSTRUCTIONS
+
+
 def forced_exact_reason(length: int, config: SamplingConfig) -> str | None:
     """Why sampling falls back to the exact engine (``None`` = it won't).
 
     Reasons: ``"requested"`` (``mode="exact"``), ``"short_trace"``
-    (below ``min_instructions``), ``"too_few_windows"``.
+    (below ``min_instructions``), ``"too_few_windows"``, and
+    ``"costlier_than_exact"`` (:func:`plan_cost` is at least the
+    trace's length: the plan would simulate at least as much as the
+    exact run, say with one-instruction windows).
     """
     if config.mode == "exact":
         return "requested"
@@ -303,6 +333,8 @@ def forced_exact_reason(length: int, config: SamplingConfig) -> str | None:
         return "short_trace"
     if len(plan_windows(length, config)) < config.min_windows:
         return "too_few_windows"
+    if plan_cost(length, config) >= length:
+        return "costlier_than_exact"
     return None
 
 
@@ -314,21 +346,23 @@ def static_counts(compiled: CompiledTrace) -> dict[str, int]:
 
     These match the exact engine's counters identically: every counter
     here is a pure function of the instruction stream (commit order is
-    program order and every instruction commits exactly once).
+    program order and every instruction commits exactly once).  Each is
+    a sum over table rows, weighted by how many instructions use a row.
     """
+    uses = compiled.row_count
     kind = compiled.kind
-    per_kind = np.bincount(kind, minlength=K_OTHER + 1).tolist()
-    branches = kind == K_BRANCH
+    per_kind = [int(uses[kind == k].sum()) for k in range(K_OTHER + 1)]
+    mispredicted = (kind == K_BRANCH) & (compiled.mispred != 0)
     return {
         "instructions": compiled.length,
         "dispatched": compiled.length,
         "loads": per_kind[K_LOAD],
         "stores": per_kind[K_STORE],
         "branches": per_kind[K_BRANCH],
-        "mispredicts": int(np.count_nonzero(compiled.mispred[branches])),
+        "mispredicts": int(uses[mispredicted].sum()),
         "tca_invocations": per_kind[K_TCA],
-        "tca_read_requests": int(compiled.tca_read_count.sum()),
-        "tca_write_requests": int(compiled.tca_write_count.sum()),
+        "tca_read_requests": int(uses @ compiled.tca_read_count),
+        "tca_write_requests": int(uses @ compiled.tca_write_count),
     }
 
 
@@ -552,26 +586,29 @@ def _program_order_lines(compiled: CompiledTrace) -> tuple[np.ndarray, np.ndarra
 
     Instruction ``i`` contributes its load lines, then its TCA read lines
     (request by request), then its commit-write lines (store or TCA
-    writes): ``lines[starts[i]:starts[i + 1]]``.  Built from the compiled
-    CSR columns by scattering each column into its slots.
+    writes): ``lines[starts[i]:starts[i + 1]]``.  Each table row's lines
+    are laid out once, by scattering each compiled CSR column into its
+    slots, and gathered per instruction through the row index.
     """
     ct = compiled
-    reads = ct.trl_start[ct.tr_start]  # per-instruction TCA read-line span
+    reads = ct.trl_start[ct.tr_start]  # per-row TCA read-line span
     columns = (
         (ct.ml_lines, ct.ml_start),
         (ct.trl_lines, reads),
         (ct.cw_lines, ct.cw_start),
     )
     counts = [np.diff(start) for _, start in columns]
-    starts = np.zeros(ct.length + 1, dtype=np.int64)
-    np.cumsum(counts[0] + counts[1] + counts[2], out=starts[1:])
-    lines = np.empty(int(starts[-1]), dtype=np.int64)
-    before = starts[:-1]
+    row_counts = counts[0] + counts[1] + counts[2]
+    row_starts = _offsets(row_counts)
+    row_lines = np.empty(int(row_starts[-1]), dtype=np.int64)
+    before = row_starts[:-1]
     for (values, start), count in zip(columns, counts):
         shift = np.repeat(before - start[:-1], count)
-        lines[np.arange(start[0], start[-1]) + shift] = values[start[0] : start[-1]]
+        row_lines[np.arange(start[0], start[-1]) + shift] = values[start[0] : start[-1]]
         before = before + count
-    return lines, starts
+    per_instruction = row_counts[ct.row]
+    lines = row_lines[_entries(row_starts[ct.row], per_instruction)]
+    return lines, _offsets(per_instruction)
 
 
 def _boundary_cache_states(

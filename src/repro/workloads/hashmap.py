@@ -26,9 +26,18 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from repro.isa.instructions import TCADescriptor, chunk_memory_range
-from repro.isa.program import AcceleratableRegion, Program
-from repro.isa.trace import TraceBuilder, alu_block
+import numpy as np
+
+from repro.isa.instructions import Instruction, OpClass, TCADescriptor, chunk_memory_range
+from repro.isa.program import Program, Span
+from repro.isa.trace import (
+    TraceBuilder,
+    alu_block,
+    alu_record,
+    load_record,
+    row_template,
+    store_record,
+)
 
 #: Memory layout: bucket array and key storage.
 BUCKETS_BASE = 0x0800_0000
@@ -127,66 +136,75 @@ class OpenAddressingHashMap:
                 raise RuntimeError(f"key {key} unreachable by probing")
 
 
-def _emit_get_software(
-    builder: TraceBuilder, table: OpenAddressingHashMap, key: int
-) -> int:
-    """Emit the hash-map ``get`` fast path; returns uops emitted."""
+_BRANCH_ON_CMP = Instruction(OpClass.BRANCH, srcs=(_SCRATCH[3],))
+
+
+@lru_cache(maxsize=64)
+def _operation_template(
+    is_put: bool, distance: int, filler_block: int
+) -> tuple[tuple[Instruction, ...], np.ndarray]:
+    """A ``get`` or ``put`` fast path and the filler after it, as a row template.
+
+    The sequence: hash the key, load the home bucket, compare; per probe
+    step a branch, the next bucket's load, a compare and the step's
+    bookkeeping; then the value load (``get``) or the key and value
+    stores (``put``), padded to the uop budget.  Every record but the
+    bucket loads and stores depends only on the probe distance, so those
+    are the holes, in the order :func:`_operation_fills` lists them.
+    """
     r_key, r_hash, r_bucket, r_cmp = _SCRATCH
-    start = len(builder)
-    _value, distance = table.get(key)
-    builder.alu(r_key, ())
-    builder.alu(r_hash, (r_key,))  # multiply-hash
-    builder.alu(r_hash, (r_hash,))  # shift/mask
-    addr = table.bucket_addr(key)
-    builder.load(r_bucket, addr, 8, srcs=(r_hash,))
-    builder.alu(r_cmp, (r_bucket, r_key))  # key compare
+    compare = alu_record(r_cmp, (r_bucket, r_key))
+    layout: list[Instruction | None] = [
+        alu_record(r_key),
+        alu_record(r_hash, (r_key,)),  # multiply-hash
+        alu_record(r_hash, (r_hash,)),  # shift/mask
+        None,  # home bucket load
+        compare,
+    ]
+    for step in range(distance):
+        layout += (_BRANCH_ON_CMP, None, compare)  # None: the next bucket's load
+        layout += alu_block((_SCRATCH[(step + 2) % 4],), PROBE_STEP_UOPS - 3)
+    layout += (None, None) if is_put else (None,)  # key/value stores, or value load
+    budget = (PUT_BASE_UOPS if is_put else GET_BASE_UOPS) + distance * PROBE_STEP_UOPS
+    layout += alu_block(_SCRATCH, budget - len(layout), start=len(layout))
+    layout += alu_block(_FILLER_REGS, filler_block)
+    return row_template(layout)
+
+
+@lru_cache(maxsize=4096)
+def _operation_fills(
+    is_put: bool, addr: int, capacity: int, distance: int
+) -> tuple[Instruction, ...]:
+    """The bucket loads and stores of one operation (shared by value)."""
+    r_key, r_hash, r_bucket, r_cmp = _SCRATCH
+    fills = [load_record(r_bucket, addr, 8, (r_hash,))]
     for step in range(distance):
         probe_addr = BUCKETS_BASE + (
             (addr - BUCKETS_BASE + (step + 1) * BUCKET_BYTES)
-            % (table.capacity * BUCKET_BYTES)
+            % (capacity * BUCKET_BYTES)
         )
-        builder.branch(srcs=(r_cmp,))
-        builder.load(r_bucket, probe_addr, 8, srcs=(r_bucket,))
-        builder.alu(r_cmp, (r_bucket, r_key))
-        builder.extend(alu_block((_SCRATCH[(step + 2) % 4],), PROBE_STEP_UOPS - 3))
-    builder.load(r_cmp, addr + 8, 8, srcs=(r_cmp,))  # value load
-    emitted = len(builder) - start
-    target = GET_BASE_UOPS + distance * PROBE_STEP_UOPS
-    builder.extend(alu_block(_SCRATCH, target - emitted, start=emitted))
-    return len(builder) - start
+        fills.append(load_record(r_bucket, probe_addr, 8, (r_bucket,)))
+    if is_put:
+        fills += (store_record(r_key, addr), store_record(r_cmp, addr + 8))
+    else:
+        fills.append(load_record(r_cmp, addr + 8, 8, (r_cmp,)))
+    return tuple(fills)
 
 
-def _emit_put_software(
-    builder: TraceBuilder, table: OpenAddressingHashMap, key: int, value: int
+def _emit_operation(
+    builder: TraceBuilder,
+    table: OpenAddressingHashMap,
+    key: int,
+    distance: int,
+    is_put: bool,
+    filler_block: int,
 ) -> int:
-    """Emit the hash-map ``put`` fast path; returns uops emitted."""
-    r_key, r_hash, r_bucket, r_cmp = _SCRATCH
-    start = len(builder)
-    distance = table.put(key, value)
-    addr = table.bucket_addr(key)
-    builder.alu(r_key, ())
-    builder.alu(r_hash, (r_key,))
-    builder.alu(r_hash, (r_hash,))
-    builder.load(r_bucket, addr, 8, srcs=(r_hash,))
-    builder.alu(r_cmp, (r_bucket, r_key))
-    for step in range(distance):
-        builder.branch(srcs=(r_cmp,))
-        builder.load(
-            r_bucket,
-            BUCKETS_BASE
-            + ((addr - BUCKETS_BASE + (step + 1) * BUCKET_BYTES)
-               % (table.capacity * BUCKET_BYTES)),
-            8,
-            srcs=(r_bucket,),
-        )
-        builder.alu(r_cmp, (r_bucket, r_key))
-        builder.extend(alu_block((_SCRATCH[(step + 2) % 4],), PROBE_STEP_UOPS - 3))
-    builder.store(r_key, addr, 8)
-    builder.store(r_cmp, addr + 8, 8)
-    emitted = len(builder) - start
-    target = PUT_BASE_UOPS + distance * PROBE_STEP_UOPS
-    builder.extend(alu_block(_SCRATCH, target - emitted, start=emitted))
-    return len(builder) - start
+    """Emit one operation's software fast path and the filler after it;
+    returns the fast path's uop count."""
+    records, index = _operation_template(is_put, distance, filler_block)
+    fills = _operation_fills(is_put, table.bucket_addr(key), table.capacity, distance)
+    builder.extend_rows(records, index, fills)
+    return len(index) - filler_block
 
 
 def _tca_descriptor(
@@ -269,7 +287,7 @@ def generate_hashmap_program(spec: HashMapWorkloadSpec) -> Program:
         name=f"hashmap-n{spec.operations}",
         metadata={"workload": "hashmap", "operations": spec.operations},
     )
-    regions: list[AcceleratableRegion] = []
+    regions: list[Span] = []
     inserted: list[int] = []  # in first-insert order: gets choose from it
     seen: set[int] = set()
 
@@ -278,25 +296,16 @@ def generate_hashmap_program(spec: HashMapWorkloadSpec) -> Program:
         start = len(builder)
         if do_put:
             key = rng.randrange(spec.key_space)
-            _index, distance = table._probe(key)
-            emitted = _emit_put_software(builder, table, key, value=op)
+            distance = table.put(key, op)
             if key not in seen:
                 seen.add(key)
                 inserted.append(key)
-            descriptor = _tca_descriptor(
-                table, key, distance, is_put=True, replaced=emitted
-            )
         else:
             key = rng.choice(inserted)
             _value, distance = table.get(key)
-            emitted = _emit_get_software(builder, table, key)
-            descriptor = _tca_descriptor(
-                table, key, distance, is_put=False, replaced=emitted
-            )
-        regions.append(
-            AcceleratableRegion(start, len(builder) - start, descriptor, dsts=(8,))
-        )
-        builder.extend(alu_block(_FILLER_REGS, spec.filler_block))
+        emitted = _emit_operation(builder, table, key, distance, do_put, spec.filler_block)
+        descriptor = _tca_descriptor(table, key, distance, is_put=do_put, replaced=emitted)
+        regions.append((start, emitted, descriptor, (), (8,)))
 
     table.check_invariants()
     baseline = builder.build()
@@ -304,7 +313,7 @@ def generate_hashmap_program(spec: HashMapWorkloadSpec) -> Program:
         (BUCKETS_BASE, spec.capacity * BUCKET_BYTES)
     ]
     baseline.metadata["final_load_factor"] = table.load_factor()
-    return Program(baseline, regions, name=baseline.name)
+    return Program.from_spans(baseline, regions, name=baseline.name)
 
 
 def mean_granularity(spec: HashMapWorkloadSpec) -> float:

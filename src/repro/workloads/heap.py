@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from repro.isa.instructions import Instruction, TCADescriptor
-from repro.isa.program import AcceleratableRegion, Program
+from repro.isa.program import Program, Span
 from repro.isa.trace import TraceBuilder, alu_block, load_record
 from repro.workloads.tcmalloc import (
     FREE_SOFTWARE_UOPS,
@@ -96,8 +96,11 @@ class HeapWorkloadSpec:
             raise ValueError(f"max_live must be >= 1, got {self.max_live}")
 
 
+@lru_cache(maxsize=64)
 def _malloc_descriptor(replaced: int) -> TCADescriptor:
-    """Heap-TCA malloc invocation: single-cycle, hardware-table hit."""
+    """Heap-TCA malloc invocation: single-cycle, hardware-table hit
+    (shared: descriptors are immutable, and the regions that share one
+    share a TCA row in the accelerated trace)."""
     return TCADescriptor(
         name="heap-malloc",
         compute_latency=HEAP_TCA_LATENCY,
@@ -106,8 +109,9 @@ def _malloc_descriptor(replaced: int) -> TCADescriptor:
     )
 
 
+@lru_cache(maxsize=64)
 def _free_descriptor(replaced: int) -> TCADescriptor:
-    """Heap-TCA free invocation: single-cycle, hardware-table hit."""
+    """Heap-TCA free invocation: single-cycle, hardware-table hit (shared)."""
     return TCADescriptor(
         name="heap-free",
         compute_latency=HEAP_TCA_LATENCY,
@@ -159,7 +163,7 @@ def generate_heap_program(spec: HeapWorkloadSpec) -> Program:
             "seed": spec.seed,
         },
     )
-    regions: list[AcceleratableRegion] = []
+    regions: list[Span] = []
     live: list[int] = []
 
     for slot in range(spec.slots):
@@ -176,14 +180,8 @@ def generate_heap_program(spec: HeapWorkloadSpec) -> Program:
                 victim = live.pop(rng.randrange(len(live)))
                 emit_free_software(builder, allocator, victim, _HEAP_SCRATCH)
                 descriptor = _free_descriptor(len(builder) - start)
-            regions.append(
-                AcceleratableRegion(
-                    start=start,
-                    length=len(builder) - start,
-                    descriptor=descriptor,
-                    dsts=(_POINTER_REG,) if do_malloc else (),
-                )
-            )
+            dsts = (_POINTER_REG,) if do_malloc else ()
+            regions.append((start, len(builder) - start, descriptor, (), dsts))
         else:
             _emit_filler(builder, spec, slot)
 
@@ -201,7 +199,7 @@ def generate_heap_program(spec: HeapWorkloadSpec) -> Program:
         (tc.STATS_BASE, 64),
         (tc.DEFAULT_HEAP_BASE, max(allocator.stats.bytes_reserved, 4096)),
     ]
-    return Program(baseline, regions, name=baseline.name)
+    return Program.from_spans(baseline, regions, name=baseline.name)
 
 
 def _choose_malloc(rng: random.Random, live: list[int], max_live: int) -> bool:

@@ -23,10 +23,14 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
 
-from repro.isa.instructions import TCADescriptor, chunk_memory_range
-from repro.isa.program import AcceleratableRegion, Program
-from repro.isa.trace import TraceBuilder, alu_block
+import numpy as np
+
+from repro.isa.instructions import Instruction, OpClass, TCADescriptor, chunk_memory_range
+from repro.isa.program import Program, Span
+from repro.isa.trace import TraceBuilder, alu_block, alu_record, load_record, row_template
 from repro.workloads.draws import draw_bytes, sample_pair
 
 #: Flat memory image for string storage.
@@ -111,27 +115,49 @@ class StringTable:
         return (1 if len(left) > len(right) else -1), limit
 
 
-def _emit_strcmp_software(
-    builder: TraceBuilder, table: StringTable, a: int, b: int
-) -> tuple[int, int]:
-    """Emit the word-at-a-time strcmp loop; returns (uops, divergence)."""
+_BRANCH_ON_CMP = Instruction(OpClass.BRANCH, srcs=(_SCRATCH[2],))
+
+
+@lru_cache(maxsize=64)
+def _strcmp_template(
+    words: int, filler_block: int
+) -> tuple[tuple[Instruction, ...], np.ndarray]:
+    """The word-at-a-time strcmp loop and the filler after it, as a row template.
+
+    Per word: a load from each operand, a compare, a branch and an index
+    update; then byte-granularity resolution and the return value,
+    padded to the uop budget.  The operand loads are the holes, word by
+    word, the first operand's before the second's.
+    """
     r_a, r_b, r_cmp, r_idx = _SCRATCH
-    start = len(builder)
+    layout: list[Instruction | None] = [alu_record(r_a), alu_record(r_b)]
+    step = (None, None, alu_record(r_cmp, (r_a, r_b)), _BRANCH_ON_CMP, alu_record(r_idx, (r_idx,)))
+    layout += step * words
+    budget = CALL_BASE_UOPS + words * WORD_LOOP_UOPS
+    layout += alu_block(_SCRATCH, budget - len(layout), start=len(layout))
+    layout += alu_block(_FILLER_REGS, filler_block)
+    return row_template(layout)
+
+
+@lru_cache(maxsize=1024)
+def _operand_loads(reg: int, addr: int, words: int) -> tuple[Instruction, ...]:
+    """The loads of one compare operand, word by word (shared by value:
+    string addresses repeat across compares)."""
+    return tuple(load_record(reg, addr + word * 8, 8, (_SCRATCH[3],)) for word in range(words))
+
+
+def _emit_strcmp_software(
+    builder: TraceBuilder, table: StringTable, a: int, b: int, filler_block: int
+) -> tuple[int, int]:
+    """Emit the strcmp loop and the filler after it; returns (loop uops,
+    divergence)."""
     _sign, divergence = table.compare(a, b)
     words = divergence // 8 + 1
-    builder.alu(r_a, ())
-    builder.alu(r_b, ())
-    for word in range(words):
-        builder.load(r_a, table.addr(a) + word * 8, 8, srcs=(r_idx,))
-        builder.load(r_b, table.addr(b) + word * 8, 8, srcs=(r_idx,))
-        builder.alu(r_cmp, (r_a, r_b))
-        builder.branch(srcs=(r_cmp,))
-        builder.alu(r_idx, (r_idx,))
-    # final byte-granularity resolution + return-value materialisation
-    emitted = len(builder) - start
-    target = CALL_BASE_UOPS + words * WORD_LOOP_UOPS
-    builder.extend(alu_block(_SCRATCH, target - emitted, start=emitted))
-    return len(builder) - start, divergence
+    records, index = _strcmp_template(words, filler_block)
+    r_a, r_b = _SCRATCH[:2]
+    loads = zip(_operand_loads(r_a, table.addr(a), words), _operand_loads(r_b, table.addr(b), words))
+    builder.extend_rows(records, index, tuple(chain.from_iterable(loads)))
+    return len(index) - filler_block, divergence
 
 
 def _strcmp_descriptor(
@@ -207,21 +233,14 @@ def generate_string_program(spec: StringWorkloadSpec) -> Program:
         name=f"strcmp-n{spec.comparisons}-l{spec.string_length}",
         metadata={"workload": "strings", "comparisons": spec.comparisons},
     )
-    regions: list[AcceleratableRegion] = []
+    regions: list[Span] = []
     for call in range(spec.comparisons):
         a, b = sample_pair(rng, ids)  # the draws of rng.sample(ids, 2)
         start = len(builder)
-        emitted, divergence = _emit_strcmp_software(builder, table, a, b)
-        regions.append(
-            AcceleratableRegion(
-                start,
-                emitted,
-                _strcmp_descriptor(table, a, b, divergence, emitted),
-                dsts=(8,),
-            )
-        )
-        builder.extend(alu_block(_FILLER_REGS, spec.filler_block))
+        emitted, divergence = _emit_strcmp_software(builder, table, a, b, spec.filler_block)
+        descriptor = _strcmp_descriptor(table, a, b, divergence, emitted)
+        regions.append((start, emitted, descriptor, (), (8,)))
 
     baseline = builder.build()
     baseline.metadata["warm_ranges"] = [(STRINGS_BASE, max(table.image_bytes, 64))]
-    return Program(baseline, regions, name=baseline.name)
+    return Program.from_spans(baseline, regions, name=baseline.name)

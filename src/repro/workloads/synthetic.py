@@ -174,7 +174,7 @@ def _emit_mixed(builder: TraceBuilder, spec: SyntheticSpec) -> None:
                     load_record(reg, DATA_BASE + (line * 64) % spec.working_set, 8)
                 )
                 line += 1
-            builder.extend_rows(records + tuple(loads), index)
+            builder.extend_rows(records, index, loads)
 
 
 def _region_offsets(spec: SyntheticSpec, rng: random.Random) -> list[int]:

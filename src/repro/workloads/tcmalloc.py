@@ -23,8 +23,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from repro.isa.instructions import Instruction
-from repro.isa.trace import TraceBuilder
+import numpy as np
+
+from repro.isa.instructions import Instruction, OpClass
+from repro.isa.trace import (
+    TraceBuilder,
+    alu_record,
+    load_record,
+    row_template,
+    store_record,
+)
+
+_BRANCH = OpClass.BRANCH
 
 #: Size-class upper bounds in bytes (paper §V-B: 0-32B .. 97-128B).
 SIZE_CLASSES: tuple[int, ...] = (32, 64, 96, 128)
@@ -230,7 +240,9 @@ def emit_malloc_software(
     next-pointer load, head store, stats update), with a dependent spine
     whose simulated latency lands near the published ~39-cycle cost on the
     evaluated cores.  The allocator state is advanced as a side effect so
-    subsequent calls see the post-operation heap.
+    subsequent calls see the post-operation heap.  Only the next-pointer
+    load depends on the object handed out; the rest is one cached row
+    template per size and register set (:func:`_malloc_template`).
 
     Args:
         builder: trace builder to emit into.
@@ -240,34 +252,54 @@ def emit_malloc_software(
     """
     if len(scratch_regs) < 4:
         raise ValueError("emit_malloc_software needs >= 4 scratch registers")
-    r_size, r_class, r_head, r_tmp = scratch_regs[:4]
-    start = len(builder)
-    size_class = allocator.size_class_of(size)
-    head_addr = allocator.free_list_head_addr(size_class)
-
-    # Size-to-class mapping: table lookup plus arithmetic.
-    builder.alu(r_size, ())  # materialise the request size
-    builder.alu(r_class, (r_size,))  # shift/scale into table index
-    builder.load(r_class, CLASS_TABLE_BASE + (size % 256), 8, srcs=(r_class,))
-    # Free-list pop: load head, load next pointer, store new head.
-    builder.load(r_head, head_addr, 8, srcs=(r_class,))
+    records, index = _malloc_template(size, tuple(scratch_regs))
     addr = allocator.malloc(size)
-    builder.load(r_tmp, addr, 8, srcs=(r_head,))  # next pointer from object
-    builder.store(r_tmp, head_addr)
-    # Stats/bookkeeping updates.
-    builder.load(r_tmp, STATS_BASE + size_class * 8, 8)
-    builder.alu(r_tmp, (r_tmp,))
-    builder.store(r_tmp, STATS_BASE + size_class * 8)
+    r_head, r_tmp = scratch_regs[2], scratch_regs[3]
+    # The next pointer, loaded from the object.
+    builder.extend_rows(records, index, (load_record(r_tmp, addr, 8, (r_head,)),))
+    return len(index)
+
+
+@lru_cache(maxsize=64)
+def _malloc_template(
+    size: int, scratch_regs: tuple[int, ...]
+) -> tuple[tuple[Instruction, ...], np.ndarray]:
+    """Malloc's fast path as a row template with one hole: the object's
+    next-pointer load (every other address depends only on the size)."""
+    r_size, r_class, r_head, r_tmp = scratch_regs[:4]
+    size_class = SizeClassAllocator.size_class_of(size)
+    head_addr = FREELIST_HEAD_BASE + size_class * 8
+    stats_addr = STATS_BASE + size_class * 8
+    layout: list[Instruction | None] = [
+        # Size-to-class mapping: table lookup plus arithmetic.
+        alu_record(r_size),  # materialise the request size
+        alu_record(r_class, (r_size,)),  # shift/scale into table index
+        load_record(r_class, CLASS_TABLE_BASE + (size % 256), 8, (r_class,)),
+        # Free-list pop: load head, load next pointer, store new head.
+        load_record(r_head, head_addr, 8, (r_class,)),
+        None,  # next pointer from the object
+        store_record(r_tmp, head_addr),
+        # Stats/bookkeeping updates.
+        load_record(r_tmp, stats_addr, 8),
+        alu_record(r_tmp, (r_tmp,)),
+        store_record(r_tmp, stats_addr),
+    ]
     # The remaining uops model TCMalloc's checks and slow-path guards:
     # mostly independent ALU work with a short dependent spine and a few
-    # metadata probe loads.
-    emitted = len(builder) - start
-    remaining = MALLOC_SOFTWARE_UOPS - emitted - 1  # reserve the final move
+    # metadata probe loads (fixed class-table addresses).
+    remaining = MALLOC_SOFTWARE_UOPS - len(layout) - 1  # reserve the final move
     chain_len = 6
-    builder.chain(chain_len, r_head)
-    builder.extend(_malloc_guards(tuple(scratch_regs), remaining - chain_len))
-    builder.alu(r_head, (r_head,))  # final: move the pointer to its result reg
-    return len(builder) - start
+    spine = alu_record(r_head, (r_head,))
+    layout += (spine,) * chain_len
+    for probe in range(remaining - chain_len):
+        if probe % 9 == 0:
+            layout.append(load_record(r_tmp, CLASS_TABLE_BASE + 64 + (probe % 4) * 8, 8))
+        elif probe % 13 == 0:
+            layout.append(Instruction(_BRANCH, srcs=(r_class,)))
+        else:
+            layout.append(alu_record(scratch_regs[probe % len(scratch_regs)]))
+    layout.append(spine)  # final: move the pointer to its result reg
+    return row_template(layout)
 
 
 def emit_free_software(
@@ -280,61 +312,49 @@ def emit_free_software(
 
     Totals :data:`FREE_SOFTWARE_UOPS` micro-ops: page-map class lookup,
     free-list push (store next pointer into the object, store new head),
-    and stats update, plus guard work.  Advances the allocator.
+    and stats update, plus guard work.  Advances the allocator.  The
+    page-map load and the store into the object depend on the pointer;
+    the rest is one cached row template per size class and register set
+    (:func:`_free_template`).
     """
     if len(scratch_regs) < 4:
         raise ValueError("emit_free_software needs >= 4 scratch registers")
-    r_addr, r_class, r_head, r_tmp = scratch_regs[:4]
-    start = len(builder)
+    r_addr, r_class, r_head = scratch_regs[:3]
     size_class = allocator._object_class.get(addr)
     if size_class is None:
         raise HeapCorruptionError(f"free of foreign pointer {addr:#x}")
-    head_addr = allocator.free_list_head_addr(size_class)
-
-    builder.alu(r_addr, ())  # materialise the pointer
-    builder.load(r_class, CLASS_TABLE_BASE + 512 + (addr >> 12) % 64 * 8, 8, srcs=(r_addr,))
-    builder.load(r_head, head_addr, 8, srcs=(r_class,))
-    builder.store(r_head, addr)  # object.next = old head
+    records, index = _free_template(size_class, tuple(scratch_regs))
     allocator.free(addr)
-    builder.alu(r_tmp, (r_addr,))
-    builder.store(r_tmp, head_addr)  # head = object
-    emitted = len(builder) - start
-    remaining = FREE_SOFTWARE_UOPS - emitted
+    fills = (
+        load_record(r_class, CLASS_TABLE_BASE + 512 + (addr >> 12) % 64 * 8, 8, (r_addr,)),
+        store_record(r_head, addr),  # object.next = old head
+    )
+    builder.extend_rows(records, index, fills)
+    return len(index)
+
+
+@lru_cache(maxsize=64)
+def _free_template(
+    size_class: int, scratch_regs: tuple[int, ...]
+) -> tuple[tuple[Instruction, ...], np.ndarray]:
+    """Free's fast path as a row template with two holes: the page-map
+    class load and the store into the object, in that order."""
+    r_addr, r_class, r_head, r_tmp = scratch_regs[:4]
+    head_addr = FREELIST_HEAD_BASE + size_class * 8
+    layout: list[Instruction | None] = [
+        alu_record(r_addr),  # materialise the pointer
+        None,  # page-map class lookup
+        load_record(r_head, head_addr, 8, (r_class,)),
+        None,  # object.next = old head
+        alu_record(r_tmp, (r_addr,)),
+        store_record(r_tmp, head_addr),  # head = object
+    ]
+    remaining = FREE_SOFTWARE_UOPS - len(layout)
     chain_len = 4
-    builder.chain(chain_len, r_tmp)
-    builder.extend(_free_guards(tuple(scratch_regs), remaining - chain_len))
-    return len(builder) - start
-
-
-@lru_cache(maxsize=16)
-def _malloc_guards(
-    scratch_regs: tuple[int, ...], count: int
-) -> tuple[Instruction, ...]:
-    """Malloc's ``count`` guard uops: metadata probe loads, branches, ALU work.
-
-    The probes read fixed class-table addresses, so the whole run is the
-    same on every call: built once and shared.
-    """
-    r_class, r_tmp = scratch_regs[1], scratch_regs[3]
-    guards = TraceBuilder()
-    for probe in range(count):
-        if probe % 9 == 0:
-            guards.load(r_tmp, CLASS_TABLE_BASE + 64 + (probe % 4) * 8, 8)
-        elif probe % 13 == 0:
-            guards.branch(srcs=(r_class,))
-        else:
-            guards.alu(scratch_regs[probe % len(scratch_regs)], ())
-    return guards.build().instructions
-
-
-@lru_cache(maxsize=16)
-def _free_guards(scratch_regs: tuple[int, ...], count: int) -> tuple[Instruction, ...]:
-    """Free's ``count`` guard uops: branches and ALU work (built once, shared)."""
-    r_class = scratch_regs[1]
-    guards = TraceBuilder()
-    for probe in range(count):
+    layout += (alu_record(r_tmp, (r_tmp,)),) * chain_len
+    for probe in range(remaining - chain_len):  # guards: branches and ALU work
         if probe % 11 == 0:
-            guards.branch(srcs=(r_class,))
+            layout.append(Instruction(_BRANCH, srcs=(r_class,)))
         else:
-            guards.alu(scratch_regs[probe % len(scratch_regs)], ())
-    return guards.build().instructions
+            layout.append(alu_record(scratch_regs[probe % len(scratch_regs)]))
+    return row_template(layout)

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_sim_compile import _random_traces, _reference_tables
+from test_sim_compile import _random_traces, _reference_tables, per_instruction
 
 from repro import workloads
 from repro.isa.instructions import Instruction, OpClass, TCADescriptor
@@ -48,15 +48,27 @@ def _columns(ct: CompiledTrace) -> dict[str, np.ndarray]:
 
 
 def assert_same_compiled(got: CompiledTrace, want: CompiledTrace) -> None:
-    """Equal columns, dtypes and scalars; every column C-contiguous."""
+    """Equal per-instruction values, dtypes and scalars; every column
+    C-contiguous.
+
+    Row columns are compared through each trace's own row index
+    (``column[row]``): how a trace is split into rows changes their
+    length, never what an instruction reads.
+    """
     got_columns, want_columns = _columns(got), _columns(want)
     assert got_columns.keys() == want_columns.keys()
-    assert len(got_columns) == 29  # the kernel's 28 columns plus op_code
+    assert len(got_columns) == 31  # the kernel's 29 columns, op_code, row_count
     for name, column in got_columns.items():
-        expected = want_columns[name]
-        assert column.dtype == expected.dtype, name
+        assert column.dtype == want_columns[name].dtype, name
         assert column.flags.c_contiguous, name
-        assert np.array_equal(column, expected), name
+    expected = per_instruction(want)
+    for name, values in per_instruction(got).items():
+        if isinstance(values, np.ndarray):
+            assert np.array_equal(values, expected[name]), name
+        else:
+            assert values == expected[name], name
+    for ct in (got, want):
+        assert ct.row_count.tolist() == np.bincount(ct.row, minlength=ct.row_count.size).tolist()
     assert (got.length, got.n_edges, got.fu_used) == (want.length, want.n_edges, want.fu_used)
 
 
@@ -188,6 +200,34 @@ class TestRandomTraces:
         assert_same_compiled(
             compile_trace(accelerated, cache=False), compile_trace(reference, cache=False)
         )
+
+
+class TestRowTemplates:
+    def test_occurrences_read_their_own_fills(self):
+        from repro.isa.trace import alu_record, load_record, row_template
+
+        shared = alu_record(1, (2,))
+        records, index = row_template([shared, None, shared, None])
+        builder = TraceBuilder()
+        fills = [(load_record(3, 64 * k), load_record(4, 64 * k + 8)) for k in range(3)]
+        for pair in fills:
+            builder.extend_rows(records, index, pair)
+        trace = builder.build()
+        expected = [r for a, b in fills for r in (shared, a, shared, b)]
+        assert trace.instructions == tuple(expected)
+        assert len(trace.rows.table) == 1 + 6  # the shared record once
+        # The template's row run is built once, on its first occurrence.
+        assert list(builder._templates) == [(id(records), id(index))]
+
+    def test_any_index_over_records_and_fills(self):
+        # Fills may be read more than once, records in any order, and
+        # a records list is not cached.
+        a, b = Instruction(OpClass.NOP), Instruction(OpClass.INT_ALU, dsts=(1,))
+        fill = Instruction(OpClass.LOAD, dsts=(2,), addr=0x80)
+        builder = TraceBuilder()
+        builder.extend_rows([a, b], np.array([2, 1, 0, 2], dtype=np.int32), (fill,))
+        builder.extend_rows((a, b), np.array([1, 1], dtype=np.int32))
+        assert builder.build().instructions == (fill, b, a, fill, b, b)
 
 
 class TestRowsView:

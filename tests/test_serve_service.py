@@ -1085,6 +1085,30 @@ class TestSimulateSampling:
         truth = exact["stats"]["cycles"]
         assert abs(sampled["stats"]["cycles"] - truth) / truth < 0.10
 
+    def test_a_plan_costlier_than_the_exact_run_answers_exact(self, server_port):
+        # One-instruction windows over the 26,760-instruction heap x6
+        # trace would be 26,760 segment runs; the exact run is one.
+        from repro.isa.trace import Trace
+        from repro.workloads import HeapWorkloadSpec, generate_heap_program
+
+        unit = generate_heap_program(HeapWorkloadSpec(slots=100, seed=7)).baseline
+        buffer = io.StringIO()
+        dump_trace(Trace(unit.instructions * 6), buffer)
+        every = {"interval": 1, "period": 1, "warmup": 0, "head": 0, "min_instructions": 0}
+        payload = {
+            "runs": [
+                {"trace": buffer.getvalue(), "config": "a72", "sampling": every},
+                {"trace": buffer.getvalue(), "config": "a72"},
+            ]
+        }
+        status, body = _request(server_port, "/simulate", payload)
+        assert status == 200
+        fallback, exact = body["results"]
+        assert fallback["sim_mode"] == "exact"
+        assert fallback["sampling"]["forced_exact"] == "costlier_than_exact"
+        assert fallback["stats"] == exact["stats"]
+        assert fallback["stats"]["instructions"] == 26_760
+
     def test_sampled_results_cache_with_their_mode(self, server_port):
         text = _heap_trace_text()
         run = {"trace": text, "config": "a72", "sampling": self.SAMPLING}

@@ -397,3 +397,78 @@ class TestCEquivalence:
             second = CoreSim(HIGH_PERF_SIM, compiled).run()
         assert _dump(first) == _dump(second)
         assert backend.get_packed(compiled)._pool  # state block returned
+
+
+# ============================================================ row layout
+
+
+def _repeated_row():
+    """One load record, 20k times: a one-row table read through ``row``."""
+    from repro.isa.trace import load_record
+
+    builder = TraceBuilder("one-row")
+    builder.repeat((load_record(1, 0x4000, 8, (1,)),), 20_000)
+    return builder.build()
+
+
+def _loaded(trace):
+    """``trace`` written and read back through ``trace_io`` (identity rows)."""
+    import io
+
+    from repro.isa.trace_io import dump_trace, load_trace_stream
+
+    text = io.StringIO()
+    dump_trace(trace, text)
+    text.seek(0)
+    return load_trace_stream(text)
+
+
+@needs_kernel
+class TestRowLayoutOnTheKernel:
+    """The kernel reads row facts through ``row[k]``; every row layout
+    must simulate exactly as the Python loop does."""
+
+    @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
+    def test_one_row_repeated(self, mode):
+        trace = _repeated_row()
+        assert len(trace.rows.table) == 1
+        config = dataclasses.replace(HIGH_PERF_SIM, tca_mode=mode)
+        assert _dump(_run("c", config, trace)) == _dump(_run("python", config, trace))
+
+    @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
+    def test_identity_rows_from_trace_io(self, mode):
+        _, trace, warm_ranges = CASES[1]
+        loaded = _loaded(trace)
+        assert len(loaded.rows.table) == len(loaded)
+        config = dataclasses.replace(LOW_PERF_SIM, tca_mode=mode)
+        got = _run("c", config, loaded, warm_ranges)
+        assert _dump(got) == _dump(_run("python", config, loaded, warm_ranges))
+        assert _dump(got) == _dump(_run("c", config, trace, warm_ranges))
+
+    @pytest.mark.parametrize("mode", MODES, ids=[m.value for m in MODES])
+    def test_regions_sharing_one_tca_row(self, mode):
+        heap = generate_heap_program(HeapWorkloadSpec(slots=120, call_probability=0.4, seed=4))
+        trace = heap.accelerated()
+        tca_rows = [r for r in trace.rows.table if r.op is OpClass.TCA]
+        assert len(tca_rows) <= 2 < heap.num_invocations
+        warm_ranges = heap.baseline.metadata["warm_ranges"]
+        config = dataclasses.replace(HIGH_PERF_SIM, tca_mode=mode)
+        got = _run("c", config, trace, warm_ranges)
+        assert _dump(got) == _dump(_run("python", config, trace, warm_ranges))
+
+    def test_windows_starting_mid_template(self):
+        # The synthetic mix is one 4,760-instruction template repeated;
+        # windows start inside a repetition and cut through it.
+        trace = generate_synthetic_program(
+            SyntheticSpec(total_instructions=12_000, num_invocations=4, region_size=100)
+        ).baseline
+        assert len(trace.rows.compact().table) < len(trace) // 2
+        windows = [(7, 611), (4_700, 5_300), (9_600, 12_000)]
+        runs = {}
+        for engine in ("python", "c"):
+            with backend.use_backend(engine):
+                runs[engine] = [
+                    _dump(stats)
+                    for stats in sample.simulate_segments(trace, LOW_PERF_SIM, windows)
+                ]
+        assert runs["c"] == runs["python"]

@@ -125,14 +125,15 @@ class TestCompiledTables:
         from repro.isa.instructions import OpClass
 
         ct = compile_trace(_edge_case_trace(), cache=False)
-        assert ct.kind.tolist() == [4, 0, 1, 2, 2, 3, 0, 4]
-        assert ct.lat_over.tolist() == [1, -1, -1, -1, -1, -1, -1, -1]
-        assert ct.tca_comp_lat.tolist() == [0, 0, 0, 1, 7, 0, 0, 0]
-        assert ct.tca_read_count.tolist() == [0, 0, 0, 2, 0, 0, 0, 0]
-        assert ct.tca_write_count.tolist() == [0, 0, 0, 2, 0, 0, 0, 0]
-        assert ct.mispred.tolist() == ct.lowconf_flag.tolist() == [0] * 5 + [1, 0, 0]
-        assert ct.writer_lo.tolist()[2:4] == [0x2000, 0x3000]
-        assert ct.writer_hi.tolist()[2:4] == [0x2008, 0x3018]
+        inst = per_instruction(ct)
+        assert inst["kind"].tolist() == [4, 0, 1, 2, 2, 3, 0, 4]
+        assert inst["lat_over"].tolist() == [1, -1, -1, -1, -1, -1, -1, -1]
+        assert inst["tca_comp_lat"].tolist() == [0, 0, 0, 1, 7, 0, 0, 0]
+        assert inst["tca_read_count"].tolist() == [0, 0, 0, 2, 0, 0, 0, 0]
+        assert inst["tca_write_count"].tolist() == [0, 0, 0, 2, 0, 0, 0, 0]
+        assert inst["mispred"].tolist() == inst["lowconf_flag"].tolist() == [0] * 5 + [1, 0, 0]
+        assert inst["writer_lo"].tolist()[2:4] == [0x2000, 0x3000]
+        assert inst["writer_hi"].tolist()[2:4] == [0x2008, 0x3018]
         # Register edges: one per distinct producer, then one memory slot
         # per load and per TCA read.
         assert ct.edge_prod.tolist() == [0, 1, 1, 0, 1, 6]
@@ -166,7 +167,8 @@ class TestCompiledTables:
         u8 = {"kind", "mispred", "lowconf_flag"}
         for name, column in zip(_TRACE_COLUMNS, get_packed(ct).columns):
             assert column is getattr(ct, name)
-            assert column.dtype == (np.uint8 if name in u8 else np.int64), name
+            dtype = np.int32 if name == "row" else np.uint8 if name in u8 else np.int64
+            assert column.dtype == dtype, name
             assert column.flags.c_contiguous, name
 
     @pytest.mark.parametrize(
@@ -199,6 +201,46 @@ class TestCompiledTables:
         trace = Trace([Instruction(OpClass.INT_ALU, srcs=srcs, dsts=dsts)])
         with pytest.raises(ValueError, match="register ids"):
             compile_trace(trace, cache=False)
+
+
+#: Columns held once per table row: flat ones, then CSR tables as
+#: (start, values) pairs.
+ROW_COLUMNS = (
+    "kind", "op_code", "fu_cls", "lat_over", "mispred", "lowconf_flag",
+    "mem_addr", "mem_size", "writer_lo", "writer_hi",
+    "tca_read_count", "tca_write_count", "tca_comp_lat",
+)
+ROW_TABLES = (
+    ("ml_start", "ml_lines"), ("cw_start", "cw_lines"),
+    ("wr_start", "wr_addr"), ("wr_start", "wr_size"),
+    ("tr_start", "tr_addr"), ("tr_start", "tr_size"),
+)
+#: Columns held per instruction.
+INSTRUCTION_COLUMNS = ("re_start", "edge_prod", "edge_cons", "mem_edge_base")
+
+
+def per_instruction(ct):
+    """Every compiled fact laid out per instruction, by gathering the row
+    columns through ``row`` (``column[row]``); these values do not depend
+    on how a trace is split into rows."""
+    row = ct.row
+    out = {name: getattr(ct, name)[row] for name in ROW_COLUMNS}
+    for start, values in ROW_TABLES:
+        spans = getattr(ct, start)
+        flat = getattr(ct, values).tolist()
+        out[values] = [tuple(flat[spans[r] : spans[r + 1]]) for r in row.tolist()]
+    read_lines = ct.trl_lines.tolist()
+    line_start = ct.trl_start.tolist()
+    out["trl_lines"] = [
+        tuple(
+            tuple(read_lines[line_start[q] : line_start[q + 1]])
+            for q in range(ct.tr_start[r], ct.tr_start[r + 1])
+        )
+        for r in row.tolist()
+    ]
+    for name in INSTRUCTION_COLUMNS:
+        out[name] = getattr(ct, name)
+    return out
 
 
 def _reference_tables(trace):
@@ -340,6 +382,63 @@ def _assert_register_edges(ct, producers):
     assert ct.edge_prod.tolist() == [p for row in producers for p in row]
     consumers = [k for k, row in enumerate(producers) for _ in row]
     assert ct.edge_cons.tolist()[: len(consumers)] == consumers
+
+
+class TestRowLayout:
+    def test_row_facts_are_held_once_per_row(self):
+        import numpy as np
+
+        trace = generate_heap_program(
+            HeapWorkloadSpec(slots=60, call_probability=0.3, seed=5)
+        ).baseline
+        ct = compile_trace(trace, cache=False)
+        m = len(trace.rows.compact().table)
+        assert m < ct.length
+        assert ct.row.tolist() == trace.rows.compact().index.tolist()
+        assert ct.row_count.tolist() == np.bincount(ct.row, minlength=m).tolist()
+        for name in ROW_COLUMNS:
+            assert getattr(ct, name).size == m, name
+        for start, _ in ROW_TABLES:
+            assert getattr(ct, start).size == m + 1, start
+        for name in ("re_start", "mem_edge_base"):
+            assert getattr(ct, name).size == ct.length + 1, name
+
+    @settings(max_examples=100, deadline=None)
+    @given(_random_traces(), st.data())
+    def test_packed_bounds_equal_a_per_instruction_count(self, trace, data):
+        # The kernel's scratch arrays are sized from row facts weighted by
+        # row_count; recount them record by record, rows repeated.
+        records = list(trace.instructions)
+        if records:
+            picks = data.draw(st.lists(st.integers(0, len(records) - 1), max_size=20))
+            records += [records[i] for i in picks]
+        _assert_packed_bounds(Trace(records))
+
+    @pytest.mark.parametrize("accelerated", [False, True])
+    def test_packed_bounds_on_a_generated_program(self, accelerated):
+        program = generate_heap_program(
+            HeapWorkloadSpec(slots=80, call_probability=0.4, seed=3)
+        )
+        _assert_packed_bounds(program.accelerated() if accelerated else program.baseline)
+
+
+def _assert_packed_bounds(trace):
+    """``PackedTrace``'s scratch bounds equal a per-instruction recount."""
+    from repro.isa.instructions import OpClass
+    from repro.sim.backend import PackedTrace
+
+    writers = lowconf = max_reads = 0
+    for inst in trace:
+        if inst.op is OpClass.STORE or (inst.op is OpClass.TCA and inst.tca.writes):
+            writers += 1
+        if inst.op is OpClass.BRANCH and inst.low_confidence:
+            lowconf += 1
+        if inst.op is OpClass.TCA:
+            max_reads = max(max_reads, len(inst.tca.reads))
+    packed = PackedTrace(compile_trace(trace, cache=False))
+    assert (packed.writers_cap, packed.lowconf_cap, packed.max_tca_reads) == (
+        writers, lowconf, max_reads,
+    )
 
 
 class TestRunStatePool:

@@ -7,6 +7,7 @@ orders of magnitude past the seed workloads' per-request length and
 requires the sampled estimate to land within a 2% mean-error budget.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -23,6 +24,7 @@ from repro.sim.compile import compile_trace
 from repro.sim.config import ARM_A72_SIM
 from repro.sim.core import CoreSim
 from repro.sim.sample import (
+    SEGMENT_COST_INSTRUCTIONS,
     SamplingConfig,
     ambient_sampling,
     canonical_sampling,
@@ -30,6 +32,7 @@ from repro.sim.sample import (
     forced_exact_reason,
     merge_stats,
     parse_sampling_spec,
+    plan_cost,
     plan_windows,
     sampling_scope,
     simulate_sampled,
@@ -167,7 +170,35 @@ class TestPlanning:
             min_windows=2,
         )
         assert forced_exact_reason(9_500, tiny) == "too_few_windows"
-        assert forced_exact_reason(100_000, sampled) is None
+        # Every 500 instructions, a 100-instruction window and its
+        # 200-instruction warmup twice: the plan simulates the whole
+        # trace in detail, so the exact run is no dearer.
+        assert forced_exact_reason(100_000, sampled) == "costlier_than_exact"
+        assert forced_exact_reason(100_000, dataclasses.replace(sampled, period=50)) is None
+
+    def test_plan_cost_counts_detailed_instructions_and_segments(self):
+        # head 400, then windows [500, 700), [1300, 1500), ... each run
+        # with its 100-instruction warmup twice: 400 detailed + 1 segment
+        # for the head, 400 detailed + 2 segments per window.
+        config = SamplingConfig(interval=200, period=4, warmup=100, head=400)
+        windows = plan_windows(4_460, config)
+        assert len(windows) == 5
+        cost = plan_cost(4_460, config)
+        assert cost == 400 + 5 * 400 + (1 + 2 * 5) * SEGMENT_COST_INSTRUCTIONS
+        assert cost < 4_460
+        assert forced_exact_reason(4_460, dataclasses.replace(config, min_instructions=0)) is None
+
+    def test_a_plan_costlier_than_the_exact_run_falls_back(self):
+        # One-instruction windows: as many segments as instructions.
+        every = SamplingConfig(
+            interval=1, period=1, warmup=0, head=0, min_instructions=0
+        )
+        assert plan_cost(26_760, every) == 26_760 * (1 + SEGMENT_COST_INSTRUCTIONS)
+        assert forced_exact_reason(26_760, every) == "costlier_than_exact"
+        stats, report = simulate_sampled(_heap_trace(), ARM_A72_SIM, every)
+        exact = CoreSim(ARM_A72_SIM, compile_trace(_heap_trace())).run()
+        assert report["forced_exact"] == "costlier_than_exact"
+        assert stats.to_dict() == exact.to_dict()
 
 
 # ------------------------------------------------------------ sampling
