@@ -26,7 +26,9 @@ core × mode × tech × (a, v) lattice reduced to its
 speedup/energy/area frontier in bounded memory, cross-checked for
 *exact* frontier equality against the scalar per-point oracle on a
 seeded reduced grid, with the tracemalloc peak asserted against a
-block-size-proportional budget.
+block-size-proportional budget.  ``frontier_sorted`` is how many of the
+feasible points the dominance kernel still sorted after its staircase
+prefilter (the ``model.pareto_frontier_sorted`` counter over one sweep).
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from repro.core.pareto import (
 from repro.core.sweep import speedup_heatmap, speedup_heatmap_scalar
 from repro.experiments.fig7_heatmap import _GRID, _MODE_ORDER, _panel
 from repro.obs.manifest import bench_provenance
+from repro.obs.metrics import get_registry
 
 #: Best-of-N timing repetitions per approach.
 REPEATS = 3
@@ -141,12 +144,17 @@ def _bench_pareto(scale: str) -> dict:
     """Time the streaming Pareto reduction and cross-check the oracle."""
     spec = _pareto_spec(scale)
 
+    sorted_rows = get_registry().counter("model.pareto_frontier_sorted")
+    sorted_before = sorted_rows.value
     vector_s = float("inf")
     accumulator = None
     for _ in range(REPEATS):
         started = perf_counter()
         accumulator = sweep_pareto(spec)
         vector_s = min(vector_s, perf_counter() - started)
+    # Deterministic per sweep: the rows the 2-objective kernel sorted
+    # after its staircase prefilter dropped the dominated bulk.
+    frontier_sorted = (sorted_rows.value - sorted_before) // REPEATS
 
     # Exact frontier equality against the scalar per-point oracle on the
     # seeded reduced grid (same axes, coarser resolution).
@@ -183,6 +191,7 @@ def _bench_pareto(scale: str) -> dict:
         "lattice_points": spec.total_points,
         "feasible_points": accumulator.points_seen,
         "frontier_size": accumulator.size,
+        "frontier_sorted": frontier_sorted,
         "block_size": spec.block_size,
         "oracle_match": True,
         "peak_memory_mb": peak_bytes / 1e6,
@@ -284,7 +293,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  max rel diff vs scalar: {max_rel:.2e}")
     print(
         f"pareto bench ({pareto['lattice_points']} lattice points, "
-        f"{pareto['feasible_points']} feasible, frontier "
+        f"{pareto['feasible_points']} feasible, "
+        f"{pareto['frontier_sorted']} sorted, frontier "
         f"{pareto['frontier_size']}):"
     )
     print(

@@ -285,21 +285,26 @@ def _energy_values(
     time: np.ndarray,
 ) -> tuple[np.ndarray, ...]:
     """Unmasked §VII terms from interval times: ``(total, core_static,
-    core_dynamic, accelerator, baseline_total, ratio)``."""
-    t_base = 1.0 / (sv * core.ipc)  # eq. (1)
-    instructions = 1.0 / sv  # baseline instructions per interval
+    core_dynamic, accelerator, baseline_total, ratio)``.
 
-    base_static = params.core_static_power * t_base
-    base_dynamic = params.core_dynamic_energy * instructions
-    baseline_total = base_static + base_dynamic
+    Each term is built in place, one operation at a time in the order of
+    its formula; IEEE ``+`` and ``*`` are commutative, so the values are
+    the bits the plain expressions give, with fewer grid temporaries.
+    """
+    base_static = 1.0 / (sv * core.ipc)  # eq. (1), the baseline time
+    base_static *= params.core_static_power
+    instructions = 1.0 / sv  # baseline instructions per interval
+    baseline_total = params.core_dynamic_energy * instructions
+    baseline_total += base_static
 
     core_static = params.core_static_power * time
-    core_dynamic = params.core_dynamic_energy * (instructions * (1.0 - sa))
-    accel = (
-        params.accelerator_invocation_energy
-        + params.accelerator_static_power * time
-    )
-    total = core_static + core_dynamic + accel
+    core_dynamic = 1.0 - sa
+    core_dynamic *= instructions  # core-executed instructions
+    core_dynamic *= params.core_dynamic_energy
+    accel = params.accelerator_static_power * time
+    accel += params.accelerator_invocation_energy
+    total = core_static + core_dynamic
+    total += accel
     # All-zero energy parameters give a zero baseline; the ratio is
     # undefined there (NaN), never a divide error.
     positive = baseline_total > 0.0

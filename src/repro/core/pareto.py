@@ -83,11 +83,19 @@ PARETO_COLUMNS = (
 )
 
 _PARETO_POINTS = get_registry().counter("model.pareto_points")
+_FRONTIER_SORTED = get_registry().counter("model.pareto_frontier_sorted")
 
 #: Budget of row-objective comparisons per pass of the 3+-objective
 #: dominance loop: references per pass shrink as the candidate set
 #: grows, so each pass's boolean temporaries stay under 1 MB.
 _COMPARISONS_PER_PASS = 1 << 20
+
+#: Points from which the 2-objective kernel prefilters with a sampled
+#: staircase before it sorts, and the stride of that sample.  Below 128
+#: points the sample holds fewer than 8, too few to tell a small
+#: frontier from a large one.
+_PREFILTER_MIN_POINTS = 128
+_PREFILTER_STRIDE = 16
 
 
 def non_dominated_mask(
@@ -117,12 +125,20 @@ def non_dominated_mask(
         raise ValueError(
             f"maximize has {len(maximize)} senses for {k} objectives"
         )
+    signs = np.where(np.asarray(maximize, dtype=bool), 1.0, -1.0)
+    # One contiguous row per objective, in maximization form.
+    return _non_dominated_rows(
+        np.ascontiguousarray(values.T) * signs[:, np.newaxis]
+    )
+
+
+def _non_dominated_rows(z: np.ndarray) -> np.ndarray:
+    """Non-dominated columns of a ``(k, n)`` maximization-form matrix —
+    :func:`non_dominated_mask` after its transpose."""
+    n = z.shape[1]
     mask = np.zeros(n, dtype=bool)
     if n == 0:
         return mask
-    signs = np.where(np.asarray(maximize, dtype=bool), 1.0, -1.0)
-    # One contiguous row per objective, in maximization form.
-    z = np.ascontiguousarray(values.T) * signs[:, np.newaxis]
     ids = np.arange(n)
     low = z.min(axis=1)
     if np.isnan(low).any():
@@ -162,7 +178,51 @@ def non_dominated_mask(
 
 def _frontier_2d(z: np.ndarray) -> np.ndarray:
     """Non-dominated columns of a ``(k <= 2, n)`` NaN-free maximization
-    matrix ``[x, y]``, by one sort and one running maximum.
+    matrix ``[x, y]`` (a missing ``y`` is 0 everywhere).
+
+    From :data:`_PREFILTER_MIN_POINTS` points on, the exact frontier of
+    every :data:`_PREFILTER_STRIDE`-th point is a staircase of pivots:
+    sorted by ``x`` ascending, their ``y`` falls.  The first pivot with
+    ``x_p >= x`` has the best ``y`` of all pivots that reach ``x``, so
+    one ``searchsorted`` finds, for each point, the only pivot that
+    needs a look; every point it dominates is dropped.  Pivots are real
+    points and dominance is transitive, so nothing dropped was on the
+    frontier, and a point equal to its pivot survives.  When over a
+    quarter of the sample is on its own frontier the prefilter would
+    drop little, and every point goes to :func:`_sorted_frontier`.
+    """
+    k, n = z.shape
+    if k == 0:
+        return np.ones(n, dtype=bool)
+    xs = z[0]
+    ys = z[1] if k == 2 else np.zeros(n)
+    if n >= _PREFILTER_MIN_POINTS:
+        sx = xs[::_PREFILTER_STRIDE]
+        sy = ys[::_PREFILTER_STRIDE]
+        pivots = np.flatnonzero(_sorted_frontier(sx, sy))
+        if 4 * pivots.size <= sx.size:
+            order = np.argsort(sx[pivots])
+            px = sx[pivots[order]]
+            py = sy[pivots[order]]
+            # The first pivot with x_p >= x, if any, and its point.
+            at = np.searchsorted(px, xs, side="left")
+            reached = at < px.size
+            at = np.minimum(at, px.size - 1)
+            bx = px[at]
+            by = py[at]
+            dropped = reached & (by >= ys) & ((bx > xs) | (by > ys))
+            kept = np.flatnonzero(~dropped)
+            _FRONTIER_SORTED.inc(kept.size)
+            mask = np.zeros(n, dtype=bool)
+            mask[kept[_sorted_frontier(xs[kept], ys[kept])]] = True
+            return mask
+    _FRONTIER_SORTED.inc(n)
+    return _sorted_frontier(xs, ys)
+
+
+def _sorted_frontier(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """The frontier of points ``(xs, ys)`` by one sort and one running
+    maximum.
 
     Points sorted by ``x`` descending form groups of equal ``x``; a
     point survives when its ``y`` is its group's best and strictly beats
@@ -170,20 +230,19 @@ def _frontier_2d(z: np.ndarray) -> np.ndarray:
     has no such rival (``-inf`` cannot stand in for "none": a ``y`` of
     ``-inf`` there is still on the frontier).
     """
-    k, n = z.shape
-    if k == 0:
-        return np.ones(n, dtype=bool)
-    order = np.argsort(-z[0])
-    xs = z[0, order]
-    ys = z[1, order] if k == 2 else np.zeros(n)
-    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
-    best = np.maximum.reduceat(ys, starts)
-    alive = np.ones(len(starts), dtype=bool)
-    alive[1:] = best[1:] > np.maximum.accumulate(best)[:-1]
-    sizes = np.diff(np.r_[starts, n])
-    keep = np.repeat(alive, sizes) & (ys == np.repeat(best, sizes))
-    mask = np.zeros(n, dtype=bool)
-    mask[order[keep]] = True
+    order = np.argsort(-xs)
+    xs = xs[order]
+    ys = ys[order]
+    opens = np.empty(xs.size, dtype=bool)
+    opens[:1] = True
+    np.not_equal(xs[1:], xs[:-1], out=opens[1:])
+    best = np.maximum.reduceat(ys, np.flatnonzero(opens))
+    alive = np.empty(best.size, dtype=bool)
+    alive[0] = True
+    np.greater(best[1:], np.maximum.accumulate(best)[:-1], out=alive[1:])
+    group = np.cumsum(opens) - 1
+    mask = np.zeros(xs.size, dtype=bool)
+    mask[order[alive[group] & (ys == best[group])]] = True
     return mask
 
 
@@ -370,6 +429,25 @@ class ParetoAccumulator:
         }
 
     @classmethod
+    def _of_frontier(
+        cls,
+        values: np.ndarray,
+        columns: Mapping[str, np.ndarray],
+        points_seen: int,
+    ) -> "ParetoAccumulator":
+        """An accumulator of the default schema holding ``values`` as its
+        frontier as given: the rows must be mutually non-dominated, which
+        spares the dominance pass :meth:`add` would run."""
+        acc = cls()
+        acc._values = values
+        acc._columns = {
+            name: np.asarray(columns[name], dtype=object)
+            for name in acc.column_names
+        }
+        acc.points_seen = points_seen
+        return acc
+
+    @classmethod
     def from_state(cls, state: Mapping[str, Any]) -> "ParetoAccumulator":
         """Rebuild from a :meth:`state` snapshot."""
         acc = cls(
@@ -541,15 +619,15 @@ def evaluate_pareto_chunk(chunk: ParetoChunk) -> ParetoAccumulator:
     pass feeds both the speedup and the energy-ratio columns (the
     arithmetic of :func:`~repro.core.model.speedup_grid` and
     :func:`~repro.core.energy.energy_grid`, with the chunk's tech node
-    scaling the energy parameters), then one dominance reduction over
-    the feasible cells; the per-point annotation columns are built for
-    the surviving rows only.
+    scaling the energy parameters), then one dominance pass over the
+    feasible cells, whose frontier rows become the partial frontier as
+    they are; the per-point annotation columns are built for those rows
+    only.
     """
     node = get_tech_node(chunk.tech)
-    cells = _grid_cells(
-        np.asarray(chunk.fractions, dtype=float)[:, np.newaxis],
-        np.asarray(chunk.frequencies, dtype=float)[np.newaxis, :],
-    )
+    fractions = np.asarray(chunk.fractions, dtype=float)
+    frequencies = np.asarray(chunk.frequencies, dtype=float)
+    cells = _grid_cells(fractions[:, np.newaxis], frequencies[np.newaxis, :])
     # Counted as the speedup and energy grids this pass stands for.
     _EVALUATIONS.inc(cells.evaluated)
     _ENERGY_CELLS.inc(cells.evaluated)
@@ -563,34 +641,33 @@ def evaluate_pareto_chunk(chunk: ParetoChunk) -> ParetoAccumulator:
     )
     area = float(node.scale_area(MODE_COSTS[chunk.mode].total))
     feasible = cells.active  # the design points: valid, invoking workloads
-
-    acc = ParetoAccumulator()
     s = _speedup_values(chunk.core, cells.sv, time)[feasible]
     n = s.size
-    if n:
-        *_, ratio = _energy_values(
-            chunk.core, node.scale_energy(chunk.energy), cells.sa, cells.sv, time
-        )
-        values = np.column_stack([s, ratio[feasible], np.full(n, area)])
-        # The panel's area is constant, so this is a 2-objective sort;
-        # annotations are built for the few frontier rows only.
-        rows = np.flatnonzero(non_dominated_mask(values, PARETO_MAXIMIZE))
-        values = values[rows]
-        kept = len(rows)
-        acc.add(
-            values,
-            {
-                "core": np.full(kept, chunk.core.name, dtype=object),
-                "mode": np.full(kept, chunk.mode.value, dtype=object),
-                "tech": np.full(kept, chunk.tech, dtype=object),
-                "acceleratable_fraction": cells.a[feasible][rows],
-                "invocation_frequency": cells.v[feasible][rows],
-                "efficiency": efficiency_values(values[:, 0], values[:, 2]),
-            },
-        )
-        acc.points_seen = n  # every feasible cell was a candidate
-    _PARETO_POINTS.inc(int(n))
-    return acc
+    _PARETO_POINTS.inc(n)
+    if not n:
+        return ParetoAccumulator()
+    *_, ratio = _energy_values(
+        chunk.core, node.scale_energy(chunk.energy), cells.sa, cells.sv, time
+    )
+    ratio = ratio[feasible]
+    # The panel's area is constant, so speedup and the (negated) energy
+    # ratio alone decide dominance.
+    rows = np.flatnonzero(_non_dominated_rows(np.stack([s, -ratio])))
+    kept = rows.size
+    a_at, v_at = np.divmod(np.flatnonzero(feasible)[rows], frequencies.size)
+    speedup = s[rows]
+    return ParetoAccumulator._of_frontier(
+        np.column_stack([speedup, ratio[rows], np.full(kept, area)]),
+        {
+            "core": np.full(kept, chunk.core.name, dtype=object),
+            "mode": np.full(kept, chunk.mode.value, dtype=object),
+            "tech": np.full(kept, chunk.tech, dtype=object),
+            "acceleratable_fraction": fractions[a_at],
+            "invocation_frequency": frequencies[v_at],
+            "efficiency": efficiency_values(speedup, area),
+        },
+        points_seen=n,  # every feasible cell was a candidate
+    )
 
 
 def _reduce_chunk_state(chunk: ParetoChunk) -> dict[str, Any]:

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Any, Iterator, Mapping
 
+import numpy as np
+
 from repro.core.pareto import (
     PARETO_MAXIMIZE,
     PARETO_OBJECTIVES,
@@ -50,15 +52,33 @@ class NDJSONStream:
         self.records = records
 
 
-def pareto_chunk_key(chunk: ParetoChunk) -> str:
+def pareto_chunk_key(
+    chunk: ParetoChunk, digests: dict[bytes, str] | None = None
+) -> str:
     """Content-addressed key of one sweep chunk's partial frontier.
 
     Covers everything :func:`~repro.core.pareto.evaluate_pareto_chunk`
     is a function of — the panel (core, accelerator, energy, mode,
     tech), the axis slice, the drain configuration, and the schema tag —
     and nothing else, so overlapping sweeps share chunk results no
-    matter how the surrounding requests differ.
+    matter how the surrounding requests differ.  Each axis enters as the
+    sha256 of its values' canonical JSON, a digest that depends on the
+    values alone.  ``digests`` memoizes them by the axis's float64
+    bytes: pass one dict for all chunks of a sweep, and each distinct
+    axis slice is JSON-encoded once rather than once per chunk.
     """
+    if digests is None:
+        digests = {}
+    axes = {}
+    for name, axis in (
+        ("fractions", chunk.fractions),
+        ("frequencies", chunk.frequencies),
+    ):
+        values = np.asarray(axis, dtype=float)
+        raw = values.tobytes()
+        if raw not in digests:
+            digests[raw] = sha256_key(values.tolist())
+        axes[name] = digests[raw]
     return sha256_key(
         {
             "kind": "pareto_chunk",
@@ -68,9 +88,8 @@ def pareto_chunk_key(chunk: ParetoChunk) -> str:
             "energy": chunk.energy.to_canonical_dict(),
             "mode": chunk.mode.value,
             "tech": chunk.tech,
-            "fractions": [float(a) for a in chunk.fractions],
-            "frequencies": [float(v) for v in chunk.frequencies],
             "drain": drain_config(chunk.drain_estimator),
+            **axes,
         }
     )
 
@@ -89,9 +108,10 @@ def _chunk_states(
     evaluations.
     """
     registry = get_registry()
+    digests: dict[bytes, str] = {}
     probed = []
     for chunk in spec.chunks():
-        key = pareto_chunk_key(chunk)
+        key = pareto_chunk_key(chunk, digests)
         probed.append((chunk, key, cache.get(key)))
     missing = [chunk for chunk, _, state in probed if state is MISS]
     registry.counter("serve.pareto.cache_hits").inc(len(probed) - len(missing))

@@ -11,19 +11,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import pareto
-from repro.core.modes import TCAMode
+from repro.core.energy import EnergyParameters, energy_grid
+from repro.core.model import speedup_grid
+from repro.core.modes import MODE_COSTS, TCAMode
 from repro.core.parameters import ARM_A72, HIGH_PERF, AcceleratorParameters
 from repro.core.pareto import (
     PARETO_COLUMNS,
     PARETO_MAXIMIZE,
     ParetoAccumulator,
     ParetoSweepSpec,
+    _reduce_chunk_state,
     efficiency_values,
     evaluate_pareto_chunk,
     non_dominated_mask,
     sweep_pareto,
     sweep_pareto_scalar,
 )
+from repro.core.tech import get_tech_node
+from repro.obs.metrics import get_registry
 
 
 def _oracle_mask(values, maximize):
@@ -172,6 +177,192 @@ class TestNonDominatedMask:
             non_dominated_mask(np.zeros((3, 2)), (True,))
 
 
+_SORTED = get_registry().counter("model.pareto_frontier_sorted")
+
+
+_staircase_value = st.one_of(
+    st.integers(min_value=-3, max_value=3).map(float),  # forces ties
+    st.sampled_from([0.0, -0.0, math.inf, -math.inf]),
+    st.floats(
+        min_value=-5, max_value=5, allow_nan=False, allow_infinity=False
+    ),
+)
+
+
+@st.composite
+def _staircase_points(draw):
+    """``(n, 2)`` NaN-free points: a staircase, points under it (some
+    sharing a stair's ``x`` or ``y``), free points, and duplicates."""
+    stairs = sorted(
+        draw(st.lists(_staircase_value, min_size=1, max_size=6, unique=True))
+    )
+    heights = sorted(
+        draw(
+            st.lists(
+                _staircase_value,
+                min_size=len(stairs),
+                max_size=len(stairs),
+                unique=True,
+            )
+        ),
+        reverse=True,
+    )
+    points = list(zip(stairs, heights))
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        x, y = draw(st.sampled_from(points[: len(stairs)]))
+        points.append(
+            draw(
+                st.sampled_from(
+                    [
+                        (x, y),  # equal to a stair
+                        (x, y - 1.0),  # straight below
+                        (x - 1.0, y),  # straight left
+                        (x - 1.0, y - 1.0),
+                        (
+                            draw(_staircase_value),
+                            draw(_staircase_value),
+                        ),
+                    ]
+                )
+            )
+        )
+    order = draw(st.permutations(range(len(points))))
+    return np.asarray([points[i] for i in order], dtype=float)
+
+
+def _expected_sorted(values):
+    """Rows the 2-objective kernel sorts after its prefilter: all of them
+    below the size threshold or when the sample's frontier is over a
+    quarter of the sample, else those no sample-frontier point dominates.
+    """
+    n = len(values)
+    if n < pareto._PREFILTER_MIN_POINTS:
+        return n
+    sample = values[:: pareto._PREFILTER_STRIDE]
+    pivots = sample[_oracle_mask(sample, (True, True))]
+    if 4 * len(pivots) > len(sample):
+        return n
+    below = (pivots[:, None, :] >= values[None, :, :]).all(axis=2)
+    above = (pivots[:, None, :] > values[None, :, :]).any(axis=2)
+    return int(np.count_nonzero(~(below & above).any(axis=0)))
+
+
+class TestStaircasePrefilter:
+    """The 2-objective kernel with its size threshold patched down, so
+    small inputs take the sampled-staircase prefilter."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _staircase_points(),
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from([1, 2, 3, 5]),
+        st.booleans(),
+    )
+    def test_frontier_2d_matches_oracle_and_sorts_survivors_only(
+        self, values, threshold, stride, one_objective
+    ):
+        if one_objective:
+            values = np.column_stack([values[:, 0], np.zeros(len(values))])
+        z = np.ascontiguousarray(values.T[:1] if one_objective else values.T)
+        with mock.patch.multiple(
+            pareto, _PREFILTER_MIN_POINTS=threshold, _PREFILTER_STRIDE=stride
+        ):
+            before = _SORTED.value
+            fast = pareto._frontier_2d(z)
+            sorted_rows = _SORTED.value - before
+            expected = _expected_sorted(values)
+        assert np.array_equal(fast, _oracle_mask(values, (True, True)))
+        assert sorted_rows == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        _staircase_points(),
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from([1, 2, 3, 5]),
+        st.lists(st.integers(min_value=0, max_value=40), max_size=3),
+        st.tuples(st.booleans(), st.booleans()),
+        st.sampled_from([None, 0.0, -0.0, 2.5, math.inf]),
+    )
+    def test_mask_matches_quadratic_oracle(
+        self, values, threshold, stride, nan_rows, maximize, constant
+    ):
+        # NaN rows are dropped and a constant third objective is dropped
+        # before the kernel runs; the senses flip the staircase.
+        values = values.copy()
+        for row in nan_rows:
+            if row < len(values):
+                values[row, row % 2] = math.nan
+        senses = maximize
+        if constant is not None:
+            values = np.column_stack([values, np.full(len(values), constant)])
+            senses = maximize + (False,)
+        with mock.patch.multiple(
+            pareto, _PREFILTER_MIN_POINTS=threshold, _PREFILTER_STRIDE=stride
+        ):
+            fast = non_dominated_mask(values, senses)
+        assert np.array_equal(fast, _oracle_mask(values, senses))
+
+    def test_point_equal_to_a_pivot_survives(self):
+        # Stride 2 samples the even rows: two stairs and six dominated
+        # fillers, so the two pivots pass the quarter-of-the-sample test.
+        # Of the odd rows, the stairs' copies meet an equal pivot and
+        # survive, as do the points no stair dominates; the points
+        # straight below or left of a stair are dropped.
+        sampled = [[0.0, 3.0], [1.0, 2.0]] + [[-5.0, -5.0]] * 6
+        others = [
+            [0.0, 3.0], [1.0, 2.0],  # copies of the stairs
+            [-np.inf, np.inf], [2.0, 0.0],  # on the frontier
+            [1.0, 1.5], [0.5, 2.0], [1.0, -np.inf], [-np.inf, -np.inf],
+        ]
+        values = np.empty((16, 2))
+        values[::2] = sampled
+        values[1::2] = others
+        with mock.patch.multiple(
+            pareto, _PREFILTER_MIN_POINTS=2, _PREFILTER_STRIDE=2
+        ):
+            before = _SORTED.value
+            mask = pareto._frontier_2d(np.ascontiguousarray(values.T))
+            assert _SORTED.value - before == 6
+        assert np.flatnonzero(mask).tolist() == [0, 1, 2, 3, 5, 7]
+        assert np.array_equal(mask, _oracle_mask(values, (True, True)))
+
+    def test_all_equal_input_is_all_frontier(self):
+        values = np.full((4096, 2), -0.0)
+        values[::3] = 0.0  # signed zeros compare equal
+        before = _SORTED.value
+        # Objectives equal on every row are dropped before any sort.
+        assert non_dominated_mask(values, (True, False)).all()
+        assert _SORTED.value == before
+        # Given to the kernel as they are, all rows are one point: the
+        # sample's frontier is the whole sample, so the prefilter bails
+        # out and every row is sorted.
+        assert pareto._frontier_2d(np.ascontiguousarray(values.T)).all()
+        assert _SORTED.value - before == len(values)
+
+    def test_all_on_frontier_bails_out_to_the_plain_sort(self):
+        x = np.arange(39_960, dtype=float)
+        under = x[::999]  # a few points straight below the diagonal
+        values = np.concatenate(
+            [np.column_stack([x, -x]), np.column_stack([under, -under - 1])]
+        )
+        values = values[np.random.default_rng(5).permutation(len(values))]
+        before = _SORTED.value
+        mask = non_dominated_mask(values, (True, True))
+        assert _SORTED.value - before == len(values) == 40_000
+        assert np.array_equal(values[~mask][:, 1], -values[~mask][:, 0] - 1)
+        assert np.count_nonzero(~mask) == len(under)
+
+    def test_dominated_bulk_never_reaches_the_sort(self):
+        rng = np.random.default_rng(6)
+        values = rng.random((40_000, 2))
+        before = _SORTED.value
+        mask = non_dominated_mask(values, (True, True))
+        assert _SORTED.value - before < len(values) // 10
+        assert np.array_equal(
+            mask, pareto._sorted_frontier(values[:, 0], values[:, 1])
+        )
+
+
 class TestEfficiencyValues:
     def test_edge_cases_are_nan_not_errors(self):
         speedup = np.array([2.0, 2.0, np.nan, np.inf, 2.0])
@@ -300,6 +491,102 @@ def small_spec():
         tech=("cmos-hp-45", "finfet-hp-20"),
         block_size=30,
     )
+
+
+def _reference_chunk_state(chunk):
+    """A chunk's partial frontier built the long way: full speedup and
+    energy grids, then one dominance mask over the stacked objectives
+    of every feasible cell."""
+    node = get_tech_node(chunk.tech)
+    a = np.asarray(chunk.fractions, dtype=float)[:, None]
+    v = np.asarray(chunk.frequencies, dtype=float)[None, :]
+    speedup = speedup_grid(
+        chunk.core, chunk.accelerator, a, v, chunk.mode, chunk.drain_estimator
+    )
+    energy = energy_grid(
+        chunk.core,
+        chunk.accelerator,
+        node.scale_energy(chunk.energy),
+        a,
+        v,
+        chunk.mode,
+        chunk.drain_estimator,
+    )
+    a, v = np.broadcast_arrays(a, v)
+    feasible = (a > 0) & (a <= 1) & (v > 0) & (v <= 1) & (a >= v)
+    n = int(feasible.sum())
+    area = float(node.scale_area(MODE_COSTS[chunk.mode].total))
+    values = np.column_stack(
+        [speedup[feasible], energy.ratio[feasible], np.full(n, area)]
+    )
+    rows = np.flatnonzero(non_dominated_mask(values, PARETO_MAXIMIZE))
+    acc = ParetoAccumulator()
+    acc.add(
+        values[rows],
+        {
+            "core": np.full(len(rows), chunk.core.name, dtype=object),
+            "mode": np.full(len(rows), chunk.mode.value, dtype=object),
+            "tech": np.full(len(rows), chunk.tech, dtype=object),
+            "acceleratable_fraction": a[feasible][rows],
+            "invocation_frequency": v[feasible][rows],
+            "efficiency": efficiency_values(values[rows, 0], area),
+        },
+    )
+    acc.points_seen = n
+    return acc.state()
+
+
+def _chunk_json(state):
+    return json.dumps(state, allow_nan=True)
+
+
+class TestChunkMatchesFullGridReference:
+    """Every chunk state is byte-identical to the full-grid reference."""
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            {"energy": EnergyParameters(0.0, 0.0, 0.0, 0.0)},  # NaN ratios
+            {"accelerator": AcceleratorParameters(name="l", latency=40.0)},
+            {"tech": ("cmos-hp-45", "finfet-hp-20")},
+            {"fractions": (0.3,)},  # one row
+            {"fractions": (0.3,), "frequencies": (0.01,)},  # one cell
+            {"fractions": (0.001,), "frequencies": (0.01,)},  # a < v only
+            {},
+        ],
+        ids=[
+            "zero-energy",
+            "latency",
+            "two-tech",
+            "one-row",
+            "one-cell",
+            "infeasible-cell",
+            "default",
+        ],
+    )
+    def test_chunk_state_is_byte_identical(self, case):
+        spec = ParetoSweepSpec(
+            **{
+                "cores": (ARM_A72, HIGH_PERF),
+                "accelerator": AcceleratorParameters(
+                    name="t", acceleration=6.0
+                ),
+                # Low fractions against high frequencies give a < v cells.
+                "fractions": tuple(np.linspace(0.0, 0.9, 70)),
+                "frequencies": tuple(np.geomspace(1e-5, 0.8, 60)),
+                "block_size": 1500,
+                **case,
+            }
+        )
+        chunks = list(spec.chunks())
+        assert len({c.tech for c in chunks}) == len(spec.tech)
+        for chunk in chunks:
+            assert _chunk_json(_reduce_chunk_state(chunk)) == _chunk_json(
+                _reference_chunk_state(chunk)
+            )
+        if "energy" in case:
+            assert all(evaluate_pareto_chunk(c).size == 0 for c in chunks)
+            assert sum(evaluate_pareto_chunk(c).points_seen for c in chunks)
 
 
 class TestParetoSweep:

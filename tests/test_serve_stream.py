@@ -1,8 +1,13 @@
 """Tests for the chunked NDJSON pareto stream (cache-first, lazy)."""
 
+import dataclasses
+
 import numpy as np
 
-from repro.core.parameters import ARM_A72, AcceleratorParameters
+from repro.core.drain import ExplicitDrain
+from repro.core.energy import EnergyParameters
+from repro.core.modes import TCAMode
+from repro.core.parameters import ARM_A72, HIGH_PERF, AcceleratorParameters
 from repro.core.pareto import ParetoSweepSpec, sweep_pareto
 from repro.obs.metrics import get_registry
 from repro.serve import stream
@@ -82,3 +87,70 @@ class TestStreamParetoRecords:
             r.get("summary") for r in pooled
         ]
         assert serial[:-1] == pooled[:-1]
+
+
+def _keys(spec):
+    digests = {}
+    return {
+        chunk.index: stream.pareto_chunk_key(chunk, digests)
+        for chunk in spec.chunks()
+    }
+
+
+class TestParetoChunkKey:
+    def test_equal_chunk_content_gives_equal_keys_across_requests(self):
+        spec = _spec()
+        # Another request: an extra core panel first, so equal chunks
+        # sit at other indices, and a fraction axis whose last slice
+        # differs from ours.
+        assert len(spec.fractions) == 6
+        other = dataclasses.replace(
+            spec,
+            cores=(HIGH_PERF, ARM_A72),
+            fractions=spec.fractions[:4] + (0.95, 1.0),
+        )
+        ours = list(spec.chunks())
+        theirs = {
+            (c.core.name, c.mode, c.a_start): c
+            for c in other.chunks()
+            if c.core is ARM_A72
+        }
+        other_keys = _keys(other)
+        for chunk, key in zip(ours, _keys(spec).values()):
+            twin = theirs[(chunk.core.name, chunk.mode, chunk.a_start)]
+            if twin.fractions == chunk.fractions:
+                assert other_keys[twin.index] == key
+            else:
+                assert other_keys[twin.index] != key
+            # A key needs no memo shared with its sweep.
+            assert stream.pareto_chunk_key(chunk) == key
+        cache = EvaluationCache()
+        list(stream.stream_pareto_records(spec, cache))
+        records = list(stream.stream_pareto_records(other, cache))[:-1]
+        assert sum(r["cached"] for r in records) == len(ours) - 4
+
+    def test_any_changed_input_changes_the_key(self, monkeypatch):
+        spec = _spec()
+        keys = _keys(spec)
+        assert len(set(keys.values())) == len(keys)  # slices, modes
+        chunk = next(spec.chunks())
+        key = stream.pareto_chunk_key(chunk)
+        changed = [
+            dataclasses.replace(chunk, fractions=chunk.fractions[:1]),
+            dataclasses.replace(chunk, frequencies=chunk.frequencies[1:]),
+            # Equal as floats, but other values: the memo must not merge them.
+            dataclasses.replace(chunk, fractions=(0.0,)),
+            dataclasses.replace(chunk, fractions=(-0.0,)),
+            dataclasses.replace(chunk, drain_estimator=ExplicitDrain(3.0)),
+            dataclasses.replace(
+                chunk, energy=EnergyParameters(core_static_power=0.25)
+            ),
+            dataclasses.replace(chunk, tech="finfet-hp-20"),
+            dataclasses.replace(chunk, mode=TCAMode.L_T),
+        ]
+        digests = {}
+        changed_keys = [stream.pareto_chunk_key(c, digests) for c in changed]
+        assert key not in changed_keys
+        assert len(set(changed_keys)) == len(changed_keys)
+        monkeypatch.setattr(stream, "schema_tag", lambda: "other-schema")
+        assert stream.pareto_chunk_key(chunk) != key
