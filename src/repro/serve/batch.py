@@ -1,29 +1,32 @@
 """Batch evaluation: heterogeneous queries in a few vectorized passes.
 
 A service request may mix queries over many cores, accelerators, modes,
-and drain configurations, and the service parses every query into new
-parameter objects.  Evaluating each with a scalar
+and drain configurations.  Evaluating each with a scalar
 :class:`~repro.core.model.TCAModel`, or each distinct configuration
 with its own :func:`~repro.core.model.speedup_grid` call, spends the
 request on per-call overhead.  This engine instead does per-request
-work in proportion to distinct values:
+work in proportion to distinct values.  Its unit is the keyed row
+(:func:`evaluate_rows`): a cache key and a mode, with the row's
+parameters fetched only if the cache misses.
 
-1. derives every query's cache key from its group digest
-   (:func:`~repro.serve.keys.evaluation_group_key` over core,
-   accelerator, mode and drain configuration), looked up once per
-   parameter-object combination and memoized by value, so a digest is
-   hashed once per distinct configuration, not per query — with caching
-   disabled, key construction is skipped entirely;
-2. short-circuits queries the cache already answers (one bulk
+1. short-circuits rows the cache already answers (one bulk
    :meth:`~repro.serve.cache.EvaluationCache.get_many` — a single lock
    round-trip for the whole batch);
-3. evaluates all remaining queries of one mode in **one** pass of
+2. evaluates all remaining rows of one mode in **one** pass of
    :func:`~repro.core.model.speedup_rows`, which gathers each row's
    core, accelerator and drain values into columns and runs the same
    eqs. (2)–(9) as ``speedup_grid`` — results equal the per-query
    ``speedup_grid`` call bit for bit;
-4. scatters results back in request order and feeds them to the cache
-   in one :meth:`~repro.serve.cache.EvaluationCache.put_many`.
+3. scatters results back in row order and feeds them to the cache in
+   one :meth:`~repro.serve.cache.EvaluationCache.put_many`.
+
+A row's key is its group digest
+(:func:`~repro.serve.keys.evaluation_group_key` over core, accelerator,
+mode and drain configuration) plus its workload's three numbers.
+:func:`evaluate_batch` derives keys for :class:`EvaluationQuery`
+objects, looking each digest up once per parameter-object combination
+(with caching disabled, key construction is skipped entirely); the
+service builds them straight from its parsed query templates.
 
 Because every query carries a validated
 :class:`~repro.core.parameters.WorkloadParameters`, the rows never
@@ -35,7 +38,7 @@ scalar model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from repro.core.drain import DrainEstimator
 from repro.core.model import speedup_rows
@@ -91,23 +94,81 @@ class BatchEntry(NamedTuple):
     key: EvaluationKey | None
 
 
-def preset_key(query: EvaluationQuery, digest: str) -> EvaluationKey:
-    """Store ``query``'s cache key, built from its group ``digest``.
+#: What :func:`evaluate_rows` needs to evaluate some rows: their cores,
+#: accelerators, workloads, modes and drain estimators, the arguments of
+#: :func:`~repro.core.model.speedup_rows`.
+Columns = tuple[
+    Sequence[CoreParameters],
+    Sequence[AcceleratorParameters],
+    Sequence[WorkloadParameters],
+    Sequence[TCAMode],
+    Sequence[DrainEstimator | None],
+]
 
-    The key is the digest of :func:`~repro.serve.keys.evaluation_group_key`
-    for the query's core, accelerator, mode and drain estimator, plus its
-    workload's three numbers.  :func:`evaluate_batch` uses a preset key
-    as is, so a caller that already holds the digest skips the lookup.
+
+def evaluate_rows(
+    keys: Sequence[EvaluationKey] | None,
+    modes: Sequence[TCAMode],
+    fetch: Callable[[list[int]], Columns],
+    cache: EvaluationCache | None = None,
+) -> tuple[list[float], list[bool]]:
+    """Evaluate keyed rows through the coalesced path.
+
+    Row ``i`` has cache key ``keys[i]`` and mode ``modes[i]``.
+    ``fetch(rows)`` returns the :data:`Columns` of the listed rows, and
+    is called once, with the rows the cache does not answer.  ``keys`` may be ``None`` when there
+    is no ``cache``.  Returns the rows' speedups and cached flags, **in
+    row order**.  Fresh results are stored in the cache on the way out.
+
+    Batch-layer metrics land in the default registry:
+    ``serve.batch.queries`` (total rows), ``serve.batch.groups``
+    (vectorized passes issued: one per mode with cache misses),
+    ``serve.batch.evaluated`` (rows actually computed), the
+    ``serve.batch`` timer, and the ``serve.batch.group_size`` histogram
+    (rows per pass).  Inside a request scope the phases record spans
+    (``serve.batch.cache_probe`` / ``.partition`` / ``.evaluate`` /
+    ``.store``).
     """
-    workload = query.workload
-    key = (
-        digest,
-        workload.acceleratable_fraction,
-        workload.invocation_frequency,
-        workload.drain_time,
-    )
-    object.__setattr__(query, "_key", key)
-    return key
+    registry = get_registry()
+    n = len(modes)
+    registry.counter("serve.batch.queries").inc(n)
+    group_sizes = registry.histogram("serve.batch.group_size", COUNT_BOUNDS)
+    speedups: list[Any] = [None] * n
+    cached = [False] * n
+
+    with registry.timer("serve.batch").time(), span("serve.batch"):
+        # --- Phase 1: one bulk cache probe (skipped uncached). -------
+        if cache is not None:
+            with span("serve.batch.cache_probe"):
+                for index, value in enumerate(cache.get_many(keys)):
+                    if value is not MISS:
+                        speedups[index] = float(value)
+                        cached[index] = True
+
+        # --- Phase 2: the misses, by mode. ---------------------------
+        with span("serve.batch.partition"):
+            by_mode: dict[TCAMode, list[int]] = {}
+            for index, mode in enumerate(modes):
+                if not cached[index]:
+                    by_mode.setdefault(mode, []).append(index)
+            misses = [index for rows in by_mode.values() for index in rows]
+
+        # --- Phase 3: one vectorized pass per mode. ------------------
+        with span("serve.batch.evaluate"):
+            if misses:
+                for rows in by_mode.values():
+                    group_sizes.observe(len(rows))
+                values = speedup_rows(*fetch(misses)).tolist()
+                # --- Phase 4: scatter in row order. ------------------
+                for index, value in zip(misses, values):
+                    speedups[index] = value
+        registry.counter("serve.batch.groups").inc(len(by_mode))
+        registry.counter("serve.batch.evaluated").inc(len(misses))
+        if cache is not None and misses:
+            with span("serve.batch.store"):
+                cache.put_many([(keys[index], speedups[index]) for index in misses])
+
+    return speedups, cached
 
 
 def evaluate_batch(
@@ -118,93 +179,59 @@ def evaluate_batch(
 
     Returns one :class:`BatchEntry` per query, **in request order**.
     With a ``cache``, previously seen queries short-circuit before
-    evaluation and fresh results are stored on the way out.
-
-    Batch-layer metrics land in the default registry:
-    ``serve.batch.queries`` (total queries), ``serve.batch.groups``
-    (vectorized passes issued: one per mode with cache misses),
-    ``serve.batch.evaluated`` (rows actually computed), the
-    ``serve.batch`` timer, and the ``serve.batch.group_size`` histogram
-    (rows per pass).  Inside a request scope the phases record spans
-    (``serve.batch.cache_probe`` / ``.partition`` / ``.evaluate`` /
-    ``.store``).
+    evaluation and fresh results are stored on the way out; without
+    one, no key is built.  The rows go through :func:`evaluate_rows`,
+    which records the batch-layer metrics and spans.
     """
-    registry = get_registry()
-    registry.counter("serve.batch.queries").inc(len(queries))
-    group_sizes = registry.histogram("serve.batch.group_size", COUNT_BOUNDS)
-    n = len(queries)
-    entries: list[BatchEntry | None] = [None] * n
-    keys: list[EvaluationKey | None] = [None] * n
-
-    with registry.timer("serve.batch").time(), span("serve.batch"):
-        # --- Phase 1: keys + bulk cache probe (skipped uncached). ----
-        if cache is not None:
-            with span("serve.batch.cache_probe"):
-                # Queries parsed from one request spec share their
-                # parameter objects, so digests are looked up once per
-                # object combination; equal values in new objects then
-                # hit the value memo in evaluation_group_key.
-                digests: dict[tuple[int, int, TCAMode, int], str] = {}
-                for index, query in enumerate(queries):
-                    key = query.__dict__.get("_key")
-                    if key is None:
-                        group = (
-                            id(query.core),
-                            id(query.accelerator),
-                            query.mode,
-                            id(query.drain_estimator),
-                        )
-                        digest = digests.get(group)
-                        if digest is None:
-                            digest = digests[group] = evaluation_group_key(
-                                query.core,
-                                query.accelerator,
-                                query.mode,
-                                query.drain_estimator,
-                            )
-                        # Stored on the query, so a query object that is
-                        # evaluated again skips the digest lookup.
-                        key = preset_key(query, digest)
-                    keys[index] = key
-                for index, value in enumerate(cache.get_many(keys)):
-                    if value is not MISS:
-                        entries[index] = BatchEntry(
-                            float(value), True, keys[index]
-                        )
-
-        # --- Phase 2: the misses, by mode. ---------------------------
-        with span("serve.batch.partition"):
-            by_mode: dict[TCAMode, list[int]] = {}
-            for index, query in enumerate(queries):
-                if entries[index] is None:
-                    by_mode.setdefault(query.mode, []).append(index)
-            misses = [index for rows in by_mode.values() for index in rows]
-
-        # --- Phase 3: one vectorized pass per mode. ------------------
-        fresh: list[tuple[EvaluationKey, Any]] = []
-        with span("serve.batch.evaluate"):
-            if misses:
-                for rows in by_mode.values():
-                    group_sizes.observe(len(rows))
-                members = [queries[index] for index in misses]
-                speedups = speedup_rows(
-                    [query.core for query in members],
-                    [query.accelerator for query in members],
-                    [query.workload for query in members],
-                    [query.mode for query in members],
-                    [query.drain_estimator for query in members],
+    keys = None
+    if cache is not None:
+        # Queries parsed from one request spec share their parameter
+        # objects, so digests are looked up once per object combination;
+        # equal values in new objects then hit the value memo in
+        # evaluation_group_key.  A key is stored on its query, so a query
+        # object evaluated again skips the lookup.
+        digests: dict[tuple[int, int, TCAMode, int], str] = {}
+        keys = []
+        for query in queries:
+            key = query.__dict__.get("_key")
+            if key is None:
+                group = (
+                    id(query.core),
+                    id(query.accelerator),
+                    query.mode,
+                    id(query.drain_estimator),
                 )
-                # --- Phase 4: scatter in request order. --------------
-                for index, value in zip(misses, speedups.tolist()):
-                    key = keys[index]
-                    entries[index] = BatchEntry(value, False, key)
-                    if key is not None:
-                        fresh.append((key, value))
-        registry.counter("serve.batch.groups").inc(len(by_mode))
-        registry.counter("serve.batch.evaluated").inc(len(misses))
-        if fresh:
-            with span("serve.batch.store"):
-                cache.put_many(fresh)
+                digest = digests.get(group)
+                if digest is None:
+                    digest = digests[group] = evaluation_group_key(
+                        query.core,
+                        query.accelerator,
+                        query.mode,
+                        query.drain_estimator,
+                    )
+                workload = query.workload
+                key = (
+                    digest,
+                    workload.acceleratable_fraction,
+                    workload.invocation_frequency,
+                    workload.drain_time,
+                )
+                object.__setattr__(query, "_key", key)
+            keys.append(key)
 
-    assert all(entry is not None for entry in entries)
-    return entries  # type: ignore[return-value]
+    def fetch(rows: list[int]) -> Columns:
+        members = [queries[index] for index in rows]
+        return (
+            [query.core for query in members],
+            [query.accelerator for query in members],
+            [query.workload for query in members],
+            [query.mode for query in members],
+            [query.drain_estimator for query in members],
+        )
+
+    speedups, cached = evaluate_rows(
+        keys, [query.mode for query in queries], fetch, cache
+    )
+    return list(
+        map(BatchEntry, speedups, cached, keys or [None] * len(speedups))
+    )

@@ -7,7 +7,7 @@ dependencies to install):
 
 - ``POST /evaluate`` — one query or ``{"queries": [...]}``; the whole
   request is routed through the batch engine
-  (:func:`repro.serve.batch.evaluate_batch`), so heterogeneous queries
+  (:func:`repro.serve.batch.evaluate_rows`), so heterogeneous queries
   are evaluated in one vectorized pass per mode and repeated ones are
   answered from the content-addressed cache;
 - ``POST /sweep`` — a 1-D design-space sweep via :func:`repro.api.sweep`,
@@ -46,6 +46,7 @@ exits.  ``docs/SERVING.md`` walks through a full client session;
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import logging
 import os
@@ -55,6 +56,7 @@ import sys
 import threading
 from collections.abc import Callable, Mapping
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from math import isfinite
 from time import monotonic, perf_counter, thread_time
 from typing import Any, NamedTuple
 from urllib.parse import parse_qs
@@ -78,7 +80,7 @@ from repro.obs.manifest import build_manifest
 from repro.obs.metrics import get_registry
 from repro.obs.prometheus import render_prometheus
 from repro.obs.span import new_request_id, request_scope, span
-from repro.serve.batch import EvaluationQuery, evaluate_batch, preset_key
+from repro.serve.batch import Columns, evaluate_rows
 from repro.serve.cache import (
     DEFAULT_MAX_ENTRIES,
     MISS,
@@ -87,6 +89,7 @@ from repro.serve.cache import (
 )
 from repro.serve.keys import (
     GROUP_KEY_MEMO_SIZE,
+    EvaluationKey,
     evaluation_group_key,
     exact_key,
     schema_tag,
@@ -193,6 +196,11 @@ def _encode_json(payload: Any) -> bytes:
         return json.dumps(_json_safe(payload), allow_nan=False).encode("utf-8")
 
 
+#: A finite float as ``json`` writes it (a NumPy float subclass included:
+#: its own ``repr`` would print ``np.float64(...)``).
+_float_json = float.__repr__
+
+
 def _with_field(body: bytes, key: str, value: Any) -> bytes:
     """``body`` (an encoded JSON object) with ``key: value`` appended,
     byte for byte what encoding the object with the key would give."""
@@ -254,17 +262,23 @@ class _Template(NamedTuple):
     ``core``, ``accelerator``, ``modes`` and ``drain`` hold what the
     request's parsers returned, ``digests`` each mode's group digest
     (:func:`~repro.serve.keys.evaluation_group_key`), and the two dicts
-    are the response's ``core`` and ``accelerator`` entries.
+    are the response's ``core`` and ``accelerator`` entries.  A result's
+    ``speedups`` has one entry per distinct mode, in ``names`` order,
+    holding the row at offset ``slots[j]`` (a repeated mode's last row,
+    as a dict keeps it).  ``fmt`` is a result's JSON with its numbers,
+    ``best_mode`` and ``cached`` left as ``%s`` fields.
     """
 
     core: CoreParameters
     accelerator: AcceleratorParameters
     modes: tuple[TCAMode, ...]
     drain: DrainEstimator | None
-    mode_values: tuple[str, ...]
     digests: tuple[str, ...]
     core_dict: dict[str, Any]
     accelerator_dict: dict[str, Any]
+    names: tuple[str, ...]
+    slots: tuple[int, ...]
+    fmt: str
 
     @classmethod
     def build(
@@ -275,39 +289,94 @@ class _Template(NamedTuple):
         drain: DrainEstimator | None,
     ) -> "_Template":
         """The template of parsed parameters, with its digests and dicts."""
+        core_dict = {"name": core.name, **core.to_canonical_dict()}
+        accelerator_dict = {
+            "name": accelerator.name,
+            **accelerator.to_canonical_dict(),
+        }
+        slot_of = {mode.value: offset for offset, mode in enumerate(modes)}
+        head = '{"core": %s, "accelerator": %s, ' % (
+            _encode_json(core_dict).decode("utf-8"),
+            _encode_json(accelerator_dict).decode("utf-8"),
+        )
+        speedups = ", ".join(f'"{name}": %s' for name in slot_of)
         return cls(
             core,
             accelerator,
             modes,
             drain,
-            tuple(mode.value for mode in modes),
             tuple(
                 evaluation_group_key(core, accelerator, mode, drain)
                 for mode in modes
             ),
-            {"name": core.name, **core.to_canonical_dict()},
-            {"name": accelerator.name, **accelerator.to_canonical_dict()},
+            core_dict,
+            accelerator_dict,
+            tuple(slot_of),
+            tuple(slot_of.values()),
+            head.replace("%", "%%")
+            + '"workload": {"acceleratable_fraction": %s, '
+            '"invocation_frequency": %s, "drain_time": %s}, '
+            f'"speedups": {{{speedups}}}, "best_mode": "%s", "cached": %s}}',
         )
 
-    def queries(self, workload: WorkloadParameters) -> list[EvaluationQuery]:
-        """One keyed :class:`EvaluationQuery` per mode for ``workload``."""
-        queries = []
-        for mode, digest in zip(self.modes, self.digests):
-            query = EvaluationQuery(
-                self.core, self.accelerator, workload, mode, self.drain
+    def render(
+        self,
+        workload: WorkloadParameters,
+        speedups: list[float],
+        start: int,
+        cached: bool,
+    ) -> str:
+        """One result's JSON, its rows' speedups starting at ``start``.
+
+        The same text as :func:`_encode_json` of the result dict: floats
+        print as ``json`` prints a finite float, and a result holding a
+        non-finite number is encoded from its dict.
+        """
+        names = self.names
+        values = [speedups[start + slot] for slot in self.slots]
+        if len(names) == 1:
+            best_mode = names[0]
+        else:  # EvaluationResult.best_mode: L_T wins ties
+            best_mode = names[
+                max(
+                    range(len(names)),
+                    key=lambda j: (values[j], names[j] == "L_T"),
+                )
+            ]
+        a = workload.acceleratable_fraction
+        v = workload.invocation_frequency
+        drain_time = workload.drain_time
+        # Any NaN or infinity makes the sum non-finite; a finite sum that
+        # overflows only takes the slower path to the same bytes.
+        if isfinite(sum(values, a + v + (drain_time or 0.0))):
+            return self.fmt % (
+                _float_json(a),
+                _float_json(v),
+                "null" if drain_time is None else _float_json(drain_time),
+                *map(_float_json, values),
+                best_mode,
+                "true" if cached else "false",
             )
-            preset_key(query, digest)
-            queries.append(query)
-        return queries
+        return _encode_json(
+            {  # copied dicts, as a response dict never shares them
+                "core": dict(self.core_dict),
+                "accelerator": dict(self.accelerator_dict),
+                "workload": workload.to_canonical_dict(),
+                "speedups": dict(zip(names, values)),
+                "best_mode": best_mode,
+                "cached": cached,
+            }
+        ).decode("utf-8")
 
 
 class ServeApp:
     """The service's request handlers, independent of the HTTP plumbing.
 
     Each ``handle_*`` method takes a decoded JSON payload and returns a
-    JSON-safe response dict, raising
-    :class:`~repro.serve.params.RequestError` on bad input — which makes
-    the application logic directly testable without sockets.
+    JSON-safe response dict (``handle_evaluate``: the encoded body, as
+    ``bytes``), raising :class:`~repro.serve.params.RequestError` on bad
+    input — which makes the application logic directly testable without
+    sockets.
 
     Args:
         cache: the memoization layer (default: a fresh
@@ -394,19 +463,22 @@ class ServeApp:
         """
         return render_prometheus(self._metrics_registry().snapshot())
 
-    def handle_evaluate(self, payload: Any) -> dict[str, Any]:
+    def handle_evaluate(self, payload: Any) -> bytes:
         """``POST /evaluate``: batched analytical-model queries.
 
-        Every (query, mode) pair in the request becomes one
-        :class:`~repro.serve.batch.EvaluationQuery`; the batch engine
+        Every (query, mode) pair in the request becomes one keyed row of
+        the batch engine (:func:`~repro.serve.batch.evaluate_rows`), which
         evaluates them across queries, so a 10k-query request costs at
         most one vectorized pass per mode.  A query's template — all of
         it but the workload — is parsed, keyed and rendered once per
         distinct value (see :class:`_Template`); only the workload is
-        parsed per query.
+        parsed per query, and a row's key is the template's digest plus
+        the workload's numbers.  Returns the encoded JSON body.
         """
         specs: list[tuple[_Template, WorkloadParameters]] = []
-        queries: list[EvaluationQuery] = []
+        keys: list[EvaluationKey] = []
+        modes: list[TCAMode] = []
+        owners: list[tuple[_Template, WorkloadParameters]] = []
         templates = self._templates
         with span("serve.evaluate.parse"):
             for index, spec in iter_queries(payload):
@@ -442,38 +514,45 @@ class ServeApp:
                     if index is not None and exc.field is not None:
                         exc.field = f"queries[{index}].{exc.field}"
                     raise
-                queries.extend(template.queries(workload))
-                specs.append((template, workload))
-        entries = evaluate_batch(queries, cache=self.cache)
+                query = (template, workload)
+                specs.append(query)
+                numbers = (
+                    workload.acceleratable_fraction,
+                    workload.invocation_frequency,
+                    workload.drain_time,
+                )
+                for digest, mode in zip(template.digests, template.modes):
+                    keys.append((digest, *numbers))
+                    modes.append(mode)
+                    owners.append(query)
+
+        def fetch(rows: list[int]) -> Columns:
+            members = [owners[row] for row in rows]
+            return (
+                [template.core for template, _ in members],
+                [template.accelerator for template, _ in members],
+                [workload for _, workload in members],
+                [modes[row] for row in rows],
+                [template.drain for template, _ in members],
+            )
+
+        speedups, cached = evaluate_rows(keys, modes, fetch, self.cache)
         results = []
         start = 0
         with span("serve.evaluate.assemble"):
             for template, workload in specs:
                 stop = start + len(template.modes)
-                chunk = entries[start:stop]
-                start = stop
-                speedups = {
-                    mode: entry.speedup
-                    for mode, entry in zip(template.mode_values, chunk)
-                }
-                if len(speedups) == 1:
-                    best_mode = template.mode_values[0]
-                else:  # EvaluationResult.best_mode: L_T wins ties
-                    best_mode = max(
-                        speedups,
-                        key=lambda mode: (speedups[mode], mode == "L_T"),
-                    )
                 results.append(
-                    {  # copied dicts: a caller may edit its results
-                        "core": dict(template.core_dict),
-                        "accelerator": dict(template.accelerator_dict),
-                        "workload": workload.to_canonical_dict(),
-                        "speedups": speedups,
-                        "best_mode": best_mode,
-                        "cached": all(entry.cached for entry in chunk),
-                    }
+                    template.render(
+                        workload, speedups, start, all(cached[start:stop])
+                    )
                 )
-        return {"results": results, "cache": self.cache.stats()}
+                start = stop
+            body = '{"results": [%s], "cache": %s}' % (
+                ", ".join(results),
+                _encode_json(self.cache.stats()).decode("utf-8"),
+            )
+            return body.encode("utf-8")
 
     def handle_sweep(self, payload: Any) -> "dict[str, Any] | NDJSONStream":
         """``POST /sweep``: a design-space sweep.
@@ -647,6 +726,60 @@ class ServeApp:
         return body
 
 
+#: ``http.client``'s limits on a request head: bytes per header line,
+#: and lines, the blank one that ends the head included.
+_MAX_HEADER_LINE = 65536
+_MAX_HEADERS = 100
+
+
+class _Headers:
+    """A request's header fields: the first of each name, found by
+    ``.get`` whatever the case of the name."""
+
+    __slots__ = ("_fields",)
+
+    def __init__(self, fields: dict[str, str]) -> None:
+        self._fields = fields
+
+    def get(self, name: str, default: Any = None) -> Any:
+        """The first value sent for ``name``, else ``default``."""
+        return self._fields.get(name.lower(), default)
+
+
+def _read_headers(rfile: Any) -> _Headers:
+    """Read the header lines of a request head, up to its blank line.
+
+    A value is what ``http.server``'s email parser gives: the text after
+    the colon, leading blanks and the line break stripped.  A line over
+    :data:`_MAX_HEADER_LINE` bytes raises ``http.client.LineTooLong``,
+    more than :data:`_MAX_HEADERS` lines ``http.client.HTTPException``,
+    as in ``http.client``; a line with no colon, or a folded one (it
+    starts with a blank), raises a :class:`RequestError` on ``headers``.
+    """
+    fields: dict[str, str] = {}
+    lines = 0
+    while True:
+        line = rfile.readline(_MAX_HEADER_LINE + 1)
+        if len(line) > _MAX_HEADER_LINE:
+            raise http.client.LineTooLong("header line")
+        lines += 1
+        if lines > _MAX_HEADERS:
+            raise http.client.HTTPException(
+                f"got more than {_MAX_HEADERS} headers"
+            )
+        if line in (b"\r\n", b"\n", b""):
+            return _Headers(fields)
+        text = line.decode("iso-8859-1")
+        name, colon, value = text.partition(":")
+        if text[0] in " \t":
+            raise RequestError(
+                "folded header lines are not accepted", field="headers"
+            )
+        if not colon:
+            raise RequestError("header line without a colon", field="headers")
+        fields.setdefault(name.lower(), value.lstrip(" \t").rstrip("\r\n"))
+
+
 class _Handler(BaseHTTPRequestHandler):
     """HTTP plumbing: routing, size bounds, JSON codec, error mapping.
 
@@ -681,9 +814,43 @@ class _Handler(BaseHTTPRequestHandler):
             self.handle_one_request()
 
     def parse_request(self) -> bool:
-        """Unpark (a request line has arrived), then parse the request."""
+        """Unpark (a request line has arrived), then parse the request.
+
+        An ``HTTP/1.1`` request line takes the lean path: the header
+        lines are read by :func:`_read_headers`, not the email parser.
+        Every other request line (HTTP/1.0 or 0.9, a malformed one) goes
+        to ``http.server`` as it is.
+        """
         self.server.unpark(self)
-        return super().parse_request()
+        requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = requestline.split()
+        if len(words) != 3 or words[2] != "HTTP/1.1":
+            return super().parse_request()
+        self.requestline = requestline
+        self.command, path = words[:2]
+        if path.startswith("//"):  # as http.server: no open redirects
+            path = "/" + path.lstrip("/")
+        self.path = path
+        self.request_version = "HTTP/1.1"
+        self.close_connection = False
+        try:
+            self.headers = _read_headers(self.rfile)
+        except http.client.LineTooLong as exc:
+            self.send_error(431, "Line too long", str(exc))
+            return False
+        except http.client.HTTPException as exc:
+            self.send_error(431, "Too many headers", str(exc))
+            return False
+        except RequestError as exc:
+            get_registry().counter("serve.requests.bad").inc()
+            self.close_connection = True
+            self._send_json(400, exc.to_payload())
+            return False
+        if self.headers.get("Connection", "").lower() == "close":
+            self.close_connection = True
+        if self.headers.get("Expect", "").lower() == "100-continue":
+            return self.handle_expect_100()
+        return True
 
     def finish(self) -> None:
         """Unpark for good, then flush and close the connection's files."""
@@ -794,8 +961,10 @@ class _Handler(BaseHTTPRequestHandler):
         """Run one request under a traced scope and send the response.
 
         The request scope opens before the handler and closes once the
-        response body is encoded (the ``serve.encode`` span), so the
+        response body is encoded (the ``serve.encode`` span; a handler
+        that returns ``bytes`` has rendered its body itself), so the
         root span covers all of the handler's work but the socket write;
+        a body that fails to encode is a 500 like any handler error;
         its duration feeds the per-endpoint latency histogram, the
         slow-request log, and — when the client asked with
         ``?debug=trace`` — the ``trace`` block, appended to the encoded
@@ -812,14 +981,18 @@ class _Handler(BaseHTTPRequestHandler):
         want_trace = "trace" in parse_qs(query).get("debug", [])
         request_id = self.headers.get("X-Request-Id") or new_request_id()
         status = 200
-        payload: dict[str, Any] = {}
-        metrics_page: str | None = None
+        payload: dict[str, Any] | bytes = {}
+        response: bytes | None = None
+        content_type = "application/json"
         streamed = False
         with request_scope(f"serve.{name}", request_id) as trace:
             try:
                 with registry.timer("serve.request").time():
                     if endpoint == "/metrics":
-                        metrics_page = self.server.app.render_metrics()
+                        response = self.server.app.render_metrics().encode(
+                            "utf-8"
+                        )
+                        content_type = PROMETHEUS_CONTENT_TYPE
                     elif handler_name is None:  # healthz
                         payload = self.server.app.handle_healthz()
                     else:
@@ -835,6 +1008,13 @@ class _Handler(BaseHTTPRequestHandler):
                             streamed = True
                         else:
                             payload = result
+                if response is None and not streamed:
+                    with span("serve.encode"):  # bytes: rendered already
+                        response = (
+                            payload
+                            if isinstance(payload, bytes)
+                            else _encode_json(payload)
+                        )
             except _TooLarge as exc:
                 registry.counter("serve.requests.rejected").inc()
                 status = 413
@@ -849,9 +1029,8 @@ class _Handler(BaseHTTPRequestHandler):
                 registry.counter("serve.requests.errors").inc()
                 _log.exception("unhandled error serving %s", endpoint)
                 status, payload = 500, {"error": "internal server error"}
-            if metrics_page is not None:
-                response = metrics_page.encode("utf-8")
-            elif not streamed:
+            if status != 200:
+                content_type = "application/json"
                 with span("serve.encode"):
                     response = _encode_json(payload)
         registry.histogram(f"serve.latency.{name}").observe(trace.duration_s)
@@ -867,14 +1046,10 @@ class _Handler(BaseHTTPRequestHandler):
         hook = self.server.after_request
         if hook is not None:
             hook()
-        if metrics_page is not None:
-            self._send_bytes(
-                status, response, PROMETHEUS_CONTENT_TYPE, request_id
-            )
-        elif not streamed:
-            if want_trace:
+        if not streamed:
+            if want_trace and content_type == "application/json":
                 response = _with_field(response, "trace", trace.to_dict())
-            self._send_bytes(status, response, "application/json", request_id)
+            self._send_bytes(status, response, content_type, request_id)
         registry.timer(f"serve.cpu.{name}").record(
             thread_time() - self._cpu_started
         )

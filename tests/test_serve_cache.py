@@ -205,9 +205,9 @@ class TestKeys:
             ]
         }
         app = ServeApp()
-        first = app.handle_evaluate(payload)
+        first = json.loads(app.handle_evaluate(payload))
         assert len(digests) == len(values)
-        again = app.handle_evaluate(json.loads(json.dumps(payload)))
+        again = json.loads(app.handle_evaluate(json.loads(json.dumps(payload))))
         assert len(digests) == len(values)
         assert again["results"] == [
             {**result, "cached": True} for result in first["results"]

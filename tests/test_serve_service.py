@@ -5,8 +5,11 @@ stdlib HTTP stack, so routing, size bounds, error mapping, and response
 encoding are all exercised exactly as a client would see them.
 """
 
+import http.client
 import io
 import json
+import math
+import random
 import socket
 import sys
 import threading
@@ -15,6 +18,7 @@ import urllib.error
 import urllib.request
 from http.client import HTTPConnection
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +28,7 @@ from repro.isa.instructions import TCADescriptor
 from repro.isa.trace import TraceBuilder
 from repro.isa.trace_io import dump_trace
 from repro.obs.metrics import get_registry
-from repro.serve import service
+from repro.serve import batch, service
 from repro.serve.params import (
     RequestError,
     parse_accelerator,
@@ -238,11 +242,12 @@ class TestTemplates:
         for _ in range(2):  # the second pass answers every template from the memo
             for query, want in zip(queries, expected):
                 got = app.handle_evaluate(json.loads(json.dumps(query)))
-                got = got["results"][0]
+                got = json.loads(got)["results"][0]
                 assert _encode_json({**got, "cached": False}) == _encode_json(
                     want
                 ), query
-            batch = app.handle_evaluate({"queries": queries})["results"]
+            batch = json.loads(app.handle_evaluate({"queries": queries}))
+            batch = batch["results"]
             assert [
                 _encode_json({**result, "cached": False}) for result in batch
             ] == [_encode_json(want) for want in expected]
@@ -268,7 +273,7 @@ class TestTemplates:
         app = ServeApp()
         for i in range(20):
             query = dict(EVALUATE_QUERY, accelerator={"acceleration": 1.0 + i})
-            assert app.handle_evaluate(query)["results"][0] == dict(
+            assert json.loads(app.handle_evaluate(query))["results"][0] == dict(
                 _expected_result(query), cached=False
             )
         assert 0 < len(app._templates) <= 8
@@ -289,7 +294,7 @@ class TestTemplates:
         def hammer(offset):
             for i in range(len(queries)):
                 j = (i + offset) % len(queries)
-                got = app.handle_evaluate(queries[j])["results"][0]
+                got = json.loads(app.handle_evaluate(queries[j]))["results"][0]
                 if _encode_json({**got, "cached": False}) != expected[j]:
                     failures.append(queries[j])
 
@@ -308,6 +313,182 @@ class TestTemplates:
         assert not any(thread.is_alive() for thread in threads)
         assert not failures
         assert 0 < len(app._templates) <= 4
+
+
+def _expected_body(app, queries, cached):
+    """The ``/evaluate`` body as the service used to build it: a dict of
+    ``api.evaluate`` results, encoded whole by ``_encode_json``."""
+    return _encode_json(
+        {
+            "results": [
+                dict(_expected_result(query), cached=hit)
+                for query, hit in zip(queries, cached)
+            ],
+            "cache": app.cache.stats(),
+        }
+    )
+
+
+_MODES = ("L_T", "L_NT", "NL_T", "NL_NT")
+
+
+def _fixed_bodies(count=200, seed=30):
+    """``count`` seeded ``/evaluate`` bodies of 25 queries, about half of
+    them repeats of earlier ones."""
+    rng = random.Random(seed)
+    seen = []
+    bodies = []
+    for _ in range(count):
+        batch = []
+        for _ in range(25):
+            if seen and rng.random() < 0.5:
+                batch.append(rng.choice(seen))
+                continue
+            query = {
+                "core": rng.choice(("a72", "hp", "lp")),
+                "accelerator": rng.choice(
+                    ({"acceleration": 3.0}, {"acceleration": 8.0},
+                     {"latency": 25.0})
+                ),
+                "workload": {
+                    "granularity": rng.uniform(2.0, 5000.0),
+                    "acceleratable_fraction": rng.uniform(0.05, 0.95),
+                },
+                "modes": rng.sample(_MODES, rng.randint(1, 2)),
+                "drain": rng.choice(
+                    (None, {"kind": "explicit", "cycles": 40.0},
+                     {"kind": "balanced_window"})
+                ),
+            }
+            seen.append(query)
+            batch.append(query)
+        bodies.append(json.dumps({"queries": batch}))
+    return bodies
+
+
+class TestReplyBytes:
+    """``handle_evaluate`` renders each result from its template's
+    fragments; the bytes must equal encoding the result dicts whole."""
+
+    def _check(self, app, queries, cached, single=False):
+        payload = queries[0] if single else {"queries": queries}
+        got = app.handle_evaluate(json.loads(json.dumps(payload)))
+        assert isinstance(got, bytes)
+        assert got == _expected_body(app, queries, cached)
+
+    def test_names_that_need_escapes(self):
+        app = ServeApp()
+        names = ['q"uote', "back\\slash", "caf\u00e9 \u2603", "ctl\x01", "100%s%%"]
+        queries = [
+            dict(
+                EVALUATE_QUERY,
+                core={"name": name, "ipc": 2.0, "rob_size": 96,
+                      "issue_width": 3, "commit_stall": 1.5},
+                accelerator={"name": name[::-1], "acceleration": 4.0},
+            )
+            for name in names
+        ]
+        self._check(app, queries, [False] * len(queries))
+        self._check(app, queries, [True] * len(queries))
+
+    def test_explicit_drain_times(self):
+        app = ServeApp()
+        queries = [
+            dict(EVALUATE_QUERY, modes=["NL_T", "NL_NT"], workload={
+                "granularity": 40, "acceleratable_fraction": 0.5,
+                "drain_time": drain,
+            })
+            for drain in (0.0, 3, 17.25)
+        ]
+        self._check(app, queries, [False] * 3)
+
+    def test_tied_speedups(self):
+        # No invocations: every mode's speedup is 1.0, a tie L_T wins.
+        app = ServeApp()
+        workload = {"acceleratable_fraction": 0.0, "invocation_frequency": 0.0}
+        queries = [
+            dict(EVALUATE_QUERY, workload=workload, modes=modes)
+            for modes in (
+                ["NL_NT", "L_T"], ["NL_T", "NL_NT"], None, ["L_NT", "L_NT"]
+            )
+        ]
+        self._check(app, queries, [False] * len(queries))
+        body = json.loads(app.handle_evaluate({"queries": queries}))
+        assert [r["best_mode"] for r in body["results"]] == [
+            "L_T", "NL_T", "L_T", "L_NT"
+        ]
+
+    def test_fully_and_partly_cached_batches(self):
+        app = ServeApp()
+        queries = [
+            dict(EVALUATE_QUERY, modes=["L_T", "NL_T"], workload={
+                "granularity": 10.0 + i, "acceleratable_fraction": 0.3,
+            })
+            for i in range(6)
+        ]
+        self._check(app, queries[:3], [False] * 3)
+        self._check(app, queries[:3], [True] * 3)
+        self._check(app, queries, [True] * 3 + [False] * 3)
+        # One of a result's two modes cached: the result is not.
+        partly = dict(queries[0], modes=["L_T", "L_NT"])
+        self._check(app, [partly, queries[1]], [False, True])
+
+    def test_single_query_form(self):
+        app = ServeApp()
+        self._check(app, [EVALUATE_QUERY], [False], single=True)
+        self._check(app, [EVALUATE_QUERY], [True], single=True)
+
+    def test_non_finite_speedups_fall_back_to_the_dict(self, monkeypatch):
+        by_mode = {"L_T": math.inf, "L_NT": math.nan, "NL_T": -math.inf,
+                   "NL_NT": 2.5}
+
+        def fake_rows(cores, accelerators, workloads, modes, drains):
+            return np.array([by_mode[mode.value] for mode in modes])
+
+        monkeypatch.setattr(batch, "speedup_rows", fake_rows)
+        app = ServeApp()
+        queries = [
+            dict(EVALUATE_QUERY, modes=modes, workload={
+                "granularity": 10.0 + i, "acceleratable_fraction": 0.3,
+            })
+            for i, modes in enumerate(
+                [list(_MODES), ["NL_NT"], ["L_NT"], ["NL_NT", "NL_T"], ["L_T"]]
+            )
+        ]
+        self._check(app, queries, [False] * len(queries))
+        body = _strict_loads(app.handle_evaluate({"queries": queries}))
+        assert body["results"][0]["speedups"] == {
+            "L_T": "Infinity", "L_NT": None, "NL_T": "-Infinity", "NL_NT": 2.5
+        }
+
+    def test_counters_match_the_dict_assembly(self):
+        """Counter and cache totals over a fixed 200-body sequence, as
+        the dict-assembling service counted them."""
+        registry = get_registry()
+        names = ("serve.batch.queries", "serve.batch.groups",
+                 "serve.batch.evaluated")
+        before = [registry.counter(name).value for name in names]
+        app = ServeApp()
+        for body in _fixed_bodies():
+            app.handle_evaluate(json.loads(body))
+        after = [registry.counter(name).value for name in names]
+        assert [b - a for a, b in zip(before, after)] == _FIXED_COUNTERS
+        assert app.cache.stats() == _FIXED_CACHE
+
+
+#: What the 200 bodies of :func:`_fixed_bodies` counted when each
+#: ``/evaluate`` reply was assembled as a dict of ``EvaluationQuery``
+#: results and encoded whole.
+_FIXED_COUNTERS = [7491, 796, 3730]
+_FIXED_CACHE = {
+    "memory": {
+        "entries": 3664,
+        "max_entries": 100000,
+        "hits": 3761,
+        "misses": 3730,
+        "evictions": 0,
+    }
+}
 
 
 def _raw_exchange(port, data):
@@ -400,6 +581,180 @@ class TestConnections:
             assert conn.sock is None  # http.client saw the close
         finally:
             conn.close()
+
+
+_HEADER_NAMES = ("Content-Length", "X-Request-Id", "Connection", "Expect")
+
+
+def _case_variants(name):
+    return st.sampled_from(
+        (name, name.lower(), name.upper(), name.swapcase())
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(
+        st.tuples(
+            st.one_of(
+                *map(_case_variants, _HEADER_NAMES),
+                st.sampled_from(("Host", "Accept", "X-Other")),
+            ),
+            st.sampled_from(("", " ", "  ", "\t", " \t ")),
+            st.one_of(
+                st.sampled_from(
+                    ("", "12", "0", "close", "Close", "keep-alive",
+                     "100-continue", "100-Continue", "abc-123")
+                ),
+                st.text(
+                    st.characters(min_codepoint=0x21, max_codepoint=0xFF),
+                    max_size=12,
+                ),
+            ),
+            st.sampled_from(("", " ", "\t", " \t")),
+            st.sampled_from(("\r\n", "\n")),
+        ),
+        max_size=8,
+    )
+)
+def test_header_values_match_http_client(lines):
+    """The lean head reader finds what ``http.client.parse_headers``
+    finds for the headers the service reads."""
+    head = "".join(
+        f"{name}:{lead}{value}{trail}{end}"
+        for name, lead, value, trail, end in lines
+    ).encode("iso-8859-1") + b"\r\n"
+    ours = service._read_headers(io.BytesIO(head))
+    theirs = http.client.parse_headers(io.BytesIO(head))
+    for name in _HEADER_NAMES:
+        for spelling in (name, name.lower(), name.upper()):
+            assert ours.get(spelling) == theirs.get(spelling), (spelling, head)
+        assert ours.get(name, "") == theirs.get(name, "")
+
+
+def _head_exchange(port, data, replies=1):
+    """The bytes of ``replies`` complete replies to ``data`` on one
+    connection, and whether the server then closed it."""
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(data)
+        reader = sock.makefile("rb")
+        raw = b""
+        for _ in range(replies):
+            head = b""
+            while not head.endswith(b"\r\n\r\n"):
+                line = reader.readline()
+                assert line, raw + head
+                head += line
+            length = 0
+            for line in head.split(b"\r\n"):
+                if line.lower().startswith(b"content-length:"):
+                    length = int(line.split(b":")[1])
+            raw += head + reader.read(length)
+        sock.settimeout(2)
+        try:
+            closed = reader.read(1) == b""
+        except (TimeoutError, socket.timeout):
+            closed = False
+        except ConnectionResetError:
+            closed = True
+    return raw, closed
+
+
+def _evaluate_request(extra=b"", version=b"HTTP/1.1", length=b"Content-Length"):
+    body = json.dumps(EVALUATE_QUERY).encode("utf-8")
+    return (
+        b"POST /evaluate " + version + b"\r\nHost: x\r\n" + extra
+        + length + b": %d\r\n\r\n" % len(body) + body
+    )
+
+
+class TestRequestHead:
+    def test_too_many_headers_is_431(self, server_port):
+        head = b"GET /healthz HTTP/1.1\r\n" + b"X-A: 1\r\n" * 101 + b"\r\n"
+        raw = _raw_exchange(server_port, head)
+        assert raw.startswith(b"HTTP/1.1 431 "), raw[:80]
+
+    def test_long_header_line_is_431(self, server_port):
+        line = b"X-A: " + b"a" * (65537 - 7) + b"\r\n"
+        assert len(line) == 65537
+        raw = _raw_exchange(
+            server_port, b"GET /healthz HTTP/1.1\r\n" + line + b"\r\n"
+        )
+        assert raw.startswith(b"HTTP/1.1 431 "), raw[:80]
+
+    @pytest.mark.parametrize(
+        "bad", [b"X-A: 1\r\n folded\r\n", b"\tX-A: 1\r\n", b"no colon\r\n"]
+    )
+    def test_folded_or_colonless_line_is_400_and_closes(self, server_port, bad):
+        raw, closed = _head_exchange(
+            server_port, b"GET /healthz HTTP/1.1\r\n" + bad + b"\r\n"
+        )
+        assert raw.startswith(b"HTTP/1.1 400 "), raw[:80]
+        assert json.loads(raw.split(b"\r\n\r\n", 1)[1])["field"] == "headers"
+        assert closed
+
+    def test_http_10_is_answered_then_closed(self, server_port):
+        raw, closed = _head_exchange(
+            server_port, _evaluate_request(version=b"HTTP/1.0")
+        )
+        assert raw.startswith(b"HTTP/1.1 200 "), raw[:80]
+        assert json.loads(raw.split(b"\r\n\r\n", 1)[1])["results"]
+        assert closed
+
+    def test_expect_100_continue(self, server_port):
+        body = json.dumps(EVALUATE_QUERY).encode("utf-8")
+        with socket.create_connection(("127.0.0.1", server_port), timeout=10) as sock:
+            sock.sendall(
+                b"POST /evaluate HTTP/1.1\r\nexpect: 100-Continue\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body)
+            )
+            reader = sock.makefile("rb")
+            assert reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert reader.readline() == b"\r\n"
+            sock.sendall(body)
+            assert reader.readline().startswith(b"HTTP/1.1 200 ")
+
+    def test_pipelined_requests_are_both_answered(self, server_port):
+        raw, closed = _head_exchange(
+            server_port,
+            _evaluate_request(length=b"content-length")
+            + _evaluate_request(b"Connection: close\r\n"),
+            replies=2,
+        )
+        assert raw.count(b"HTTP/1.1 200 ") == 2, raw
+        assert closed
+
+    def test_lowercase_names_and_first_value_win(self, server_port):
+        body = json.dumps(EVALUATE_QUERY).encode("utf-8")
+        raw, closed = _head_exchange(
+            server_port,
+            b"POST /evaluate HTTP/1.1\r\ncontent-length: %d\r\n"
+            b"x-request-id: first\r\nX-Request-Id: second\r\n\r\n"
+            % len(body) + body,
+        )
+        assert raw.startswith(b"HTTP/1.1 200 "), raw[:80]
+        assert b"X-Request-Id: first\r\n" in raw
+        assert not closed
+
+
+class TestEncodeFailure:
+    def test_unencodable_reply_is_a_500(self, monkeypatch):
+        app = ServeApp()
+        monkeypatch.setattr(app, "handle_healthz", lambda: {"x": object()})
+        server = make_server(port=0, app=app)
+        port = server.server_address[1]
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        errors = get_registry().counter("serve.requests.errors")
+        before = errors.value
+        try:
+            status, body = _request(port, "/healthz")
+            assert (status, body) == (500, {"error": "internal server error"})
+            assert errors.value == before + 1
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=10)
 
 
 class TestRequestTimers:
@@ -939,7 +1294,7 @@ class TestSimulate:
     def test_engine_deadlock_stays_a_server_error(self, monkeypatch):
         # "No progress possible" breaks an engine invariant: not the
         # client's fault, so it must not become a 400.
-        from repro.serve import service
+        from repro.serve import batch, service
         from repro.sim.core import DeadlockError
 
         def deadlock(*args, **kwargs):
