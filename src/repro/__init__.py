@@ -37,8 +37,6 @@ Quick start::
         print(mode.value, round(speedup, 3))
 """
 
-import warnings as _warnings
-
 # NOTE: repro.core must be imported before repro.sim — repro.sim.config
 # depends on repro.core.modes, while repro.core.validation lazily imports
 # repro.sim at call time.  Importing core first keeps every entry point
@@ -92,7 +90,7 @@ from repro.api import (
 )
 from repro.serve import EvaluationCache
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 __all__ = [
     "ARM_A72",
@@ -133,41 +131,8 @@ __all__ = [
     "get_logger",
     "get_registry",
     "pareto_sweep",
-    "predict_speedups",
     "simulate",
-    "simulate_modes",
     "sweep",
     "tracing",
     "validate_workload",
 ]
-
-#: Top-level names retired in favor of the :mod:`repro.api` façade:
-#: name -> (provider module, attribute, replacement hint).
-_DEPRECATED = {
-    "predict_speedups": ("repro.core", "predict_speedups", "repro.evaluate"),
-    "simulate_modes": ("repro.sim", "simulate_modes", "repro.compare"),
-}
-
-
-def __getattr__(name):
-    """Resolve deprecated top-level exports with a :class:`DeprecationWarning`.
-
-    ``repro.predict_speedups`` and ``repro.simulate_modes`` still work —
-    they forward to their original implementations — but new code should
-    use :func:`repro.evaluate` and :func:`repro.compare`, which add
-    caching and typed, serializable results.
-    """
-    try:
-        module_name, attribute, replacement = _DEPRECATED[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    _warnings.warn(
-        f"repro.{name} is deprecated; use {replacement} instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    import importlib
-
-    return getattr(importlib.import_module(module_name), attribute)

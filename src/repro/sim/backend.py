@@ -15,21 +15,25 @@ kernel) as the oracle hook for tests and benchmarks.
 
 Both engines produce byte-identical ``SimStats.to_dict()`` payloads
 (enforced by ``tests/test_sim_equivalence.py`` / ``test_sim_backends.py``)
-and leave the run's :class:`~repro.sim.cache.CacheHierarchy` in the
-same state (``export_state()`` and every hit/miss counter, also checked
-there), so the cache snapshots segment runs start from
-(:func:`repro.sim.sample.simulate_segments`) work unchanged on native runs.
+and leave the run's :class:`~repro.sim.cache.CacheHierarchy` with the
+same residency and hit/miss counters (also checked there).  A cache
+snapshot is each level's ``(tags, cnt)`` block, the memory the kernel
+reads, so the snapshots segment runs start from
+(:func:`repro.sim.sample.simulate_segments`) come from and go to either
+engine.
 
 A warm native run pays for the kernel and little else:
 
 - **Cache residency stays in the kernel's arrays.**  Each
-  :class:`~repro.sim.cache._CacheLevel` owns a ``(tags, cnt)`` int64
-  pair that the kernel reads and writes in place; the per-set Python
+  :class:`~repro.sim.cache._CacheLevel` owns an int64 ``(tags, cnt)``
+  block that the kernel reads and writes in place; the per-set Python
   lists are built only when something asks for them (the Python loop,
-  ``contains``/``access``, ``load_state``), and ``export_state`` reads
-  the arrays directly.  :func:`warm` warms the arrays in the kernel
-  (``repro_cache_warm``), exactly as
-  :meth:`~repro.sim.cache.CacheHierarchy.warm_lines` warms the lists.
+  ``contains``/``access``).  A segment run adopts a private copy of its
+  snapshot's blocks after one vectorized check (shape, dtype, and every
+  ``cnt`` in ``[0, assoc]``), so it builds no list either.
+  :func:`warm` warms the arrays in the kernel (``repro_cache_warm``),
+  exactly as :meth:`~repro.sim.cache.CacheHierarchy.warm_lines` warms
+  the lists.
 - **Pointers are marshalled once.**  A :class:`PackedTrace` holds its
   columns' addresses and each pooled :class:`NativeRunState` its own;
   a run adds one int64 block for its config, counters and scratch
@@ -350,12 +354,10 @@ def warm(cache, lines: np.ndarray) -> None:
         return
     lines = np.ascontiguousarray(lines, dtype=_I64)
     l1, l2 = cache.l1, cache.l2
-    l1_tags_ptr, l1_cnt_ptr = l1.arrays()[2:]
-    l2_tags_ptr, l2_cnt_ptr = l2.arrays()[2:]
     _C_WARM(
         _address(lines), len(lines), l1._line_shift,
-        l1_tags_ptr, l1_cnt_ptr, l1._num_sets, l1._assoc,
-        l2_tags_ptr, l2_cnt_ptr, l2._num_sets, l2._assoc,
+        *l1.pointers(), l1._num_sets, l1._assoc,
+        *l2.pointers(), l2._num_sets, l2._assoc,
     )
 
 
@@ -460,8 +462,6 @@ def _marshal(sim, pt: PackedTrace, st: NativeRunState):
     fu_at = cs_at + CS_LEN
     (stats_at, fu_left_at, fu_busy_at, events_at, ready_at, deferred_at,
      tca_at, _) = accumulate(sizes, initial=len(head))
-    l1_tags_ptr, l1_cnt_ptr = l1.arrays()[2:]
-    l2_tags_ptr, l2_cnt_ptr = l2.arrays()[2:]
     args = (
         base,
         pt.pointers[0],
@@ -473,7 +473,8 @@ def _marshal(sim, pt: PackedTrace, st: NativeRunState):
         base + 8 * fu_busy_at,
         *pt.pointers[1:],
         *st.pointers[:10],
-        l1_tags_ptr, l1_cnt_ptr, l2_tags_ptr, l2_cnt_ptr,
+        *l1.pointers(),
+        *l2.pointers(),
         base + 8 * cs_at,
         base + 8 * events_at,
         base + 8 * ready_at,

@@ -82,22 +82,28 @@ class _CacheLevel:
       and most runs touch a small fraction of the L2 sets).  The Python
       engine reads and writes this form; with the small associativities
       used here, list operations beat an ordered dict per set.
-    - **arrays**: the C kernel's flat int64 pair, ``tags`` (``assoc``
-      slots per set, MRU first) and ``cnt`` (valid ways per set), which
-      the kernel reads and writes in place.
+    - **block**: the C kernel's flat int64 block, ``tags`` (``assoc``
+      slots per set, MRU first) followed by ``cnt`` (valid ways per
+      set), which the kernel reads and writes in place.
 
-    A level starts in list form.  :meth:`arrays` moves it to array form;
-    :meth:`access`, :meth:`contains` and :meth:`load_state` move it back.
-    Each form is built only when something asks for it, so a run on the
-    kernel never builds a list and a host without the kernel never
-    allocates an array.  :meth:`export_state` reads either form in place.
+    A level starts in list form.  :meth:`pointers` moves it to the block;
+    :meth:`access` and :meth:`contains` move it back.  Each form is built
+    only when something asks for it, so a run on the kernel never builds
+    a list and a host without the kernel never allocates a block.
+
+    A cache snapshot is the block itself: :meth:`snapshot` copies it out
+    of either form, and :meth:`adopt` takes a private copy back in.  The
+    kernel indexes residency by ``cnt``, so adoption checks the one thing
+    it relies on, vectorized: an int64 block of this level's shape whose
+    counts lie in ``[0, assoc]``.
     """
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
         self._sets: dict[int, list[int]] | None = {}
-        #: ``(tags, cnt, tags address, cnt address)`` in array form.
-        self._arrays: tuple[np.ndarray, np.ndarray, int, int] | None = None
+        self._block: np.ndarray | None = None
+        #: Addresses of the block's ``tags`` and ``cnt``, once asked for.
+        self._pointers: tuple[int, int] | None = None
         self._num_sets = config.num_sets
         self._assoc = config.assoc
         self._line_shift = config.line.bit_length() - 1
@@ -105,52 +111,82 @@ class _CacheLevel:
             raise ValueError(f"line size must be a power of two, got {config.line}")
         self.stats = CacheLevelStats()
 
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, int, int]:
-        """The kernel's ``(tags, cnt)`` arrays and their addresses.
+    def pointers(self) -> tuple[int, int]:
+        """Addresses of the kernel's ``tags`` and ``cnt``.
 
-        Built from the lists on the first ask after a list-form change;
-        the arrays then own residency until a list-form operation.
-        ``load_state`` refuses a snapshot wider than the ways, so every
-        set fits its ``assoc`` slots.
+        The block is built from the lists on the first ask after a
+        list-form change; it then owns residency until a list-form
+        operation.
         """
-        if self._arrays is None:
-            n = self._num_sets * self._assoc
-            block = np.zeros(n + self._num_sets, dtype=np.int64)
-            tags, cnt = block[:n], block[n:]
-            if self._sets:
-                with span("sim.cache.sync"):
-                    assoc = self._assoc
-                    for idx, set_tags in self._sets.items():
-                        cnt[idx] = len(set_tags)
-                        tags[idx * assoc : idx * assoc + len(set_tags)] = set_tags
-            base = block.ctypes.data
-            self._arrays = (tags, cnt, base, base + 8 * n)
-            self._sets = None
-        return self._arrays
+        if self._pointers is None:
+            if self._block is None:
+                self._block = self._block_from_lists()
+                self._sets = None
+            base = self._block.ctypes.data
+            self._pointers = (base, base + 8 * self._num_sets * self._assoc)
+        return self._pointers
+
+    def _block_from_lists(self) -> np.ndarray:
+        """A fresh block holding the list form's residency."""
+        n = self._num_sets * self._assoc
+        block = np.zeros(n + self._num_sets, dtype=np.int64)
+        if self._sets:
+            with span("sim.cache.sync"):
+                assoc = self._assoc
+                for idx, set_tags in self._sets.items():
+                    block[n + idx] = len(set_tags)
+                    block[idx * assoc : idx * assoc + len(set_tags)] = set_tags
+        return block
+
+    def snapshot(self) -> np.ndarray:
+        """A copy of residency as the kernel's block (the form is unchanged)."""
+        if self._sets is None:
+            return self._block.copy()
+        return self._block_from_lists()
+
+    def adopt(self, block: np.ndarray) -> None:
+        """Replace residency with a private copy of a :meth:`snapshot`.
+
+        Stats counters are untouched.  Raises ``ValueError`` unless
+        ``block`` is an int64 array of this level's shape with every set
+        count in ``[0, assoc]``.
+        """
+        n = self._num_sets * self._assoc
+        shape = (n + self._num_sets,)
+        if not (
+            isinstance(block, np.ndarray)
+            and block.dtype == np.int64
+            and block.shape == shape
+        ):
+            raise ValueError(f"cache snapshot must be an int64 array of shape {shape}")
+        # One pass: a negative count wraps to a huge unsigned one.
+        if block[n:].view(np.uint64).max() > self._assoc:
+            raise ValueError(
+                f"cache snapshot holds a set count outside [0, {self._assoc}]"
+            )
+        self._block = block.copy()
+        self._sets = self._pointers = None
 
     def __getstate__(self) -> dict:
-        """Pickle and copy in list form: array addresses do not survive."""
+        """Pickle and copy residency as a block copy: addresses do not survive."""
         state = self.__dict__.copy()
-        state["_sets"] = self.export_state()
-        state["_arrays"] = None
+        state["_block"] = self.snapshot()
+        state["_sets"] = state["_pointers"] = None
         return state
 
-    def _array_sets(self) -> dict[int, list[int]]:
-        """Fresh per-set lists read from the array form."""
-        tags, cnt = self._arrays[0], self._arrays[1]
-        live = np.flatnonzero(cnt)
-        rows = tags.reshape(-1, self._assoc)[live].tolist()
-        return {
-            idx: row[:count]
-            for idx, row, count in zip(live.tolist(), rows, cnt[live].tolist())
-        }
-
     def _lists(self) -> dict[int, list[int]]:
-        """The per-set lists, built from the arrays if those own residency."""
+        """The per-set lists, built from the block if it owns residency."""
         if self._sets is None:
             with span("sim.cache.sync"):
-                self._sets = self._array_sets()
-            self._arrays = None
+                n = self._num_sets * self._assoc
+                cnt = self._block[n:]
+                live = np.flatnonzero(cnt)
+                rows = self._block[:n].reshape(-1, self._assoc)[live].tolist()
+                self._sets = {
+                    idx: row[:count]
+                    for idx, row, count in zip(live.tolist(), rows, cnt[live].tolist())
+                }
+            self._block = self._pointers = None
         return self._sets
 
     def access(self, addr: int) -> bool:
@@ -192,44 +228,7 @@ class _CacheLevel:
     def flush(self) -> None:
         """Invalidate all lines (stats preserved)."""
         self._sets = {}
-        self._arrays = None
-
-    def export_state(self) -> dict[int, list[int]]:
-        """Resident line tags per set, MRU-first (JSON/pickle-safe copy)."""
-        if self._sets is None:
-            return self._array_sets()
-        return {idx: list(tags) for idx, tags in self._sets.items() if tags}
-
-    def load_state(self, state: "dict[int | str, list[int]]") -> None:
-        """Replace residency with an :meth:`export_state` snapshot.
-
-        Set indices arriving as strings (a snapshot round-tripped through
-        JSON) are accepted; stats counters are untouched.  A snapshot
-        this level could not have produced raises ``ValueError``: a set
-        index out of range, more tags than ways, a repeated tag, or a tag
-        (outside int64 or) of another set.
-        """
-        num_sets = self._num_sets
-        sets: dict[int, list[int]] = {}
-        for key, raw in state.items():
-            idx = int(key)
-            tags = [int(tag) for tag in raw]
-            if not tags:
-                continue
-            if not 0 <= idx < num_sets:
-                raise ValueError(f"cache snapshot set {idx} outside [0, {num_sets})")
-            if len(tags) > self._assoc:
-                raise ValueError(
-                    f"cache snapshot set {idx} holds {len(tags)} tags "
-                    f"for {self._assoc} ways"
-                )
-            if len(set(tags)) != len(tags):
-                raise ValueError(f"cache snapshot set {idx} repeats a tag")
-            if any(not 0 <= tag < 1 << 63 or tag % num_sets != idx for tag in tags):
-                raise ValueError(f"cache snapshot set {idx} holds a foreign tag")
-            sets[idx] = tags
-        self._sets = sets
-        self._arrays = None
+        self._block = self._pointers = None
 
 
 class CacheHierarchy:
@@ -375,16 +374,15 @@ class CacheHierarchy:
         self.l1.flush()
         self.l2.flush()
 
-    def export_state(self) -> dict[str, dict[int, list[int]]]:
-        """Snapshot of both levels' residency (a segment run's start state).
+    def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of both levels' residency blocks (a segment run's start state).
 
-        The snapshot is a plain nested dict of ints, picklable for
-        :func:`~repro.sim.sample.simulate_segments` pool workers.
         Hit/miss counters are not part of the snapshot.
         """
-        return {"l1": self.l1.export_state(), "l2": self.l2.export_state()}
+        return self.l1.snapshot(), self.l2.snapshot()
 
-    def load_state(self, state: "dict[str, Any]") -> None:
-        """Adopt an :meth:`export_state` snapshot (replaces residency)."""
-        self.l1.load_state(state.get("l1", {}))
-        self.l2.load_state(state.get("l2", {}))
+    def adopt(self, state: tuple[np.ndarray, np.ndarray]) -> None:
+        """Replace residency with private copies of a :meth:`snapshot`."""
+        l1, l2 = state
+        self.l1.adopt(l1)
+        self.l2.adopt(l2)

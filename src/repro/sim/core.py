@@ -97,10 +97,12 @@ class CoreSim:
         start: first trace index to execute (segment runs; see below).
         stop: one past the last trace index to execute (default: the
             trace end).
-        cache_state: a :meth:`CacheHierarchy.export_state` snapshot
-            loaded into the hierarchy before the run (applied after
-            ``warm_ranges``), letting a segment resume with the cache
-            residency a preceding segment left behind.
+        cache_state: a :meth:`CacheHierarchy.snapshot` (each level's
+            int64 residency block) that the hierarchy adopts a private
+            copy of, after ``warm_ranges`` (the kernel writes residency
+            in place, and several segments may share one snapshot),
+            letting a segment resume with the residency the
+            instructions before it left behind.
 
     **Segment runs** (``start``/``stop``/``cache_state``) execute the
     half-open index window ``[start, stop)`` of the compiled trace: the
@@ -126,7 +128,7 @@ class CoreSim:
         *,
         start: int = 0,
         stop: int | None = None,
-        cache_state: dict | None = None,
+        cache_state: tuple | None = None,
     ) -> None:
         compiled = compile_trace(trace)
         self.config = config
@@ -156,7 +158,7 @@ class CoreSim:
         if warm_ranges:
             backend.warm(self.cache, warm_line_array(warm_ranges))
         if cache_state is not None:
-            self.cache.load_state(cache_state)
+            self.cache.adopt(cache_state)
 
     # ------------------------------------------------------------------ run
 

@@ -295,9 +295,13 @@ def plan_windows(length: int, config: SamplingConfig) -> list[tuple[int, int]]:
 
 
 #: What one segment run counts for in :func:`plan_cost`, in instructions.
-#: A floor, not an estimate: a segment (snapshot, CoreSim, kernel call)
-#: costs 0.07-0.45 ms, thousands of instructions of the warm kernel, so
-#: a plan this counts as cheaper than the exact run may still be slower.
+#: A floor, not an estimate: a one-instruction segment from a snapshot
+#: (block copy, CoreSim, kernel call) costs ~0.04 ms on a 2-CPU x86-64
+#: VM, about 1,000 instructions of the warm kernel, so a plan this counts
+#: as cheaper than the exact run may still be slower.  At the measured
+#: cost, the 11-segment sampled runs of the 4,460-instruction heap trace
+#: that the tests and CI make would be forced to exact, and would stop
+#: testing sampling.
 SEGMENT_COST_INSTRUCTIONS = 100
 
 
@@ -616,17 +620,18 @@ def _boundary_cache_states(
     config: SimConfig,
     starts: list[int],
     warm_ranges: list[tuple[int, int]] | None,
-) -> Iterator[dict[str, Any]]:
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Cache snapshots at each (ascending) start via functional warming.
 
     One sequential pass replays the program-order memory-line footprint
     (load lines, TCA read lines, store/TCA commit-write lines) into a
-    hierarchy built from ``config``, yielding residency as each boundary
-    is crossed; the next slice is warmed only when the next snapshot is
-    asked for.  Each slice between two boundaries is one warm call, in
-    the kernel when it builds — no pipeline modelling, so it stays
-    negligible next to the detailed segment runs it enables.  Residency
-    approximates the detailed engine's (which touches lines in
+    hierarchy built from ``config``, yielding a copy of each level's
+    residency block as each boundary is crossed (the ``cache_state`` a
+    segment run adopts); the next slice is warmed only when the next
+    snapshot is asked for.  Each slice between two boundaries is one
+    warm call, in the kernel when it builds — no pipeline modelling, so
+    it stays negligible next to the detailed segment runs it enables.
+    Residency approximates the detailed engine's (which touches lines in
     issue/commit order, with prefetch), affecting segment timing only,
     never counts.
     """
@@ -636,12 +641,12 @@ def _boundary_cache_states(
     done = 0
     for boundary in starts:
         backend.warm(cache, lines[line_starts[done] : line_starts[boundary]])
-        yield cache.export_state()
+        yield cache.snapshot()
         done = max(done, boundary)
 
 
 def _run_segment(
-    item: tuple["Trace | CompiledTrace", SimConfig, int, int, dict[str, Any]]
+    item: tuple["Trace | CompiledTrace", SimConfig, int, int, tuple]
 ) -> SimStats:
     """One segment run (module-level: pickled into pool workers)."""
     trace, config, start, stop, cache_state = item

@@ -2,8 +2,8 @@
 
 Three contracts: the façade's results are correct and round-trip through
 their dict forms; every documented name is importable (and `docs/API.md`
-matches the packages' ``__all__`` exactly); retired spellings still work
-behind a :class:`DeprecationWarning`.
+matches the packages' ``__all__`` exactly); the pre-façade spellings
+import from their home modules without a :class:`DeprecationWarning`.
 """
 
 import importlib
@@ -225,21 +225,6 @@ class TestSimStatsRoundTrip:
 
 
 class TestDeprecatedSpellings:
-    def test_predict_speedups_warns_and_forwards(self):
-        with pytest.warns(DeprecationWarning, match="repro.evaluate"):
-            speedups = repro.predict_speedups(ARM_A72, ACCEL, WORKLOAD)
-        assert speedups == TCAModel(ARM_A72, ACCEL, WORKLOAD).speedups()
-
-    def test_simulate_modes_warns_and_forwards(self):
-        baseline, accelerated = _traces()
-        with pytest.warns(DeprecationWarning, match="repro.compare"):
-            comparison = repro.simulate_modes(
-                baseline, accelerated, ARM_A72_SIM
-            )
-        assert comparison.speedups() == api.compare(
-            baseline, accelerated, ARM_A72_SIM
-        ).speedups()
-
     def test_home_module_spellings_do_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
@@ -282,10 +267,8 @@ class TestDocumentedSurface:
     )
     def test_every_export_is_importable(self, module_name):
         module = importlib.import_module(module_name)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            for name in module.__all__:
-                assert getattr(module, name) is not None
+        for name in module.__all__:
+            assert getattr(module, name) is not None
 
     def test_quickstart_import_shape(self):
         """The README's one-liner must keep working."""

@@ -34,6 +34,7 @@ from repro.sim.config import (
 from repro.sim.core import CoreSim, CycleLimitError, DeadlockError
 from repro.workloads.heap import HeapWorkloadSpec, generate_heap_program
 from repro.workloads.synthetic import SyntheticSpec, generate_synthetic_program
+from cache_residency import residency, snapshot_residency
 
 #: Whether the C kernel builds here (a ``cc`` binary alone is not enough).
 HAS_KERNEL = backend.effective_backend() == "c"
@@ -177,25 +178,21 @@ class TestNativeGuards:
             compile_trace(Trace([Instruction(OpClass.NOP)] * 8), cache=False)
 
     def test_malformed_cache_snapshot_is_refused(self):
-        sim = CoreSim(HIGH_PERF_SIM, CASES[0][1])
-        level = sim.cache.l1
-        sets, assoc = level.config.num_sets, level.config.assoc
-        level.load_state({"3": [3 + sets, 3]})  # JSON-style index, two ways
-        for snapshot, match in (
-            ({sets: [sets]}, "outside"),
-            ({0: [sets * i for i in range(assoc + 1)]}, "ways"),
-            ({0: [sets, sets]}, "repeats"),
-            ({0: [1]}, "foreign"),
-            ({0: [-sets]}, "foreign"),
+        # The kernel indexes residency by each level's block: one whose
+        # shape or dtype differs, or whose set count exceeds the ways,
+        # is refused before a run starts.
+        trace = CASES[0][1]
+        l1, l2 = CoreSim(HIGH_PERF_SIM, trace).cache.snapshot()
+        over_full = l2.copy()
+        over_full[-1] = HIGH_PERF_SIM.l2_assoc + 1
+        for cache_state, match in (
+            ((l1[:-1], l2), "shape"),
+            ((l1, l2.astype(np.int32)), "int64"),
+            ((l1, over_full), "set count"),
         ):
             with pytest.raises(ValueError, match=match):
-                level.load_state(snapshot)
-        with pytest.raises(ValueError, match="ways"):
-            CoreSim(
-                HIGH_PERF_SIM,
-                CASES[0][1],
-                cache_state={"l2": {0: list(range(0, 9 * 1024, 1024))}},
-            )
+                CoreSim(HIGH_PERF_SIM, trace, cache_state=cache_state)
+        CoreSim(HIGH_PERF_SIM, trace, cache_state=(l1, l2)).run()
 
     @needs_kernel
     def test_capacity_abort_raises_naming_the_array(self, monkeypatch):
@@ -298,15 +295,14 @@ def test_kernel_warming_equals_python_warm_lines(l1, l2, slices, snapshot):
     if snapshot is not None:
         seed = _hierarchy(l1, l2)
         seed.warm_lines([tag * 64 for tag in snapshot])
-        state = seed.export_state()
-        python.load_state(state)
-        kernel.load_state(state)
+        python.adopt(seed.snapshot())
+        kernel.adopt(seed.snapshot())
     for tags in slices:  # consecutive warms, as between sampled boundaries
         lines = [tag * 64 for tag in tags]
         python.warm_lines(lines)
         with backend.use_backend("c"):
             backend.warm(kernel, np.array(lines, dtype=np.int64))
-        assert kernel.export_state() == python.export_state()
+        assert residency(kernel) == residency(python)
     assert kernel.l1._sets is None and kernel.l2._sets is None  # no lists built
     assert _counters(kernel) == _counters(python) == (7, 3, 3, 1, 0)
     # The list form built from the kernel's arrays behaves identically.
@@ -323,12 +319,12 @@ def test_copies_of_a_kernel_warmed_hierarchy_own_their_residency():
     cache = _hierarchy((4, 2), (4, 2))
     with backend.use_backend("c"):
         backend.warm(cache, np.arange(0, 64 * 20, 64, dtype=np.int64))
-        state = cache.export_state()
+        state = residency(cache)
         for clone in (copy.deepcopy(cache), pickle.loads(pickle.dumps(cache))):
-            assert clone.export_state() == state
+            assert residency(clone) == state
             backend.warm(clone, np.arange(64 * 40, 64 * 60, 64, dtype=np.int64))
-            assert clone.export_state() != state
-            assert cache.export_state() == state
+            assert residency(clone) != state
+            assert residency(cache) == state
 
 
 @pytest.mark.parametrize("case", CASES, ids=[label for label, _, _ in CASES])
@@ -358,13 +354,40 @@ def test_boundary_snapshots_match_on_both_engines(case):
     snapshots = {}
     for engine in ("python", "c"):
         with backend.use_backend(engine):
-            snapshots[engine] = list(
-                sample._boundary_cache_states(
+            snapshots[engine] = [
+                snapshot_residency(snapshot, LOW_PERF_SIM)
+                for snapshot in sample._boundary_cache_states(
                     compiled, LOW_PERF_SIM, boundaries, warm_ranges
                 )
-            )
+            ]
     assert len(snapshots["c"]) == len(boundaries)
     assert snapshots["c"] == snapshots["python"]
+
+
+@needs_kernel
+def test_kernel_segment_runs_adopt_a_snapshot_without_lists():
+    # A segment run adopts the snapshot's blocks as the kernel's arrays:
+    # no per-set list is built, and the kernel writes a private copy, so
+    # runs sharing one snapshot leave it byte-unchanged.
+    _, trace, warm_ranges = CASES[0]
+    compiled = compile_trace(trace)
+    n = compiled.length
+    (snapshot,) = sample._boundary_cache_states(
+        compiled, LOW_PERF_SIM, [n // 2], warm_ranges
+    )
+    before = [block.tobytes() for block in snapshot]
+    left = []
+    with backend.use_backend("c"):
+        for stop in (n, n // 2 + 1):
+            sim = CoreSim(
+                LOW_PERF_SIM, compiled, start=n // 2, stop=stop, cache_state=snapshot
+            )
+            assert sim.cache.l1._sets is None and sim.cache.l2._sets is None
+            sim.run()
+            assert sim.cache.l1._sets is None and sim.cache.l2._sets is None
+            left.append(residency(sim.cache))
+    assert left[0] != snapshot_residency(snapshot, LOW_PERF_SIM)  # it wrote its copy
+    assert [block.tobytes() for block in snapshot] == before
 
 
 # ================================================================= equivalence

@@ -32,6 +32,7 @@ from repro.workloads.matmul import (
     generate_baseline_trace,
 )
 from repro.workloads.synthetic import SyntheticSpec, generate_synthetic_program
+from cache_residency import residency
 from seed_engine import ReferenceCoreSim
 from test_sim_extensions import branchy_trace, burst_trace
 
@@ -191,7 +192,7 @@ def _residency(sim: CoreSim) -> tuple:
     """The cache state a run leaves: residency plus every counter."""
     cache = sim.cache
     return (
-        cache.export_state(),
+        residency(cache),
         cache.l1.stats.accesses, cache.l1.stats.misses,
         cache.l2.stats.accesses, cache.l2.stats.misses,
         cache.prefetches,

@@ -453,7 +453,7 @@ class TestSegments:
         # snapshot is exported only after the previous start's segments
         # have run.  Results still come back in the order asked for.
         calls = []
-        export, run = CacheHierarchy.export_state, CoreSim.run
+        export, run = CacheHierarchy.snapshot, CoreSim.run
 
         def logged_export(self):
             calls.append("export")
@@ -463,7 +463,7 @@ class TestSegments:
             calls.append(f"run@{self._start}")
             return run(self)
 
-        monkeypatch.setattr(CacheHierarchy, "export_state", logged_export)
+        monkeypatch.setattr(CacheHierarchy, "snapshot", logged_export)
         monkeypatch.setattr(CoreSim, "run", logged_run)
         parts = simulate_segments(
             _heap_trace(), ARM_A72_SIM, [(100, 300), (0, 100), (100, 150)]
